@@ -11,7 +11,10 @@
 //! artifact.
 //!
 //! Usage: `cargo run --release -p m2m-bench --bin bench_optimizer \
-//!         [output.json] [samples] [--nodes 1000,10000,100000]`
+//!         [--check <artifact.json>] [output.json] [samples] [--nodes 1000,10000,100000]`
+//!
+//! `--check` validates an existing artifact (header, the thread-scaling
+//! builds and the memoized rebuild) without benchmarking.
 //!
 //! `--nodes` sweeps the thread-scaling build phase over a comma list of
 //! deployment sizes (Figure 6's scaled series, default `250`), appending
@@ -106,9 +109,33 @@ fn thread_sweep(inst: &Instance, samples: usize) -> (Vec<JsonValue>, f64, Global
     (builds, serial_median, reference)
 }
 
+/// `--check`: parse an artifact and assert the schema its readers rely on.
+fn check_artifact(path: &str) {
+    let value = m2m_bench::report::check_header(path, "plan_build");
+    m2m_bench::report::require_fields(
+        path,
+        "artifact",
+        &value,
+        &["nodes", "edge_count", "memoized_rebuild"],
+    );
+    let builds = m2m_bench::report::require_rows(
+        path,
+        &value,
+        "builds",
+        &["threads", "median_ns", "speedup_vs_serial"],
+    );
+    let memo = value.get("memoized_rebuild").expect("checked above");
+    m2m_bench::report::require_fields(path, "memoized_rebuild", memo, &["median_ns", "hits"]);
+    println!("check_ok={path} builds={}", builds.len());
+}
+
 fn main() {
     telemetry::init_logging(Level::Info);
     let cli = m2m_bench::report::BenchCli::parse("BENCH_optimizer.json");
+    if let Some(path) = &cli.check {
+        check_artifact(path);
+        return;
+    }
     let out_path = cli.out_path;
     let samples: usize = cli.count.unwrap_or(11);
     let mut sizes = cli.nodes;

@@ -149,18 +149,12 @@ fn scenario_row(
 /// `--check`: parse an artifact and assert the schema the gate relies on.
 fn check_artifact(path: &str) {
     let value = m2m_bench::report::check_header(path, "resilience");
-    let scenarios = match value.get("scenarios") {
-        Some(JsonValue::Array(rows)) if !rows.is_empty() => rows,
-        _ => panic!("{path}: missing or empty scenarios array"),
-    };
-    for row in scenarios {
-        for field in ["scenario", "delivered_fraction", "mean_coverage", "digest"] {
-            assert!(
-                row.get(field).is_some(),
-                "{path}: scenario row missing {field}"
-            );
-        }
-    }
+    let scenarios = m2m_bench::report::require_rows(
+        path,
+        &value,
+        "scenarios",
+        &["scenario", "delivered_fraction", "mean_coverage", "digest"],
+    );
     println!("check_ok={path} scenarios={}", scenarios.len());
 }
 

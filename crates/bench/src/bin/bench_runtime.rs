@@ -18,7 +18,11 @@
 //! ([`m2m_core::exec::run_epochs_slab`]) across several thread counts.
 //!
 //! Usage: `cargo run --release -p m2m-bench --bin bench_runtime \
-//!         [--smoke] [--nodes N] [output.json] [samples]`
+//!         [--smoke] [--check <artifact.json>] [--nodes N] [output.json] [samples]`
+//!
+//! `--check` validates an existing artifact (header, the naive /
+//! compiled / batched sections, the lane-width and epoch sweeps)
+//! without benchmarking.
 //!
 //! `--nodes N` sizes the scaled-series deployment (default 250, the
 //! Figure 6 point; EXPERIMENTS.md tabulates 50/250/1000).
@@ -37,7 +41,10 @@
 
 use std::collections::BTreeMap;
 
-use m2m_bench::report::{bench_report, median_ns, telemetry_section, time_ns, JsonValue};
+use m2m_bench::report::{
+    bench_report, check_header, median_ns, require_fields, require_rows, telemetry_section,
+    time_ns, JsonValue,
+};
 use m2m_core::exec::{
     run_epochs, run_epochs_slab, CompiledSchedule, EpochDriver, EpochOutcome, ExecState,
     DEFAULT_LANE_WIDTH, SUPPORTED_LANE_WIDTHS,
@@ -82,9 +89,40 @@ fn digest_outcomes(outcomes: &[EpochOutcome]) -> u64 {
     h
 }
 
+/// `--check`: parse an artifact and assert the schema its readers rely on.
+fn check_artifact(path: &str) {
+    let value = check_header(path, "round_execution");
+    require_fields(
+        path,
+        "artifact",
+        &value,
+        &["nodes", "samples", "naive", "compiled", "batched"],
+    );
+    for section in ["naive", "compiled", "batched"] {
+        let row = value.get(section).expect("checked above");
+        require_fields(
+            path,
+            section,
+            row,
+            &["median_ns_per_round", "rounds_per_sec"],
+        );
+    }
+    let widths = require_rows(path, &value, "lane_widths", &["width", "rounds_per_sec"]);
+    let epochs = require_rows(path, &value, "epochs", &["threads", "rounds_per_sec"]);
+    println!(
+        "check_ok={path} lane_widths={} epochs={}",
+        widths.len(),
+        epochs.len()
+    );
+}
+
 fn main() {
     telemetry::init_logging(Level::Info);
     let cli = m2m_bench::report::BenchCli::parse("BENCH_runtime.json");
+    if let Some(path) = &cli.check {
+        check_artifact(path);
+        return;
+    }
     let smoke = cli.smoke;
     let node_count: usize = cli.nodes.first().copied().unwrap_or(250);
     let out_path = cli.out_path;

@@ -10,7 +10,10 @@
 //! count is pinned at 250 destinations so the sweep isolates graph-size
 //! scaling in the per-source routing stage (and completes in minutes).
 //!
-//! Usage: `bench_scale [--smoke] [--nodes N1,N2,...] [out.json]`
+//! Usage: `bench_scale [--smoke] [--check <artifact.json>] [--nodes N1,N2,...] [out.json]`
+//!
+//! `--check` validates an existing artifact (header and every size row's
+//! stage timings and forest digest) without benchmarking.
 //!
 //! `--smoke` runs the 1k-node point once and prints machine-readable
 //! `smoke_*` lines for scripts/verify.sh:
@@ -196,9 +199,33 @@ fn run_size(n: usize, samples: usize) -> SizePoint {
     }
 }
 
+/// `--check`: parse an artifact and assert the schema its readers rely on.
+fn check_artifact(path: &str) {
+    let value = m2m_bench::report::check_header(path, "plan_frontend_scale");
+    let sizes = m2m_bench::report::require_rows(
+        path,
+        &value,
+        "sizes",
+        &[
+            "nodes",
+            "routing_ns",
+            "intern_ns",
+            "problems_ns",
+            "solve_ns",
+            "frontend_ns",
+            "forest_digest",
+        ],
+    );
+    println!("check_ok={path} sizes={}", sizes.len());
+}
+
 fn main() {
     telemetry::init_logging(Level::Info);
     let cli = m2m_bench::report::BenchCli::parse("BENCH_scale.json");
+    if let Some(path) = &cli.check {
+        check_artifact(path);
+        return;
+    }
     let smoke = cli.smoke;
     let out_path = cli.out_path;
     let mut nodes = cli.nodes;

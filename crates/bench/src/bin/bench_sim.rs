@@ -7,8 +7,14 @@
 //! compiled schedule), lowers it onto the event wheel, and drives a
 //! lossy epoch (uniform p = 0.1, bounded retries) through one reusable
 //! [`m2m_core::sim::SimState`] — the headline column is simulator events
-//! per second. Before timing anything it proves the simulator is the
-//! compiled executor plus loss (p = 0 must be bit-identical to
+//! per second. Delivery is reported over every (destination, round)
+//! pair as the mean, median, 1st-percentile and minimum covered
+//! fraction (`coverage_*`): at 100k nodes some message exhausts its
+//! retries in nearly every round, so "rounds where every destination
+//! was complete" would read zero.
+//!
+//! Before timing anything it proves the simulator is the compiled
+//! executor plus loss (p = 0 must be bit-identical to
 //! [`CompiledSchedule::run_round_on`]) and that the distributed per-edge
 //! cover solve ([`m2m_core::dvc`]) converged to exactly the centralized
 //! plan's solutions, recording its protocol rounds and message count.
@@ -27,14 +33,16 @@
 //!   in-process through a warm state before being printed).
 //!
 //! `--check` parses an existing artifact and asserts the schema the
-//! gate relies on, including that every size recorded `dvc_agrees`.
+//! gate relies on, including the `coverage_*` columns and that every
+//! size recorded `dvc_agrees`.
 
 use std::collections::BTreeMap;
 
 use m2m_bench::report::{bench_report, time_ns, JsonValue};
+use m2m_bench::stats::quantile;
 use m2m_core::dvc::solve_distributed;
 use m2m_core::exec::{CompiledSchedule, ExecState};
-use m2m_core::faults::{RetryPolicy, SALT_STRIDE};
+use m2m_core::faults::{DestCoverage, RetryPolicy, SALT_STRIDE};
 use m2m_core::plan::GlobalPlan;
 use m2m_core::sim::{SimExec, SimOutcome};
 use m2m_core::telemetry::Level;
@@ -123,7 +131,8 @@ struct SizePoint {
     rounds: usize,
     events: u64,
     events_per_sec: f64,
-    delivered: f64,
+    /// Per-destination-round covered fractions: mean, p50, p01, min.
+    coverage: [f64; 4],
     retransmissions: usize,
     peak_queue_depth: u32,
     queue_overflows: u64,
@@ -224,7 +233,17 @@ fn run_size(n: usize, rounds: usize) -> SizePoint {
 
     let events: u64 = outcomes.iter().map(|o| o.events).sum();
     let events_per_sec = events as f64 / (epoch_ns / 1e9).max(1e-9);
-    let delivered = outcomes.iter().filter(|o| o.outcome.delivered).count() as f64 / rounds as f64;
+    let mut fractions: Vec<f64> = outcomes
+        .iter()
+        .flat_map(|o| o.outcome.coverage.iter().map(DestCoverage::fraction))
+        .collect();
+    fractions.sort_by(f64::total_cmp);
+    let coverage = [
+        fractions.iter().sum::<f64>() / fractions.len() as f64,
+        quantile(&fractions, 0.5),
+        quantile(&fractions, 0.01),
+        fractions[0],
+    ];
     let retransmissions: usize = outcomes.iter().map(|o| o.outcome.retransmissions).sum();
     let peak_queue_depth = outcomes
         .iter()
@@ -236,8 +255,10 @@ fn run_size(n: usize, rounds: usize) -> SizePoint {
     m2m_log!(
         Level::Info,
         "n={n}: {rounds} lossy rounds, {events} events ({events_per_sec:.0}/s), \
-         delivered {delivered:.2}, {retransmissions} retx, peak queue {peak_queue_depth}, \
-         dvc {} rounds / {} messages, digest 0x{digest:016x}",
+         coverage mean {:.4} / p01 {:.4}, {retransmissions} retx, \
+         peak queue {peak_queue_depth}, dvc {} rounds / {} messages, digest 0x{digest:016x}",
+        coverage[0],
+        coverage[2],
         dvc.rounds,
         dvc.messages
     );
@@ -251,7 +272,7 @@ fn run_size(n: usize, rounds: usize) -> SizePoint {
         rounds,
         events,
         events_per_sec,
-        delivered,
+        coverage,
         retransmissions,
         peak_queue_depth,
         queue_overflows,
@@ -266,14 +287,23 @@ fn run_size(n: usize, rounds: usize) -> SizePoint {
 /// `--check`: parse an artifact and assert the schema the gate relies on.
 fn check_artifact(path: &str) {
     let value = m2m_bench::report::check_header(path, "sim_runtime");
-    let sizes = match value.get("sizes") {
-        Some(JsonValue::Array(rows)) if !rows.is_empty() => rows,
-        _ => panic!("{path}: missing or empty sizes array"),
-    };
+    let sizes = m2m_bench::report::require_rows(
+        path,
+        &value,
+        "sizes",
+        &[
+            "nodes",
+            "events",
+            "events_per_sec",
+            "coverage_mean",
+            "coverage_p50",
+            "coverage_p01",
+            "coverage_min",
+            "digest",
+            "dvc_rounds",
+        ],
+    );
     for row in sizes {
-        for field in ["nodes", "events", "events_per_sec", "digest", "dvc_rounds"] {
-            assert!(row.get(field).is_some(), "{path}: size row missing {field}");
-        }
         assert!(
             matches!(row.get("dvc_agrees"), Some(JsonValue::Bool(true))),
             "{path}: a size point recorded a diverged distributed solve"
@@ -314,7 +344,10 @@ fn main() {
                 .with("loss_p", JsonValue::float(LOSS_P, 3))
                 .with("events", point.events)
                 .with("events_per_sec", JsonValue::float(point.events_per_sec, 0))
-                .with("delivered_fraction", JsonValue::float(point.delivered, 4))
+                .with("coverage_mean", JsonValue::float(point.coverage[0], 4))
+                .with("coverage_p50", JsonValue::float(point.coverage[1], 4))
+                .with("coverage_p01", JsonValue::float(point.coverage[2], 4))
+                .with("coverage_min", JsonValue::float(point.coverage[3], 4))
                 .with("retransmissions", point.retransmissions)
                 .with("peak_queue_depth", u64::from(point.peak_queue_depth))
                 .with("queue_overflows", point.queue_overflows)

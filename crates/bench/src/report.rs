@@ -165,6 +165,37 @@ pub fn check_header(path: &str, benchmark: &str) -> JsonValue {
     value
 }
 
+/// Asserts that `value` (an artifact's `what` section, for the message)
+/// carries every one of `fields` — the per-schema half of `--check`.
+///
+/// # Panics
+/// Panics naming the first missing field.
+pub fn require_fields(path: &str, what: &str, value: &JsonValue, fields: &[&str]) {
+    for field in fields {
+        assert!(value.get(field).is_some(), "{path}: {what} missing {field}");
+    }
+}
+
+/// The non-empty array under `key`, each row checked for `fields`.
+///
+/// # Panics
+/// Panics if the array is missing or empty, or a row lacks a field.
+pub fn require_rows<'a>(
+    path: &str,
+    value: &'a JsonValue,
+    key: &str,
+    fields: &[&str],
+) -> &'a [JsonValue] {
+    let rows = match value.get(key) {
+        Some(JsonValue::Array(rows)) if !rows.is_empty() => rows,
+        _ => panic!("{path}: missing or empty {key} array"),
+    };
+    for row in rows {
+        require_fields(path, &format!("{key} row"), row, fields);
+    }
+    rows
+}
+
 /// Runs `instrumented` with tracing forced on, then returns the counter
 /// snapshot as the report's additive `"telemetry"` section.
 ///

@@ -55,9 +55,32 @@ pub fn summarize(values: &[f64]) -> Summary {
     }
 }
 
+/// The `q`-quantile (`q` in `[0, 1]`) of an ascending sample, linearly
+/// interpolated between the two nearest ranks.
+///
+/// # Panics
+/// Panics on an empty sample.
+pub fn quantile(sorted: &[f64], q: f64) -> f64 {
+    assert!(!sorted.is_empty(), "quantile of an empty sample");
+    let pos = q.clamp(0.0, 1.0) * (sorted.len() - 1) as f64;
+    let lo = pos.floor() as usize;
+    let hi = pos.ceil() as usize;
+    sorted[lo] + (sorted[hi] - sorted[lo]) * (pos - lo as f64)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn quantiles_interpolate_between_ranks() {
+        let xs = [1.0, 2.0, 3.0, 4.0, 5.0];
+        assert_eq!(quantile(&xs, 0.0), 1.0);
+        assert_eq!(quantile(&xs, 0.5), 3.0);
+        assert_eq!(quantile(&xs, 1.0), 5.0);
+        assert!((quantile(&xs, 0.01) - 1.04).abs() < 1e-12);
+        assert_eq!(quantile(&[0.25], 0.9), 0.25);
+    }
 
     #[test]
     fn known_sample() {

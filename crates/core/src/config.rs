@@ -70,11 +70,11 @@ pub const RUNTIME_ENV: &str = "M2M_RUNTIME";
 
 /// The execution engine a [`crate::session::Session`] round runs on.
 ///
-/// Historically the session exposed one method family per engine
-/// (`run_round` / `run_round_lossy` / `run_round_sim`); the engine is
-/// now a configuration axis and [`crate::session::Session::run`]
-/// dispatches on it, returning one unified
-/// [`crate::session::RoundReport`] shape.
+/// The engine is a configuration axis: [`crate::session::Session::run`]
+/// and [`crate::session::Session::run_rounds`] dispatch on it and return
+/// one unified [`crate::session::RoundReport`] shape. The two loss-aware
+/// engines differ only in the clock that decides delivery; both settle
+/// the answer through [`crate::faults::FaultyExec`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum Runtime {
     /// The compiled allocation-free executor over reliable links — the

@@ -11,9 +11,15 @@
 //!   [`DeliveryModel`] (uniform Bernoulli, per-link ETX-derived, or a
 //!   scripted [`m2m_netsim::failure::FailureTrace`]), each message retried
 //!   under a [`RetryPolicy`] with every attempt charged through the Mica2
-//!   energy model; the compiled op stream is then replayed over whatever
-//!   actually arrived, producing per-destination results, coverage
-//!   fractions, and missing-source sets ([`FaultOutcome`]).
+//!   energy model. That slot scan only decides the round's *delivery
+//!   vector* (per message: delivered, dropped, attempts);
+//!   `FaultyExec::settle` then replays the compiled op stream over
+//!   whatever actually arrived, producing per-destination results,
+//!   coverage fractions, and missing-source sets ([`FaultOutcome`]).
+//!   The event-driven runtime in [`crate::sim`] decides delivery on a
+//!   different clock and settles through the same step: every node
+//!   folds whichever units reached it, so the answer depends on which
+//!   messages got through, not when.
 //! * [`DegradationTracker`] — per-destination staleness: how many
 //!   consecutive rounds a destination has gone without full coverage.
 //! * [`ChurnController`] — the loop closure: when observed link quality
@@ -192,14 +198,19 @@ impl FaultOutcome {
 /// them into the process-wide plane registry.
 #[derive(Clone, Debug, Default)]
 pub struct FaultScratch {
-    delivered: Vec<bool>,
-    dropped: Vec<bool>,
-    attempts: Vec<u32>,
+    /// The round's delivery vector, per message: delivered, abandoned
+    /// after exhausting its retry budget, and transmission attempts.
+    /// Whichever clock ran the round fills these; `FaultyExec::settle`
+    /// turns them into the answer.
+    pub(crate) delivered: Vec<bool>,
+    pub(crate) dropped: Vec<bool>,
+    pub(crate) attempts: Vec<u32>,
     next_attempt: Vec<u32>,
-    readings: Vec<f64>,
     records: Vec<Option<PartialRecord>>,
-    gate_ok: Vec<bool>,
+    /// Source-coverage bitset rows (`words` each): per unit, per
+    /// destination, and the row of the op run being folded.
     unit_cover: Vec<u64>,
+    cover: Vec<u64>,
     tmp_cover: Vec<u64>,
     planes: m2m_telemetry::timeseries::NodePlanes,
 }
@@ -215,7 +226,7 @@ impl Drop for FaultScratch {
 /// slot assignment, message-level dependency graph, and an *op gate*
 /// table mapping every compiled op to the message unit whose delivery it
 /// depends on. Built once per plan; see the module docs for the two-phase
-/// round (delivery simulation, then degraded replay).
+/// round (delivery simulation, then `FaultyExec::settle`).
 #[derive(Clone, Debug)]
 pub struct FaultyExec {
     compiled: CompiledSchedule,
@@ -413,18 +424,18 @@ impl FaultyExec {
             demanded_bits: Vec::new(),
             demanded: Vec::new(),
         };
-        // Full-delivery replay fixes each destination's demanded set.
+        // A full-delivery pass fixes each destination's demanded set (the
+        // readings only feed the discarded fold).
         let mut scratch = this.scratch();
-        scratch.delivered.resize(this.messages.len(), true);
         scratch.delivered.fill(true);
-        scratch.dropped.resize(this.messages.len(), false);
-        let mut demanded_bits = vec![0u64; this.compiled.dest_steps.len() * words];
-        this.replay_coverage(&mut scratch, &mut demanded_bits);
-        this.demanded = demanded_bits
+        let ones = vec![1.0; this.compiled.sources.len()];
+        this.fold_gated(&ones, &mut scratch, &mut Vec::new());
+        this.demanded = scratch
+            .cover
             .chunks(words)
             .map(|row| row.iter().map(|w| w.count_ones() as usize).sum())
             .collect();
-        this.demanded_bits = demanded_bits;
+        this.demanded_bits = std::mem::take(&mut scratch.cover);
         crate::m2m_log!(
             crate::telemetry::Level::Debug,
             "fault exec compiled: {} messages, {} ops gated, {} slot makespan",
@@ -454,10 +465,9 @@ impl FaultyExec {
             dropped: vec![false; self.messages.len()],
             attempts: vec![0; self.messages.len()],
             next_attempt: vec![0; self.messages.len()],
-            readings: vec![0.0; self.compiled.sources.len()],
             records: vec![None; self.compiled.unit_count],
-            gate_ok: vec![false; self.op_gate.len()],
             unit_cover: vec![0; self.compiled.unit_count * self.words],
+            cover: vec![0; self.compiled.dest_steps.len() * self.words],
             tmp_cover: vec![0; self.words],
             planes: m2m_telemetry::timeseries::NodePlanes::for_ids(self.plane_ids.clone()),
         }
@@ -583,74 +593,18 @@ impl FaultyExec {
         cost
     }
 
-    /// Phase B (coverage half): replays the op stream over the delivery
-    /// outcome in `scratch.delivered`, filling `cover` with one
-    /// source-coverage bitset row per destination. Also maintains the
-    /// per-unit rows in `scratch.unit_cover`.
-    fn replay_coverage(&self, scratch: &mut FaultScratch, cover: &mut [u64]) {
-        let words = self.words;
-        scratch.unit_cover.fill(0);
-        for step in &self.compiled.record_steps {
-            scratch.tmp_cover.fill(0);
-            let base = step.first_op as usize;
-            for k in 0..step.op_count as usize {
-                let gate = self.op_gate[base + k];
-                match self.compiled.ops.get(base + k) {
-                    Op::Pre { slot, .. } => {
-                        if self.gate_open(gate, scratch) {
-                            scratch.tmp_cover[slot as usize / 64] |= 1 << (slot % 64);
-                        }
-                    }
-                    Op::FromUnit { unit } => {
-                        if self.gate_open(gate, scratch) {
-                            let src = unit as usize * words;
-                            for w in 0..words {
-                                scratch.tmp_cover[w] |= scratch.unit_cover[src + w];
-                            }
-                        }
-                    }
-                }
-            }
-            let dst = step.unit as usize * words;
-            scratch.unit_cover[dst..dst + words].copy_from_slice(&scratch.tmp_cover);
-        }
-        for (i, step) in self.compiled.dest_steps.iter().enumerate() {
-            scratch.tmp_cover.fill(0);
-            let base = step.first_op as usize;
-            for k in 0..step.op_count as usize {
-                let gate = self.op_gate[base + k];
-                match self.compiled.ops.get(base + k) {
-                    Op::Pre { slot, .. } => {
-                        if self.gate_open(gate, scratch) {
-                            scratch.tmp_cover[slot as usize / 64] |= 1 << (slot % 64);
-                        }
-                    }
-                    Op::FromUnit { unit } => {
-                        if self.gate_open(gate, scratch) {
-                            let src = unit as usize * words;
-                            for w in 0..words {
-                                scratch.tmp_cover[w] |= scratch.unit_cover[src + w];
-                            }
-                        }
-                    }
-                }
-            }
-            cover[i * words..(i + 1) * words].copy_from_slice(&scratch.tmp_cover);
-        }
-    }
-
     /// True if the datum behind `gate` is present: locally available, or
     /// its carrying unit's message was delivered — and, for a raw datum,
     /// every upstream hop of its relay chain too (a node cannot forward a
     /// raw value it never received; record units re-form at each hop, so
     /// they gate on their own hop alone).
-    fn gate_open(&self, gate: u32, scratch: &FaultScratch) -> bool {
+    fn gate_open(&self, gate: u32, delivered: &[bool]) -> bool {
         if gate == u32::MAX {
             return true;
         }
         let mut unit = gate;
         loop {
-            if !scratch.delivered[self.message_of[unit as usize] as usize] {
+            if !delivered[self.message_of[unit as usize] as usize] {
                 return false;
             }
             match self.raw_parent[unit as usize] {
@@ -661,29 +615,40 @@ impl FaultyExec {
     }
 
     /// Left-folds one op run like [`fold_ops`], but skipping ops whose
-    /// gate is closed (see `scratch.gate_ok`) or whose source record came
-    /// up empty. Identical to [`fold_ops`] when every gate is open.
-    fn fold_degraded(
+    /// gate is closed or whose source record came up empty, and leaves
+    /// the run's source-coverage row in `scratch.tmp_cover`. Identical to
+    /// [`fold_ops`] when every gate is open.
+    fn fold_step(
         &self,
         first_op: u32,
         op_count: u32,
         kind: crate::agg::AggregateKind,
-        scratch: &FaultScratch,
+        readings: &[f64],
+        scratch: &mut FaultScratch,
     ) -> Option<PartialRecord> {
+        let words = self.words;
+        scratch.tmp_cover.fill(0);
         let base = first_op as usize;
         let mut acc: Option<PartialRecord> = None;
         for k in base..base + op_count as usize {
-            if !scratch.gate_ok[k] {
+            if !self.gate_open(self.op_gate[k], &scratch.delivered) {
                 continue;
             }
             let part = match self.compiled.ops.get(k) {
                 Op::Pre { slot, alpha } => {
-                    kind.pre_aggregate_weighted(alpha, scratch.readings[slot as usize])
+                    scratch.tmp_cover[slot as usize / 64] |= 1 << (slot % 64);
+                    kind.pre_aggregate_weighted(alpha, readings[slot as usize])
                 }
-                Op::FromUnit { unit } => match scratch.records[unit as usize] {
-                    Some(r) => r,
-                    None => continue, // delivered, but nothing survived upstream
-                },
+                Op::FromUnit { unit } => {
+                    let src = unit as usize * words;
+                    for w in 0..words {
+                        scratch.tmp_cover[w] |= scratch.unit_cover[src + w];
+                    }
+                    match scratch.records[unit as usize] {
+                        Some(r) => r,
+                        None => continue, // delivered, but nothing survived upstream
+                    }
+                }
             };
             acc = Some(match acc {
                 None => part,
@@ -693,37 +658,47 @@ impl FaultyExec {
         acc
     }
 
-    /// Runs one fault-tolerant round: delivery simulation under `model`
-    /// and `policy`, then the degraded replay over `readings` (dense, in
-    /// [`CompiledSchedule::sources`] slot order). `round_salt`
-    /// decorrelates this round's losses from other rounds'.
-    ///
-    /// # Panics
-    /// Panics if `readings` or `scratch` is sized for a different
-    /// executor.
-    pub fn run(
+    /// One gated fold-and-coverage pass over the compiled op stream:
+    /// record steps in topological order, then destination steps
+    /// ascending, each against the delivery vector in
+    /// `scratch.delivered`. Pushes the destination results and leaves
+    /// their coverage rows in `scratch.cover`.
+    fn fold_gated(
         &self,
         readings: &[f64],
-        model: &DeliveryModel,
-        policy: &RetryPolicy,
-        round_salt: u64,
         scratch: &mut FaultScratch,
+        results: &mut Vec<Option<f64>>,
+    ) {
+        let words = self.words;
+        for step in &self.compiled.record_steps {
+            let acc = self.fold_step(step.first_op, step.op_count, step.kind, readings, scratch);
+            scratch.records[step.unit as usize] = acc;
+            let dst = step.unit as usize * words;
+            scratch.unit_cover[dst..dst + words].copy_from_slice(&scratch.tmp_cover);
+        }
+        for (i, step) in self.compiled.dest_steps.iter().enumerate() {
+            let acc = self.fold_step(step.first_op, step.op_count, step.kind, readings, scratch);
+            results.push(acc.map(|r| step.kind.evaluate_record(r)));
+            scratch.cover[i * words..(i + 1) * words].copy_from_slice(&scratch.tmp_cover);
+        }
+    }
+
+    /// Settles a round once its clock has decided delivery: turns the
+    /// delivery vector in `scratch` (per message: delivered, dropped,
+    /// attempts) plus `readings` into the [`FaultOutcome`] — per-node
+    /// planes, cost, link events, the degraded fold and coverage. Both
+    /// clocks end here: [`FaultyExec::run`] after its TDMA slot scan and
+    /// [`crate::sim::SimExec::run`] after its event wheel stops. Every
+    /// node folds whichever units reached it, so the answer depends on
+    /// the delivery vector alone, not on when each message arrived.
+    pub(crate) fn settle(
+        &self,
+        readings: &[f64],
+        scratch: &mut FaultScratch,
+        slots_used: u32,
+        retransmissions: usize,
+        dropped: usize,
     ) -> FaultOutcome {
-        let _span = crate::telemetry::span(names::FAULTS_ROUND_NS);
-        crate::telemetry::counter(names::FAULTS_ROUNDS, 1);
-        assert_eq!(
-            readings.len(),
-            self.compiled.sources.len(),
-            "reading vector length must match the interned source count"
-        );
-        assert_eq!(
-            scratch.delivered.len(),
-            self.messages.len(),
-            "scratch/executor mismatch"
-        );
-        scratch.readings.copy_from_slice(readings);
-        let (slots_used, retransmissions, dropped) =
-            self.simulate_delivery(model, policy, round_salt, scratch);
         crate::telemetry::counter(names::FAULTS_RETRANSMISSIONS, retransmissions as u64);
         crate::telemetry::counter(names::FAULTS_DROPPED_MESSAGES, dropped as u64);
         if m2m_telemetry::timeseries::obs_enabled() {
@@ -754,9 +729,8 @@ impl FaultyExec {
         // skipping ops whose gate is closed (or whose source record ended
         // up empty). With everything delivered this includes every op and
         // is bit-identical to `CompiledSchedule::run_round`.
-        scratch.records.fill(None);
         let mut results: Vec<Option<f64>> = Vec::with_capacity(self.compiled.dest_steps.len());
-        if delivered_all {
+        let cover = if delivered_all {
             // Fast path: nothing lost — the exact compiled fold.
             for step in &self.compiled.record_steps {
                 let acc = fold_ops(
@@ -764,7 +738,7 @@ impl FaultyExec {
                     &self.compiled.ops,
                     step.first_op as usize,
                     step.op_count as usize,
-                    &scratch.readings,
+                    readings,
                     &scratch.records,
                 );
                 scratch.records[step.unit as usize] = acc;
@@ -775,36 +749,19 @@ impl FaultyExec {
                     &self.compiled.ops,
                     step.first_op as usize,
                     step.op_count as usize,
-                    &scratch.readings,
+                    readings,
                     &scratch.records,
                 );
                 results.push(acc.map(|r| step.kind.evaluate_record(r)));
             }
+            &self.demanded_bits
         } else {
-            // Resolve every gate once, then fold without re-touching the
-            // delivery state (keeps the record-table borrow simple).
-            for k in 0..self.op_gate.len() {
-                let ok = self.gate_open(self.op_gate[k], scratch);
-                scratch.gate_ok[k] = ok;
-            }
-            for step in &self.compiled.record_steps {
-                let acc = self.fold_degraded(step.first_op, step.op_count, step.kind, scratch);
-                scratch.records[step.unit as usize] = acc;
-            }
-            for step in &self.compiled.dest_steps {
-                let acc = self.fold_degraded(step.first_op, step.op_count, step.kind, scratch);
-                results.push(acc.map(|r| step.kind.evaluate_record(r)));
-            }
-        }
+            self.fold_gated(readings, scratch, &mut results);
+            &scratch.cover
+        };
 
         // Coverage accounting.
         let words = self.words;
-        let mut cover = vec![0u64; self.compiled.dest_steps.len() * words];
-        if delivered_all {
-            cover.copy_from_slice(&self.demanded_bits);
-        } else {
-            self.replay_coverage(scratch, &mut cover);
-        }
         let coverage: Vec<DestCoverage> = self
             .compiled
             .dest_steps
@@ -846,6 +803,39 @@ impl FaultyExec {
             delivered: delivered_all,
             link_events,
         }
+    }
+
+    /// Runs one fault-tolerant round: the TDMA delivery simulation under
+    /// `model` and `policy`, then `FaultyExec::settle` over `readings`
+    /// (dense, in [`CompiledSchedule::sources`] slot order). `round_salt`
+    /// decorrelates this round's losses from other rounds'.
+    ///
+    /// # Panics
+    /// Panics if `readings` or `scratch` is sized for a different
+    /// executor.
+    pub fn run(
+        &self,
+        readings: &[f64],
+        model: &DeliveryModel,
+        policy: &RetryPolicy,
+        round_salt: u64,
+        scratch: &mut FaultScratch,
+    ) -> FaultOutcome {
+        let _span = crate::telemetry::span(names::FAULTS_ROUND_NS);
+        crate::telemetry::counter(names::FAULTS_ROUNDS, 1);
+        assert_eq!(
+            readings.len(),
+            self.compiled.sources.len(),
+            "reading vector length must match the interned source count"
+        );
+        assert_eq!(
+            scratch.delivered.len(),
+            self.messages.len(),
+            "scratch/executor mismatch"
+        );
+        let (slots_used, retransmissions, dropped) =
+            self.simulate_delivery(model, policy, round_salt, scratch);
+        self.settle(readings, scratch, slots_used, retransmissions, dropped)
     }
 
     /// Like [`FaultyExec::run`] but taking readings keyed by node id (the
@@ -918,10 +908,9 @@ impl FaultyExec {
     }
 
     // ------------------------------------------------------------------
-    // Crate-internal views of the compiled static tables, shared with the
-    // event-driven runtime in [`crate::sim`]: the message graph, op gates,
-    // relay chains, and coverage universe are clock-independent, so the
-    // simulator reuses them instead of re-deriving its own.
+    // Crate-internal views of the static tables the event-driven runtime
+    // in [`crate::sim`] runs its clock over: the message graph and the
+    // per-node component universe.
     // ------------------------------------------------------------------
 
     /// Per-message execution facts, in schedule message order.
@@ -937,59 +926,10 @@ impl FaultyExec {
         &self.pred_pool[a as usize..b as usize]
     }
 
-    /// Unit index → message index table.
-    #[inline]
-    pub(crate) fn unit_message(&self) -> &[u32] {
-        &self.message_of
-    }
-
-    /// Op-aligned gate table (see [`FaultyExec::op_gate`]).
-    #[inline]
-    pub(crate) fn op_gates(&self) -> &[u32] {
-        &self.op_gate
-    }
-
-    /// Bitset words per coverage row.
-    #[inline]
-    pub(crate) fn cover_words(&self) -> usize {
-        self.words
-    }
-
-    /// Per-destination demanded-source bitsets (row-major).
-    #[inline]
-    pub(crate) fn demanded_rows(&self) -> &[u64] {
-        &self.demanded_bits
-    }
-
-    /// Per-destination demanded-source counts.
-    #[inline]
-    pub(crate) fn demanded_counts(&self) -> &[usize] {
-        &self.demanded
-    }
-
     /// Sorted per-node plane universe (message endpoints as `u64` ids).
     #[inline]
     pub(crate) fn plane_universe(&self) -> &[u64] {
         &self.plane_ids
-    }
-
-    /// [`FaultyExec::gate_open`] against an external delivered table —
-    /// the simulator keeps its own delivery state.
-    #[inline]
-    pub(crate) fn gate_open_in(&self, gate: u32, delivered: &[bool]) -> bool {
-        if gate == u32::MAX {
-            return true;
-        }
-        let mut unit = gate;
-        loop {
-            if !delivered[self.message_of[unit as usize] as usize] {
-                return false;
-            }
-            match self.raw_parent[unit as usize] {
-                NOT_RAW | RAW_ORIGIN => return true,
-                parent => unit = parent,
-            }
-        }
     }
 }
 

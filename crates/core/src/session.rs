@@ -39,9 +39,7 @@
 //! [`crate::config::ConfigBuilder::runtime`] / `M2M_RUNTIME`. Every
 //! round comes back as one [`RoundReport`]; runtime-specific detail
 //! stays reachable through [`RoundReport::fault`] and
-//! [`RoundReport::sim`]. The per-runtime method families
-//! (`run_round`, `run_round_lossy`, `run_round_sim` and their batch
-//! twins) survive as thin deprecated wrappers.
+//! [`RoundReport::sim`].
 //!
 //! The fault-tolerant loop adds a [`DeliveryModel`] and, optionally, a
 //! tracked [`LinkQuality`]: lossy rounds execute under the configured
@@ -73,9 +71,7 @@ use m2m_netsim::{DeliveryModel, Network, RoutingMode, RoutingTables};
 use crate::config::{Config, Runtime};
 use crate::dynamics::{PlanMaintainer, UpdateStats, WorkloadUpdate};
 use crate::edge_opt::{build_edge_problems, solve_edge_slab};
-use crate::exec::{
-    run_epochs_slab, CompiledSchedule, EpochDriver, EpochOutcome, EpochSlab, ExecState,
-};
+use crate::exec::{run_epochs_slab, CompiledSchedule, EpochDriver, EpochSlab, ExecState};
 use crate::faults::{
     ChurnController, DegradationTracker, FaultOutcome, FaultyExec, RetryPolicy, SALT_STRIDE,
 };
@@ -606,89 +602,10 @@ impl Session {
         }
     }
 
-    /// Executes one reliable round and returns `(results, cost)` — the
-    /// compiled fast path, numerically identical to the reference
-    /// executor.
-    ///
-    /// # Panics
-    /// Panics if a source reading is missing.
-    #[deprecated(note = "use Session::run with Runtime::Compiled (the default runtime)")]
-    pub fn run_round(
-        &self,
-        readings: &BTreeMap<NodeId, f64>,
-    ) -> (BTreeMap<NodeId, f64>, RoundCost) {
-        let compiled = self.driver.compiled();
-        let mut state = ExecState::for_schedule(compiled);
-        let cost = compiled.run_round_on(readings, &mut state);
-        (state.result_map(compiled), cost)
-    }
-
-    /// Runs one reliable round per dense reading row (in
-    /// [`CompiledSchedule::sources`] slot order) through the lane-batched
-    /// executor at the configured lane width and thread count, returning
-    /// the flat result slab — the allocation-free shape.
-    #[deprecated(
-        note = "use Session::run_rounds, or crate::exec::run_epochs_slab for the raw slab"
-    )]
-    pub fn run_epochs_slab(&self, rounds: &[Vec<f64>]) -> EpochSlab {
-        self.epochs_slab(rounds)
-    }
-
-    /// Like the epoch slab, expanded into per-round [`EpochOutcome`]s
-    /// (compatibility shape; identical bits).
-    #[deprecated(note = "use Session::run_rounds")]
-    pub fn run_epochs(&self, rounds: &[Vec<f64>]) -> Vec<EpochOutcome> {
-        self.epochs_slab(rounds).into_outcomes()
-    }
-
     /// The retry policy lossy rounds run under (from the configuration).
     #[inline]
     pub fn retry_policy(&self) -> RetryPolicy {
         self.config.retry_policy()
-    }
-
-    /// Executes one round under the session's delivery model and retry
-    /// policy, advancing the replayable salt stream and feeding the
-    /// degradation tracker.
-    ///
-    /// # Panics
-    /// Panics if a source reading is missing.
-    #[deprecated(note = "use SessionBuilder::runtime(Runtime::Lossy) and Session::run")]
-    pub fn run_round_lossy(&mut self, readings: &BTreeMap<NodeId, f64>) -> FaultOutcome {
-        self.lossy_round(readings)
-    }
-
-    /// Runs one lossy round per dense reading row across the configured
-    /// thread count. Outcomes are in input order and identical at any
-    /// thread count; each round draws its own salt from the session's
-    /// stream, and every outcome feeds the degradation tracker.
-    #[deprecated(note = "use SessionBuilder::runtime(Runtime::Lossy) and Session::run_rounds")]
-    pub fn run_rounds_lossy(&mut self, rounds: &[Vec<f64>]) -> Vec<FaultOutcome> {
-        self.lossy_rounds(rounds)
-    }
-
-    /// Executes one round through the discrete-event simulator
-    /// ([`crate::sim`]) under the session's delivery model, retry policy,
-    /// and configured queue/latency parameters ([`Config::sim_params`]).
-    /// Shares the replayable salt stream with the lossy runtime (each
-    /// consumed round advances the same cursor) and feeds the same
-    /// degradation tracker and flight recorder.
-    ///
-    /// # Panics
-    /// Panics if a source reading is missing.
-    #[deprecated(note = "use SessionBuilder::runtime(Runtime::Sim) and Session::run")]
-    pub fn run_round_sim(&mut self, readings: &BTreeMap<NodeId, f64>) -> SimOutcome {
-        self.sim_round(readings)
-    }
-
-    /// Runs one simulated round per dense reading row (in
-    /// [`CompiledSchedule::sources`] slot order), drawing one salt per
-    /// round from the session's stream — the same salts the lossy
-    /// runtime would draw, so either runtime can replay the other's
-    /// failure history.
-    #[deprecated(note = "use SessionBuilder::runtime(Runtime::Sim) and Session::run_rounds")]
-    pub fn run_rounds_sim(&mut self, rounds: &[Vec<f64>]) -> Vec<SimOutcome> {
-        self.sim_rounds(rounds)
     }
 
     fn epochs_slab(&self, rounds: &[Vec<f64>]) -> EpochSlab {
@@ -1049,11 +966,11 @@ mod tests {
         assert!((report.result(NodeId(15)).unwrap() - expected).abs() < 1e-9);
     }
 
-    /// The old per-runtime families are wrappers over the same
-    /// internals; pin the equivalence so the deprecation is safe.
+    /// Lane width and thread count are pure throughput knobs: a
+    /// compiled batch is the raw epoch slab, bit for bit, at every width
+    /// and thread count.
     #[test]
-    #[allow(deprecated)]
-    fn unified_batches_match_the_deprecated_wrappers() {
+    fn unified_batches_are_lane_and_thread_invariant() {
         let slots = Session::builder(network(), spec())
             .build()
             .compiled()
@@ -1062,63 +979,28 @@ mod tests {
         let rounds: Vec<Vec<f64>> = (0..11)
             .map(|r| (0..slots).map(|s| (r * 7 + s) as f64 * 0.3 - 2.0).collect())
             .collect();
-        // Compiled: reports vs the epoch slab, at every lane width.
         let mut session = Session::builder(network(), spec()).build();
-        let slab = session.run_epochs_slab(&rounds);
-        let outcomes = session.run_epochs(&rounds);
-        assert_eq!(slab.rounds(), rounds.len());
-        assert_eq!(slab.destination_count(), 2);
-        for (r, out) in outcomes.iter().enumerate() {
-            assert_eq!(slab.round(r), out.results.as_slice());
-            assert_eq!(slab.cost(), out.cost);
-        }
         let reports = session.run_rounds(&rounds);
+        let slab = run_epochs_slab(session.compiled(), &rounds, 1, 1);
+        assert_eq!(reports.len(), rounds.len());
+        assert_eq!(slab.destination_count(), 2);
         for (r, report) in reports.iter().enumerate() {
             let row: Vec<Option<f64>> = slab.round(r).iter().copied().map(Some).collect();
             assert_eq!(report.results(), row.as_slice());
             assert_eq!(report.cost(), slab.cost());
         }
-        // Lane width is a pure throughput knob: identical bits at every
-        // width and thread count.
         for w in crate::exec::SUPPORTED_LANE_WIDTHS {
-            let s = Session::builder(network(), spec())
-                .config(Config::builder().lanes(w).threads(2).build())
-                .build();
-            assert_eq!(s.run_epochs_slab(&rounds), slab, "width {w}");
+            for threads in [1, 2] {
+                let mut s = Session::builder(network(), spec())
+                    .config(Config::builder().lanes(w).threads(threads).build())
+                    .build();
+                assert_eq!(
+                    s.run_rounds(&rounds),
+                    reports,
+                    "width {w}, {threads} threads"
+                );
+            }
         }
-        // Lossy: wrapper outcomes are the reports' details.
-        let lossy_build = || {
-            Session::builder(network(), spec())
-                .delivery(DeliveryModel::uniform(0.3, 9))
-                .build()
-        };
-        let wrapped = lossy_build().run_rounds_lossy(&rounds);
-        let reports = {
-            let mut s = lossy_build();
-            s.runtime = Runtime::Lossy;
-            s.run_rounds(&rounds)
-        };
-        assert_eq!(
-            wrapped,
-            reports
-                .iter()
-                .map(|r| r.fault().unwrap().clone())
-                .collect::<Vec<_>>()
-        );
-        // Sim: same, with the sim detail.
-        let wrapped = lossy_build().run_rounds_sim(&rounds);
-        let reports = {
-            let mut s = lossy_build();
-            s.runtime = Runtime::Sim;
-            s.run_rounds(&rounds)
-        };
-        assert_eq!(
-            wrapped,
-            reports
-                .iter()
-                .map(|r| r.sim().unwrap().clone())
-                .collect::<Vec<_>>()
-        );
     }
 
     #[test]

@@ -5,10 +5,9 @@
 //!
 //! # Architecture
 //!
-//! [`SimExec`] lowers a [`CompiledSchedule`] once (through
-//! [`FaultyExec`], whose static message graph, op gates, raw relay
-//! chains and coverage universe are clock-independent and shared) into
-//! event-wheel form:
+//! [`SimExec`] is a clock over the static tables of [`FaultyExec`]
+//! (message graph, per-attempt energies, per-node component universe),
+//! which it shares rather than re-derives:
 //!
 //! * **Components** — one per message endpoint, interned as dense slots
 //!   of the sorted endpoint universe ([`FaultyExec`]'s per-node plane
@@ -21,32 +20,34 @@
 //! * **Message graph** — the schedule's unit arcs collapsed to message
 //!   granularity (the same `preds` table the TDMA simulator uses),
 //!   plus its reverse (successor CSR) so resolution is push-driven.
-//! * **Interned payloads** — a message's wire payload is its unit span
-//!   in the schedule, never materialized: records fold in place in a
-//!   dense unit-indexed slab at *ready* time. The hot loop performs no
+//! * **One answer path** — the wheel only decides delivery, filling the
+//!   per-message delivery vector of the [`FaultScratch`] inside
+//!   [`SimState`]; `FaultyExec::settle` turns it into the answer, the
+//!   same step the TDMA executor ends with. The hot loop performs no
 //!   heap allocation ([`SimState`] is reusable scratch).
 //!
 //! # One round
 //!
 //! A message becomes **ready** when every predecessor message has
-//! *resolved* (delivered or lost). At ready time its node folds the
-//! record units it carries from whatever actually arrived — gates are
-//! final then, because gating units travel in predecessor messages and
-//! raw relay chains are transitively upstream — and enqueues the message
-//! on its outbound FIFO. The radio transmits the queue head once per
-//! tick; each attempt asks the shared [`DeliveryModel`] with the same
-//! `(link, salt + tick)` coordinate discipline the TDMA executor uses,
-//! so losses come from the same seeded streams. A failed attempt backs
-//! off [`RetryPolicy::backoff_slots`] ticks and retries; exhausting
+//! *resolved* (delivered or lost), and joins its node's outbound FIFO.
+//! The radio transmits the queue head once per tick; each attempt asks
+//! the shared [`DeliveryModel`] with the same `(link, salt + tick)`
+//! coordinate discipline the TDMA executor uses, so losses come from
+//! the same seeded streams. A failed attempt backs off
+//! [`RetryPolicy::backoff_slots`] ticks and retries; exhausting
 //! `max_attempts` abandons the message (a `Lost` event still resolves
 //! its successors — the protocol moves on). A delivered or lost message
-//! decrements its successors' pending counts, cascading readiness; a
-//! destination finalizes when its last inbound message resolves.
+//! decrements its successors' pending counts, cascading readiness.
 //!
 //! The round ends when the wheel drains or the tick budget
-//! (`policy.max_slots`) expires; destinations still pending at the
-//! deadline are folded from whatever arrived, mirroring the TDMA slot
-//! budget semantics.
+//! (`policy.max_slots`) expires, mirroring the TDMA slot budget. The
+//! delivery vector is then final and `FaultyExec::settle` folds every
+//! node's records and every destination's result from whatever
+//! arrived. That is what the protocol computes: a node folds a
+//! message's records when the message is ready, and every op's gate
+//! rides in a predecessor of the message that carries the op (raw relay
+//! chains are transitively upstream), so the gates it sees then are
+//! already final.
 //!
 //! **Equivalence contract**: at loss probability 0 (any retry policy),
 //! every gate is open and every fold includes every op in the compiled
@@ -56,7 +57,9 @@
 //! across routing modes). Under loss the two executors draw from the
 //! same seeded per-link streams but index them by different clocks
 //! (event ticks vs TDMA slots), so individual rounds may degrade
-//! differently — both are valid schedules of the same protocol.
+//! differently — both are valid schedules of the same protocol. Where
+//! they decide the same delivery vector (links dead for the whole
+//! round), they settle the same outcome up to the clock reading.
 //!
 //! The per-link queue bound is **backpressure accounting**, not a drop
 //! policy: pushes past the bound are counted (per node and in total,
@@ -71,10 +74,8 @@ use std::collections::BinaryHeap;
 use m2m_graph::NodeId;
 use m2m_netsim::{DeliveryModel, Network};
 
-use crate::agg::{AggregateKind, PartialRecord};
-use crate::exec::{CompiledSchedule, Op};
-use crate::faults::{DestCoverage, FaultOutcome, FaultyExec, LinkEvent, RetryPolicy};
-use crate::metrics::RoundCost;
+use crate::exec::CompiledSchedule;
+use crate::faults::{FaultOutcome, FaultScratch, FaultyExec, RetryPolicy};
 use crate::telemetry::names;
 
 /// Simulator tuning knobs, read from [`crate::config::Config`] by
@@ -155,20 +156,16 @@ pub struct SimOutcome {
 }
 
 /// Reusable scratch for [`SimExec::run`] — allocate once, run any number
-/// of rounds without further allocation (outcomes excepted). Dropping it
-/// flushes the worker-local observability planes, like
-/// [`crate::faults::FaultScratch`].
+/// of rounds without further allocation (outcomes excepted). It holds
+/// only clock state plus one [`FaultScratch`], which carries the round's
+/// delivery vector into `FaultyExec::settle` and, on drop, flushes the
+/// worker-local observability planes.
 #[derive(Clone, Debug, Default)]
 pub struct SimState {
     heap: BinaryHeap<std::cmp::Reverse<Ev>>,
     seq: u64,
-    delivered: Vec<bool>,
-    dropped: Vec<bool>,
-    attempts: Vec<u32>,
     /// Per message: unresolved predecessor messages left.
     pred_left: Vec<u32>,
-    /// Per destination step: unresolved inbound messages left.
-    dest_left: Vec<u32>,
     /// Intrusive FIFO links (per message).
     next_in_q: Vec<u32>,
     /// Per component: queue head / tail / depth, radio busy flag.
@@ -179,20 +176,7 @@ pub struct SimState {
     /// Per component: pushes past the bound (sparse, via `touched`).
     overflow_at: Vec<u32>,
     touched_overflow: Vec<u32>,
-    readings: Vec<f64>,
-    records: Vec<Option<PartialRecord>>,
-    results: Vec<Option<f64>>,
-    dest_done: Vec<bool>,
-    unit_cover: Vec<u64>,
-    cover: Vec<u64>,
-    tmp_cover: Vec<u64>,
-    planes: m2m_telemetry::timeseries::NodePlanes,
-}
-
-impl Drop for SimState {
-    fn drop(&mut self) {
-        m2m_telemetry::timeseries::merge_planes(&mut self.planes);
-    }
+    scratch: FaultScratch,
 }
 
 /// The event-driven executor. Built once per plan; see the module docs.
@@ -205,16 +189,6 @@ pub struct SimExec {
     succ_pool: Vec<u32>,
     /// Per message: initial predecessor count.
     init_preds: Vec<u32>,
-    /// Message → record-step CSR: the record steps whose unit travels in
-    /// the message, in compiled (topological) order.
-    rstep_start: Vec<u32>,
-    rstep_pool: Vec<u32>,
-    /// Message → destination-step CSR: destinations whose final fold
-    /// waits on the message.
-    dstep_start: Vec<u32>,
-    dstep_pool: Vec<u32>,
-    /// Per destination step: distinct inbound messages demanded.
-    init_dest_preds: Vec<u32>,
 }
 
 impl SimExec {
@@ -238,7 +212,6 @@ impl SimExec {
     pub fn from_faults(faults: FaultyExec, params: SimParams) -> Self {
         crate::telemetry::counter(names::SIM_BUILDS, 1);
         let message_count = faults.message_facts().len();
-        let compiled = faults.compiled();
 
         // Reverse the predecessor table into a successor CSR, and record
         // initial pending counts.
@@ -268,67 +241,6 @@ impl SimExec {
             }
         }
 
-        // Bucket record steps by carrying message, preserving compiled
-        // (topological) order within each bucket.
-        let unit_message = faults.unit_message();
-        let mut rstep_count = vec![0u32; message_count];
-        for step in &compiled.record_steps {
-            rstep_count[unit_message[step.unit as usize] as usize] += 1;
-        }
-        let mut rstep_start = Vec::with_capacity(message_count + 1);
-        let mut acc = 0u32;
-        for &c in &rstep_count {
-            rstep_start.push(acc);
-            acc += c;
-        }
-        rstep_start.push(acc);
-        let mut rstep_pool = vec![0u32; acc as usize];
-        let mut cursor = rstep_start.clone();
-        for (i, step) in compiled.record_steps.iter().enumerate() {
-            let m = unit_message[step.unit as usize] as usize;
-            rstep_pool[cursor[m] as usize] = i as u32;
-            cursor[m] += 1;
-        }
-
-        // Each destination step waits on the distinct messages carrying
-        // its gating units (local contributions gate on nothing).
-        let op_gates = faults.op_gates();
-        let mut dest_pred_lists: Vec<Vec<u32>> = Vec::with_capacity(compiled.dest_steps.len());
-        for step in &compiled.dest_steps {
-            let base = step.first_op as usize;
-            let mut list: Vec<u32> = (0..step.op_count as usize)
-                .filter_map(|k| {
-                    let gate = op_gates[base + k];
-                    (gate != u32::MAX).then(|| unit_message[gate as usize])
-                })
-                .collect();
-            list.sort_unstable();
-            list.dedup();
-            dest_pred_lists.push(list);
-        }
-        let init_dest_preds: Vec<u32> = dest_pred_lists.iter().map(|l| l.len() as u32).collect();
-        let mut dstep_count = vec![0u32; message_count];
-        for list in &dest_pred_lists {
-            for &m in list {
-                dstep_count[m as usize] += 1;
-            }
-        }
-        let mut dstep_start = Vec::with_capacity(message_count + 1);
-        let mut acc = 0u32;
-        for &c in &dstep_count {
-            dstep_start.push(acc);
-            acc += c;
-        }
-        dstep_start.push(acc);
-        let mut dstep_pool = vec![0u32; acc as usize];
-        let mut cursor = dstep_start.clone();
-        for (i, list) in dest_pred_lists.iter().enumerate() {
-            for &m in list {
-                dstep_pool[cursor[m as usize] as usize] = i as u32;
-                cursor[m as usize] += 1;
-            }
-        }
-
         crate::m2m_log!(
             crate::telemetry::Level::Debug,
             "sim compiled: {} components, {} messages, {} succ arcs",
@@ -342,11 +254,6 @@ impl SimExec {
             succ_start,
             succ_pool,
             init_preds,
-            rstep_start,
-            rstep_pool,
-            dstep_start,
-            dstep_pool,
-            init_dest_preds,
         }
     }
 
@@ -384,16 +291,10 @@ impl SimExec {
     pub fn state(&self) -> SimState {
         let messages = self.message_count();
         let components = self.component_count();
-        let compiled = self.faults.compiled();
-        let words = self.faults.cover_words();
         SimState {
             heap: BinaryHeap::with_capacity(messages * 2 + components),
             seq: 0,
-            delivered: vec![false; messages],
-            dropped: vec![false; messages],
-            attempts: vec![0; messages],
             pred_left: vec![0; messages],
-            dest_left: vec![0; compiled.dest_steps.len()],
             next_in_q: vec![NO_MSG; messages],
             q_head: vec![NO_MSG; components],
             q_tail: vec![NO_MSG; components],
@@ -401,73 +302,13 @@ impl SimExec {
             radio_busy: vec![false; components],
             overflow_at: vec![0; components],
             touched_overflow: Vec::new(),
-            readings: vec![0.0; compiled.sources.len()],
-            records: vec![None; compiled.unit_count],
-            results: vec![None; compiled.dest_steps.len()],
-            dest_done: vec![false; compiled.dest_steps.len()],
-            unit_cover: vec![0; compiled.unit_count * words],
-            cover: vec![0; compiled.dest_steps.len() * words],
-            tmp_cover: vec![0; words],
-            planes: m2m_telemetry::timeseries::NodePlanes::for_ids(
-                self.faults.plane_universe().to_vec(),
-            ),
+            scratch: self.faults.scratch(),
         }
     }
 
-    /// Folds one compiled op run against the current delivery state,
-    /// also accumulating the run's source-coverage row in
-    /// `st.tmp_cover`. Gate-open ops fold exactly like
-    /// [`crate::exec::fold_ops`]; closed gates and empty upstream
-    /// records are skipped like [`FaultyExec`]'s degraded fold.
-    fn fold_step(
-        &self,
-        first_op: u32,
-        op_count: u32,
-        kind: AggregateKind,
-        st: &mut SimState,
-    ) -> Option<PartialRecord> {
-        let compiled = self.faults.compiled();
-        let op_gates = self.faults.op_gates();
-        let words = self.faults.cover_words();
-        st.tmp_cover.fill(0);
-        let base = first_op as usize;
-        let mut acc: Option<PartialRecord> = None;
-        for (k, &gate) in op_gates
-            .iter()
-            .enumerate()
-            .skip(base)
-            .take(op_count as usize)
-        {
-            if !self.faults.gate_open_in(gate, &st.delivered) {
-                continue;
-            }
-            let part = match compiled.ops.get(k) {
-                Op::Pre { slot, alpha } => {
-                    st.tmp_cover[slot as usize / 64] |= 1 << (slot % 64);
-                    kind.pre_aggregate_weighted(alpha, st.readings[slot as usize])
-                }
-                Op::FromUnit { unit } => {
-                    let src = unit as usize * words;
-                    for w in 0..words {
-                        st.tmp_cover[w] |= st.unit_cover[src + w];
-                    }
-                    match st.records[unit as usize] {
-                        Some(r) => r,
-                        None => continue,
-                    }
-                }
-            };
-            acc = Some(match acc {
-                None => part,
-                Some(prev) => kind.merge_records(prev, part),
-            });
-        }
-        acc
-    }
-
-    /// A message's predecessors have all resolved: its node folds the
-    /// record units it carries and the message joins the outbound FIFO.
-    /// Returns the updated `(peak_depth, overflows)` accounting.
+    /// A message's predecessors have all resolved: it joins its sender's
+    /// outbound FIFO, waking the radio if idle. Updates the
+    /// `(peak_depth, overflows)` accounting.
     fn ready(
         &self,
         m: u32,
@@ -476,18 +317,6 @@ impl SimExec {
         peak_depth: &mut u32,
         overflows: &mut u64,
     ) {
-        let compiled = self.faults.compiled();
-        let words = self.faults.cover_words();
-        let lo = self.rstep_start[m as usize] as usize;
-        let hi = self.rstep_start[m as usize + 1] as usize;
-        for i in lo..hi {
-            let step = &compiled.record_steps[self.rstep_pool[i] as usize];
-            let acc = self.fold_step(step.first_op, step.op_count, step.kind, st);
-            st.records[step.unit as usize] = acc;
-            let dst = step.unit as usize * words;
-            st.unit_cover[dst..dst + words].copy_from_slice(&st.tmp_cover);
-        }
-        // Enqueue on the sender's FIFO; wake the radio if idle.
         let comp = self.faults.message_facts()[m as usize].tail_slot as usize;
         st.next_in_q[m as usize] = NO_MSG;
         if st.q_tail[comp] == NO_MSG {
@@ -511,20 +340,8 @@ impl SimExec {
         }
     }
 
-    /// A destination's last inbound message resolved (or the deadline
-    /// hit): evaluate its final fold and coverage row.
-    fn finalize_dest(&self, i: usize, st: &mut SimState) {
-        let compiled = self.faults.compiled();
-        let words = self.faults.cover_words();
-        let step = &compiled.dest_steps[i];
-        let acc = self.fold_step(step.first_op, step.op_count, step.kind, st);
-        st.results[i] = acc.map(|r| step.kind.evaluate_record(r));
-        st.cover[i * words..(i + 1) * words].copy_from_slice(&st.tmp_cover);
-        st.dest_done[i] = true;
-    }
-
     /// A message resolved (delivered or lost): cascade readiness to its
-    /// successors and finalize destinations whose inputs are complete.
+    /// successors.
     fn resolve(
         &self,
         m: u32,
@@ -542,41 +359,6 @@ impl SimExec {
                 self.ready(s, now, st, peak_depth, overflows);
             }
         }
-        let lo = self.dstep_start[m as usize] as usize;
-        let hi = self.dstep_start[m as usize + 1] as usize;
-        for i in lo..hi {
-            let d = self.dstep_pool[i] as usize;
-            st.dest_left[d] -= 1;
-            if st.dest_left[d] == 0 {
-                self.finalize_dest(d, st);
-            }
-        }
-    }
-
-    /// Mirror of [`FaultyExec`]'s per-node plane fold, against the
-    /// simulator's delivery state — same arithmetic, so plane totals
-    /// reconcile with cost and the global counters exactly.
-    fn update_planes(&self, st: &mut SimState) {
-        for (m, msg) in self.faults.message_facts().iter().enumerate() {
-            let attempts = u64::from(st.attempts[m]);
-            if attempts == 0 {
-                continue;
-            }
-            let tail = msg.tail_slot as usize;
-            st.planes.record_tx(tail, attempts, msg.tx_uj);
-            if st.delivered[m] {
-                st.planes.record_rx(msg.head_slot as usize, msg.rx_uj);
-                if attempts > 1 {
-                    st.planes.record_retries(tail, attempts - 1);
-                }
-            } else {
-                st.planes.record_retries(tail, attempts);
-                if st.dropped[m] {
-                    st.planes.record_drop(tail);
-                }
-            }
-        }
-        st.planes.add_rounds(1);
     }
 
     /// Runs one event-driven round over `readings` (dense, in
@@ -596,19 +378,17 @@ impl SimExec {
     ) -> SimOutcome {
         let _span = crate::telemetry::span(names::SIM_ROUND_NS);
         crate::telemetry::counter(names::SIM_ROUNDS, 1);
-        let compiled = self.faults.compiled();
         assert_eq!(
             readings.len(),
-            compiled.sources.len(),
+            self.compiled().sources.len(),
             "reading vector length must match the interned source count"
         );
         assert_eq!(
-            st.delivered.len(),
+            st.pred_left.len(),
             self.message_count(),
             "state/simulator mismatch"
         );
         self.reset(st);
-        st.readings.copy_from_slice(readings);
 
         let budget = u64::from(policy.max_slots);
         let latency = u64::from(self.params.latency);
@@ -619,17 +399,10 @@ impl SimExec {
         let mut peak_depth = 0u32;
         let mut overflows = 0u64;
 
-        // Tick 0: source-local messages are ready immediately, and
-        // destinations with purely local inputs finalize without any
-        // traffic at all.
+        // Tick 0: source-local messages are ready immediately.
         for m in 0..self.message_count() as u32 {
             if self.init_preds[m as usize] == 0 {
                 self.ready(m, 0, st, &mut peak_depth, &mut overflows);
-            }
-        }
-        for i in 0..compiled.dest_steps.len() {
-            if st.dest_left[i] == 0 && !st.dest_done[i] {
-                self.finalize_dest(i, st);
             }
         }
 
@@ -649,12 +422,12 @@ impl SimExec {
                         continue;
                     }
                     let msg = &self.faults.message_facts()[m as usize];
-                    st.attempts[m as usize] += 1;
+                    let attempts = &mut st.scratch.attempts[m as usize];
+                    *attempts += 1;
                     if model.is_down(msg.edge.0, msg.edge.1, round_salt.wrapping_add(now)) {
                         retransmissions += 1;
-                        if policy.max_attempts > 0 && st.attempts[m as usize] >= policy.max_attempts
-                        {
-                            st.dropped[m as usize] = true;
+                        if policy.max_attempts > 0 && *attempts >= policy.max_attempts {
+                            st.scratch.dropped[m as usize] = true;
                             dropped_count += 1;
                             pop_queue(st, c);
                             push_event(st, now + latency, EvKind::Lost(m));
@@ -667,7 +440,7 @@ impl SimExec {
                             );
                         }
                     } else {
-                        st.delivered[m as usize] = true;
+                        st.scratch.delivered[m as usize] = true;
                         pop_queue(st, c);
                         push_event(st, now + latency, EvKind::Deliver(m));
                         push_event(st, now + 1, EvKind::Tx(comp));
@@ -680,87 +453,18 @@ impl SimExec {
         }
 
         crate::telemetry::counter(names::SIM_EVENTS, events);
-        crate::telemetry::counter(names::FAULTS_RETRANSMISSIONS, retransmissions as u64);
-        crate::telemetry::counter(names::FAULTS_DROPPED_MESSAGES, dropped_count as u64);
         crate::telemetry::counter(names::SIM_QUEUE_OVERFLOWS, overflows);
-        if m2m_telemetry::timeseries::obs_enabled() {
-            self.update_planes(st);
-        }
 
-        // Deadline flush: destinations still pending fold from whatever
-        // arrived — the event-clock analogue of running out of TDMA
-        // slots. Delivery state is final (the wheel stopped), so gates
-        // read exactly what the budgeted protocol knew.
-        for i in 0..compiled.dest_steps.len() {
-            if !st.dest_done[i] {
-                self.finalize_dest(i, st);
-            }
-        }
-
-        // Cost in message order (bit-identical to the static round when
-        // lossless), link events, coverage — FaultOutcome semantics.
-        let mut cost = RoundCost::default();
-        for (m, msg) in self.faults.message_facts().iter().enumerate() {
-            if st.attempts[m] > 0 {
-                cost.tx_uj += msg.tx_uj * f64::from(st.attempts[m]);
-            }
-            if st.delivered[m] {
-                cost.rx_uj += msg.rx_uj;
-                cost.messages += 1;
-                cost.units += msg.unit_count;
-                cost.payload_bytes += u64::from(msg.body);
-            }
-        }
-        let delivered_all = st.delivered.iter().all(|&d| d);
-        let mut link_events: Vec<LinkEvent> = Vec::new();
-        if retransmissions > 0 || dropped_count > 0 {
-            for (m, msg) in self.faults.message_facts().iter().enumerate() {
-                let failures = st.attempts[m] - u32::from(st.delivered[m]);
-                if failures > 0 {
-                    link_events.push(LinkEvent {
-                        tail: msg.edge.0,
-                        head: msg.edge.1,
-                        failures,
-                        dropped: st.dropped[m],
-                    });
-                }
-            }
-        }
-        let words = self.faults.cover_words();
-        if delivered_all {
-            st.cover.copy_from_slice(self.faults.demanded_rows());
-        }
-        let demanded_rows = self.faults.demanded_rows();
-        let demanded = self.faults.demanded_counts();
-        let coverage: Vec<DestCoverage> = compiled
-            .dest_steps
-            .iter()
-            .enumerate()
-            .map(|(i, step)| {
-                let row = &st.cover[i * words..(i + 1) * words];
-                let demanded_row = &demanded_rows[i * words..(i + 1) * words];
-                let covered: usize = row.iter().map(|w| w.count_ones() as usize).sum();
-                let mut missing = Vec::new();
-                if covered < demanded[i] {
-                    for (w, (&have, &want)) in row.iter().zip(demanded_row).enumerate() {
-                        let mut lost = want & !have;
-                        while lost != 0 {
-                            let bit = lost.trailing_zeros() as usize;
-                            missing.push(compiled.sources.id(w * 64 + bit));
-                            lost &= lost - 1;
-                        }
-                    }
-                }
-                DestCoverage {
-                    destination: step.dest,
-                    covered,
-                    demanded: demanded[i],
-                    missing,
-                }
-            })
-            .collect();
-        let degraded = coverage.iter().filter(|c| !c.complete()).count();
-        crate::telemetry::counter(names::FAULTS_DEGRADED_DESTINATIONS, degraded as u64);
+        // The wheel stopped (drained, or the tick budget ran out — the
+        // event-clock analogue of running out of TDMA slots), so the
+        // delivery vector is final: settle the answer from it.
+        let outcome = self.faults.settle(
+            readings,
+            &mut st.scratch,
+            now.min(u64::from(u32::MAX)) as u32,
+            retransmissions,
+            dropped_count,
+        );
 
         let mut overflow_nodes: Vec<(NodeId, u32)> = st
             .touched_overflow
@@ -775,16 +479,7 @@ impl SimExec {
         overflow_nodes.sort_unstable_by_key(|&(n, _)| n);
 
         SimOutcome {
-            outcome: FaultOutcome {
-                results: st.results.clone(),
-                coverage,
-                cost,
-                slots_used: now.min(u64::from(u32::MAX)) as u32,
-                retransmissions,
-                dropped_messages: dropped_count,
-                delivered: delivered_all,
-                link_events,
-            },
+            outcome,
             events,
             ticks: now,
             peak_queue_depth: peak_depth,
@@ -824,11 +519,10 @@ impl SimExec {
     fn reset(&self, st: &mut SimState) {
         st.heap.clear();
         st.seq = 0;
-        st.delivered.fill(false);
-        st.dropped.fill(false);
-        st.attempts.fill(0);
+        st.scratch.delivered.fill(false);
+        st.scratch.dropped.fill(false);
+        st.scratch.attempts.fill(0);
         st.pred_left.copy_from_slice(&self.init_preds);
-        st.dest_left.copy_from_slice(&self.init_dest_preds);
         st.next_in_q.fill(NO_MSG);
         st.q_head.fill(NO_MSG);
         st.q_tail.fill(NO_MSG);
@@ -838,11 +532,6 @@ impl SimExec {
             st.overflow_at[c as usize] = 0;
         }
         st.touched_overflow.clear();
-        st.records.fill(None);
-        st.results.fill(None);
-        st.dest_done.fill(false);
-        st.unit_cover.fill(0);
-        st.cover.fill(0);
     }
 }
 

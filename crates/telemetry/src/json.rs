@@ -172,7 +172,8 @@ impl JsonValue {
     /// at 17); integers parse as [`JsonValue::UInt`]/[`JsonValue::Int`].
     /// This is the read side of [`JsonValue::render`] — enough to validate
     /// and query committed `BENCH_*.json` artifacts, not a general
-    /// streaming parser.
+    /// streaming parser. A key repeated within one object is an error:
+    /// [`JsonValue::get`] would silently read only the first.
     pub fn parse(text: &str) -> Result<JsonValue, String> {
         let mut p = Parser {
             bytes: text.as_bytes(),
@@ -307,7 +308,11 @@ impl Parser<'_> {
         }
         loop {
             self.skip_ws();
+            let at = self.pos;
             let key = self.string()?;
+            if fields.iter().any(|(k, _)| *k == key) {
+                return Err(format!("duplicate key {key:?} at byte {at}"));
+            }
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
@@ -511,6 +516,15 @@ mod tests {
         assert!(JsonValue::parse("[1,]").is_err());
         assert!(JsonValue::parse("\"unterminated").is_err());
         assert!(JsonValue::parse("nul").is_err());
+    }
+
+    #[test]
+    fn parse_rejects_a_key_repeated_within_one_object() {
+        let err = JsonValue::parse("{\"a\": 1, \"b\": 2, \"a\": 1}").unwrap_err();
+        assert!(err.contains("duplicate key \"a\""), "{err}");
+        assert!(JsonValue::parse("{\"x\": {\"a\": 1, \"a\": 2}}").is_err());
+        // The same key in sibling objects is fine.
+        assert!(JsonValue::parse("[{\"a\": 1}, {\"a\": 2}]").is_ok());
     }
 
     #[test]

@@ -29,7 +29,10 @@
 # the lossy executor at p=0 is bit-identical to the compiled path and
 # that lossy batches are thread-count invariant, and must print the same
 # per-scenario digests across two back-to-back runs), plus a schema
-# check of the committed BENCH_resilience.json artifact.
+# check of the committed BENCH_resilience.json artifact. A full run
+# (~0.2 s) must also reproduce every committed scenario digest, so a
+# change to lossy semantics fails here instead of passing as a
+# same-build comparison.
 #
 # Plan front-end gate: a smoke run of the scaling benchmark builds the
 # 1k-node spec→plan front end (routing forest → topology intern → edge
@@ -66,7 +69,12 @@
 # (default 100k events/sec; ~14M measured on the 1-core reference
 # container). It also prints `smoke_sim_digest=`, an FNV-1a over every
 # outcome of the epoch, which must be identical across two back-to-back
-# runs. The committed BENCH_sim.json is schema-checked alongside.
+# runs. The committed BENCH_sim.json is schema-checked alongside, and
+# the 1k-node epoch (~0.3 s) must reproduce the committed 1k digest bit
+# for bit — a cross-version pin on the simulator's lossy semantics.
+#
+# Artifact gate: `bench_runtime --check` schema-checks the committed
+# BENCH_runtime.json (the JSON reader rejects repeated keys).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -143,8 +151,14 @@ if ! diff <(grep '^smoke_digest_' "$tmpdir/res1.txt") \
     exit 1
 fi
 ./target/release/bench_resilience --check BENCH_resilience.json
+./target/release/bench_resilience "$tmpdir/res.json" > /dev/null
+if ! diff <(grep -E '"(scenario|digest)"' "$tmpdir/res.json") \
+          <(grep -E '"(scenario|digest)"' BENCH_resilience.json); then
+    echo "verify: FAIL — resilience digests differ from BENCH_resilience.json" >&2
+    exit 1
+fi
 
-echo "verify: resilience gate OK ($(grep -c '^smoke_digest_' "$tmpdir/res1.txt") scenarios)"
+echo "verify: resilience gate OK ($(grep -c '^smoke_digest_' "$tmpdir/res1.txt") scenarios, committed digests reproduced)"
 
 ./target/release/bench_scale --smoke > "$tmpdir/scale1.txt"
 ./target/release/bench_scale --smoke > "$tmpdir/scale2.txt"
@@ -217,8 +231,20 @@ BEGIN {
     exit (e + 0 >= floor + 0) ? 0 : 1
 }' || { echo "verify: FAIL — simulator events/sec fell below M2M_SIM_FLOOR" >&2; exit 1; }
 ./target/release/bench_sim --check BENCH_sim.json
+# Prints "<nodes> <digest>" per size row of a bench_sim artifact.
+sim_digests() {
+    awk '/"nodes":/ { gsub(/[^0-9]/, "", $2); n = $2 }
+         /"digest":/ { gsub(/[",]/, "", $2); print n, $2 }' "$1"
+}
+./target/release/bench_sim --nodes 1000 "$tmpdir/sim1k.json" > /dev/null
+sim_pin=$(sim_digests BENCH_sim.json | grep '^1000 ')
+if [ -z "$sim_pin" ] || [ "$(sim_digests "$tmpdir/sim1k.json")" != "$sim_pin" ]; then
+    echo "verify: FAIL — 1k simulator digest differs from BENCH_sim.json" \
+         "($(sim_digests "$tmpdir/sim1k.json") vs ${sim_pin:-none})" >&2
+    exit 1
+fi
 
-echo "verify: simulator gate OK (epoch digest $sim_digest1)"
+echo "verify: simulator gate OK (epoch digest $sim_digest1, committed 1k digest reproduced)"
 
 ./target/release/bench_service --smoke > "$tmpdir/svc1.txt"
 ./target/release/bench_service --smoke > "$tmpdir/svc2.txt"
@@ -243,4 +269,8 @@ BEGIN {
 ./target/release/bench_service --check BENCH_service.json
 
 echo "verify: plan service gate OK (checkpoint digest $svc_digest1)"
+
+./target/release/bench_runtime --check BENCH_runtime.json
+
+echo "verify: artifact gate OK"
 echo "verify: OK"

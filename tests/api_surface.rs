@@ -2,8 +2,8 @@
 //!
 //! The unified [`m2m_core::session`] entry points and the multi-tenant
 //! [`m2m_core::service`] registry are the crate's outward contract;
-//! callers build against them, and the deprecated `run_round*` shims
-//! must stay until their removal is deliberate. This pins every `pub`
+//! callers build against them, so removing or reshaping an entry point
+//! must be deliberate. This pins every `pub`
 //! item signature in those two modules against a committed snapshot so
 //! any addition, removal, or signature change shows up as a reviewable
 //! diff instead of slipping into a release.

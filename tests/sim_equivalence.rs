@@ -11,18 +11,22 @@
 //! contributions in the same canonical order. Under real loss, the
 //! simulator must be a pure function of `(readings, model, policy,
 //! salt)`: replays are exact, and the queue bound never changes results
-//! (it is pressure accounting, not a drop policy).
+//! (it is pressure accounting, not a drop policy). And when the loss
+//! itself does not depend on the clock (permanently dead links), the
+//! TDMA slot scan ([`m2m_core::faults`]) and the event wheel decide the
+//! same delivery vector, so they must settle the same answer.
 
 use std::collections::BTreeMap;
 
 use m2m_core::exec::{CompiledSchedule, ExecState};
-use m2m_core::faults::RetryPolicy;
+use m2m_core::faults::{FaultyExec, RetryPolicy};
 use m2m_core::node_machine::run_distributed_round;
 use m2m_core::plan::GlobalPlan;
 use m2m_core::sim::{SimExec, SimParams};
 use m2m_core::tables::NodeTables;
 use m2m_core::workload::{generate_workload, WorkloadConfig};
 use m2m_graph::NodeId;
+use m2m_netsim::failure::FailureTrace;
 use m2m_netsim::{DeliveryModel, Deployment, Network, RoutingMode, RoutingTables};
 use proptest::prelude::*;
 
@@ -176,5 +180,57 @@ proptest! {
         prop_assert_eq!(&a.outcome, &replay.outcome);
         prop_assert_eq!(a.events, replay.events);
         prop_assert_eq!(a.ticks, replay.ticks);
+    }
+
+    /// The answer depends on the delivery vector alone: with 1–4 message
+    /// links dead for the whole round, every clock attempts each doomed
+    /// message exactly `max_attempts` times and delivers everything else
+    /// first time, so the TDMA slot scan and the event wheel (any queue
+    /// bound, any latency) produce equal outcomes up to the clock reading.
+    #[test]
+    fn both_clocks_settle_the_same_answer_over_dead_links(
+        place_seed in 0u64..10_000,
+        wl_seed in 0u64..10_000,
+        value_salt in 0u64..10_000,
+        round_salt in 0u64..1_000_000,
+        dest_count in 4usize..10,
+        mode_pick in 0usize..3,
+        knobs in 0u64..1_000_000,
+        link_seed in 0u64..1_000_000,
+    ) {
+        let queue_cap = 1 + (knobs % 63) as u32;
+        let latency = 1 + ((knobs >> 6) % 4) as u32;
+        let max_attempts = 1 + ((knobs >> 9) % 4) as u32;
+        let backoff = ((knobs >> 12) % 3) as u32;
+        let dead_links = 1 + ((knobs >> 14) % 4) as usize;
+        let b = build(place_seed, wl_seed, dest_count, 5, mode_of(mode_pick));
+
+        let messages = &b.compiled.schedule().messages;
+        let mut trace = FailureTrace::new();
+        for k in 0..dead_links as u64 {
+            let pick = link_seed.wrapping_mul(2_654_435_761).wrapping_add(k * 40_503);
+            let (tail, head) = messages[(pick % messages.len() as u64) as usize].edge;
+            trace = trace.down(tail, head, 0, u64::MAX);
+        }
+        let model = DeliveryModel::trace(trace);
+        let policy = RetryPolicy::bounded(max_attempts, backoff, 100_000);
+        let readings_map: BTreeMap<NodeId, f64> = b
+            .compiled
+            .sources()
+            .ids()
+            .iter()
+            .map(|&s| (s, reading(s, 2, value_salt)))
+            .collect();
+
+        let faulty = FaultyExec::new(&b.net, &b.compiled);
+        let mut scratch = faulty.scratch();
+        let mut tdma = faulty.run_on(&readings_map, &model, &policy, round_salt, &mut scratch);
+        let sim = SimExec::with_params(&b.net, &b.compiled, SimParams { queue_cap, latency });
+        let mut st = sim.state();
+        let mut wheel = sim.run_on(&readings_map, &model, &policy, round_salt, &mut st).outcome;
+        prop_assert!(tdma.dropped_messages >= 1, "a dead message link must drop its message");
+        tdma.slots_used = 0;
+        wheel.slots_used = 0;
+        prop_assert_eq!(tdma, wheel);
     }
 }
