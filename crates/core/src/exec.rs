@@ -355,7 +355,7 @@ impl CompiledSchedule {
                 .slot(u64::from(msg.edge.1 .0))
                 .expect("endpoint in profile universe");
             obs_profile.record_tx(tail, 1, energy.tx_cost_uj(body));
-            obs_profile.record_rx(head, energy.rx_cost_uj(body));
+            obs_profile.record_rx(head, 1, energy.rx_cost_uj(body));
         }
         obs_profile.add_rounds(1);
 

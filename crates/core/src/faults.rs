@@ -20,6 +20,20 @@
 //!   different clock and settles through the same step: every node
 //!   folds whichever units reached it, so the answer depends on which
 //!   messages got through, not when.
+//!
+//!   The slot scan visits only *ready* messages. `FaultyExec::new`
+//!   builds two CSRs over the message graph — successors (with each
+//!   message's pending-predecessor count) and messages by assigned slot
+//!   — and a round keeps a ready bitset fed by slot arrivals, by
+//!   successors whose last predecessor resolved, and by a backoff queue.
+//!   Each slot walks the bitset in ascending message order, re-reading
+//!   the current word after every attempt: a message readied in slot
+//!   `t` goes in `t` if it lies ahead of the message that readied it and
+//!   in `t + 1` otherwise, which is the order of a full rescan of every
+//!   message every slot, so every attempt draws the same
+//!   `(link, salt + slot)` value. Links are resolved into per-message
+//!   [`m2m_netsim::LinkLoss`] oracles once per call (once per batch in
+//!   [`FaultyExec::run_rounds`]) rather than looked up per attempt.
 //! * [`DegradationTracker`] — per-destination staleness: how many
 //!   consecutive rounds a destination has gone without full coverage.
 //! * [`ChurnController`] — the loop closure: when observed link quality
@@ -39,11 +53,13 @@
 //! `tests/fault_equivalence.rs` pins this across routing modes and thread
 //! counts.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
 use m2m_graph::NodeId;
 use m2m_netsim::quality::LinkQuality;
-use m2m_netsim::{DeliveryModel, Network};
+use m2m_netsim::{DeliveryModel, LinkLoss, Network};
+use m2m_telemetry::timeseries::record_planes;
 
 use crate::agg::PartialRecord;
 use crate::exec::{fold_ops, CompiledSchedule, Op};
@@ -103,8 +119,6 @@ pub(crate) struct MessageFacts {
     /// Energy of one transmission attempt / one successful reception.
     pub(crate) tx_uj: f64,
     pub(crate) rx_uj: f64,
-    /// Range into [`FaultyExec::pred_pool`].
-    pub(crate) preds: (u32, u32),
     /// Dense slots of `edge.0` / `edge.1` in [`FaultyExec::plane_ids`],
     /// precomputed so the per-node plane update is two array stores.
     pub(crate) tail_slot: u32,
@@ -190,12 +204,14 @@ impl FaultOutcome {
 }
 
 /// Reusable scratch for [`FaultyExec::run`] — allocate once (per worker),
-/// run any number of rounds without further allocation (outcomes excepted).
+/// run any number of rounds without further allocation (outcomes and the
+/// per-call link table excepted).
 ///
 /// When observability is on ([`m2m_telemetry::timeseries::obs_enabled`]),
-/// `planes` accumulates this worker's per-node counters locally; dropping
-/// the scratch — end of a worker's chunk, end of a serial run — flushes
-/// them into the process-wide plane registry.
+/// each settled round adds its per-message counts to this worker's
+/// tallies; dropping the scratch — end of a worker's chunk, end of a
+/// serial run — turns them into per-node planes once and flushes those
+/// into the process-wide plane registry.
 #[derive(Clone, Debug, Default)]
 pub struct FaultScratch {
     /// The round's delivery vector, per message: delivered, abandoned
@@ -205,20 +221,110 @@ pub struct FaultScratch {
     pub(crate) delivered: Vec<bool>,
     pub(crate) dropped: Vec<bool>,
     pub(crate) attempts: Vec<u32>,
-    next_attempt: Vec<u32>,
+    /// Slot-scan state: unresolved predecessors left per message, the
+    /// ready bitset, and failed messages waiting out their backoff as
+    /// `(retry slot, message)` in slot order.
+    pending: Vec<u32>,
+    ready: Vec<u64>,
+    backoff: VecDeque<(u32, u32)>,
     records: Vec<Option<PartialRecord>>,
     /// Source-coverage bitset rows (`words` each): per unit, per
     /// destination, and the row of the op run being folded.
     unit_cover: Vec<u64>,
     cover: Vec<u64>,
     tmp_cover: Vec<u64>,
-    planes: m2m_telemetry::timeseries::NodePlanes,
+    tally: PlaneTally,
 }
 
 impl Drop for FaultScratch {
     fn drop(&mut self) {
         // No-op when nothing was recorded (observability off).
-        m2m_telemetry::timeseries::merge_planes(&mut self.planes);
+        self.tally.flush();
+    }
+}
+
+/// Per-message observability counts summed over every round one scratch
+/// settled with observability on, and the per-message node slots and
+/// energies that turn them into per-node planes at flush. A round costs
+/// one dense add of its deliveries (none when it delivered everything)
+/// plus one sparse add per message that failed an attempt; the per-node
+/// scatter runs once per scratch.
+#[derive(Clone, Debug, Default)]
+struct PlaneTally {
+    messages: Arc<[MessageFacts]>,
+    plane_ids: Arc<[u64]>,
+    /// Per message: deliveries outside the full rounds, failed attempts,
+    /// rounds dropped.
+    delivered: Vec<u32>,
+    failures: Vec<u64>,
+    dropped: Vec<u32>,
+    /// Rounds counted, and how many of them delivered every message.
+    rounds: u32,
+    full_rounds: u32,
+}
+
+impl PlaneTally {
+    /// Counts one round and its deliveries; the round's failures follow
+    /// through [`PlaneTally::add_failures`].
+    fn add_round(&mut self, delivered: &[bool], delivered_all: bool) {
+        if self.rounds == u32::MAX {
+            self.flush(); // keep the u32 counts exact
+        }
+        if self.delivered.is_empty() {
+            let n = self.messages.len();
+            self.delivered = vec![0; n];
+            self.failures = vec![0; n];
+            self.dropped = vec![0; n];
+        }
+        if delivered_all {
+            self.full_rounds += 1;
+        } else {
+            for (sum, &d) in self.delivered.iter_mut().zip(delivered) {
+                *sum += u32::from(d);
+            }
+        }
+        self.rounds += 1;
+    }
+
+    /// Counts message `m`'s failed attempts this round, and its drop.
+    fn add_failures(&mut self, m: usize, failures: u32, dropped: bool) {
+        self.failures[m] += u64::from(failures);
+        self.dropped[m] += u32::from(dropped);
+    }
+
+    /// Flushes the tallies into the process-wide per-node planes — every
+    /// attempt pays tx at the tail, delivery pays rx at the head,
+    /// failures count as retries at the tail, abandonment as a drop at
+    /// the tail; the same arithmetic as [`FaultyExec::accumulate_cost`]
+    /// and the global counters, so plane totals reconcile exactly.
+    fn flush(&mut self) {
+        if self.rounds == 0 {
+            return;
+        }
+        record_planes(&self.plane_ids, |planes| {
+            for (m, msg) in self.messages.iter().enumerate() {
+                let delivered = u64::from(self.delivered[m]) + u64::from(self.full_rounds);
+                let failures = self.failures[m];
+                if delivered + failures == 0 {
+                    continue;
+                }
+                let tail = msg.tail_slot as usize;
+                planes.record_tx(tail, delivered + failures, msg.tx_uj);
+                if delivered > 0 {
+                    planes.record_rx(msg.head_slot as usize, delivered, msg.rx_uj);
+                }
+                planes.record_retries(tail, failures);
+                if self.dropped[m] > 0 {
+                    planes.record_drops(tail, u64::from(self.dropped[m]));
+                }
+            }
+            planes.add_rounds(u64::from(self.rounds));
+        });
+        self.delivered.fill(0);
+        self.failures.fill(0);
+        self.dropped.fill(0);
+        self.rounds = 0;
+        self.full_rounds = 0;
     }
 }
 
@@ -231,8 +337,19 @@ impl Drop for FaultScratch {
 pub struct FaultyExec {
     compiled: CompiledSchedule,
     slots: SlotSchedule,
-    messages: Vec<MessageFacts>,
-    pred_pool: Vec<u32>,
+    messages: Arc<[MessageFacts]>,
+    /// Successor CSR of the message graph: the messages waiting on
+    /// message `m` are `succ_pool[succ_start[m]..succ_start[m + 1]]`,
+    /// ascending.
+    succ_start: Vec<u32>,
+    succ_pool: Vec<u32>,
+    /// Per message: its predecessor count, the pending count every round
+    /// starts from.
+    init_pending: Vec<u32>,
+    /// Messages by assigned slot (CSR, ascending within a slot): slot
+    /// `t`'s are `slot_pool[slot_start[t]..slot_start[t + 1]]`.
+    slot_start: Vec<u32>,
+    slot_pool: Vec<u32>,
     /// Unit index → message index.
     message_of: Vec<u32>,
     /// Aligned 1:1 with the compiled op stream: the unit that must be
@@ -248,7 +365,7 @@ pub struct FaultyExec {
     raw_parent: Vec<u32>,
     /// Sorted node-id universe of the per-node observability planes:
     /// every message endpoint, as `u64` ids.
-    plane_ids: Vec<u64>,
+    plane_ids: Arc<[u64]>,
     /// Bitset words per coverage row.
     words: usize,
     /// Per-destination demanded-source bitsets (row-major, `words` each).
@@ -310,27 +427,46 @@ impl FaultyExec {
                 .expect("endpoint in plane universe") as u32
         };
 
-        let mut messages = Vec::with_capacity(message_count);
-        let mut pred_pool: Vec<u32> = Vec::new();
-        for (m, msg) in schedule.messages.iter().enumerate() {
-            let body: u32 = msg
-                .units
+        let messages: Arc<[MessageFacts]> = schedule
+            .messages
+            .iter()
+            .map(|msg| {
+                let body: u32 = msg
+                    .units
+                    .iter()
+                    .map(|&u| schedule.units[u].size_bytes)
+                    .sum();
+                MessageFacts {
+                    edge: msg.edge,
+                    unit_count: msg.units.len(),
+                    body,
+                    tx_uj: energy.tx_cost_uj(body),
+                    rx_uj: energy.rx_cost_uj(body),
+                    tail_slot: plane_slot(msg.edge.0),
+                    head_slot: plane_slot(msg.edge.1),
+                }
+            })
+            .collect();
+        // The slot scan's two static indexes: who waits on whom
+        // (successors ascending, so the event wheel in `crate::sim` wakes
+        // them in message order too), and who is assigned which slot.
+        let init_pending: Vec<u32> = preds.iter().map(|p| p.len() as u32).collect();
+        let (succ_start, succ_pool) = csr(
+            message_count,
+            preds
                 .iter()
-                .map(|&u| schedule.units[u].size_bytes)
-                .sum();
-            let start = pred_pool.len() as u32;
-            pred_pool.extend(&preds[m]);
-            messages.push(MessageFacts {
-                edge: msg.edge,
-                unit_count: msg.units.len(),
-                body,
-                tx_uj: energy.tx_cost_uj(body),
-                rx_uj: energy.rx_cost_uj(body),
-                preds: (start, pred_pool.len() as u32),
-                tail_slot: plane_slot(msg.edge.0),
-                head_slot: plane_slot(msg.edge.1),
-            });
-        }
+                .enumerate()
+                .flat_map(|(m, ps)| ps.iter().map(move |&p| (p as usize, m as u32))),
+        );
+        let slot_rows = slots.slots.iter().max().map_or(0, |&t| t as usize + 1);
+        let (slot_start, slot_pool) = csr(
+            slot_rows,
+            slots
+                .slots
+                .iter()
+                .enumerate()
+                .map(|(m, &t)| (t as usize, m as u32)),
+        );
 
         // The raw unit delivering source `s` into node `v` is unique: a
         // multicast tree has one path from `s` through `v`.
@@ -415,11 +551,15 @@ impl FaultyExec {
             compiled: compiled.clone(),
             slots,
             messages,
-            pred_pool,
+            succ_start,
+            succ_pool,
+            init_pending,
+            slot_start,
+            slot_pool,
             message_of,
             op_gate,
             raw_parent,
-            plane_ids,
+            plane_ids: plane_ids.into(),
             words,
             demanded_bits: Vec::new(),
             demanded: Vec::new(),
@@ -460,115 +600,156 @@ impl FaultyExec {
 
     /// Allocates a scratch arena sized for this executor.
     pub fn scratch(&self) -> FaultScratch {
+        let messages = self.messages.len();
         FaultScratch {
-            delivered: vec![false; self.messages.len()],
-            dropped: vec![false; self.messages.len()],
-            attempts: vec![0; self.messages.len()],
-            next_attempt: vec![0; self.messages.len()],
+            delivered: vec![false; messages],
+            dropped: vec![false; messages],
+            attempts: vec![0; messages],
+            pending: vec![0; messages],
+            ready: vec![0; messages.div_ceil(64)],
+            backoff: VecDeque::new(),
             records: vec![None; self.compiled.unit_count],
             unit_cover: vec![0; self.compiled.unit_count * self.words],
             cover: vec![0; self.compiled.dest_steps.len() * self.words],
             tmp_cover: vec![0; self.words],
-            planes: m2m_telemetry::timeseries::NodePlanes::for_ids(self.plane_ids.clone()),
+            tally: PlaneTally {
+                messages: Arc::clone(&self.messages),
+                plane_ids: Arc::clone(&self.plane_ids),
+                ..PlaneTally::default()
+            },
         }
     }
 
-    /// Folds the round in `scratch` into the worker-local per-node
-    /// planes: every attempt pays tx at the tail, delivery pays rx at
-    /// the head, failures count as retries at the tail, abandonment as
-    /// a drop at the tail — the same arithmetic as
-    /// [`FaultyExec::accumulate_cost`] and the global counters, so plane
-    /// totals reconcile exactly.
-    fn update_planes(&self, scratch: &mut FaultScratch) {
-        for (m, msg) in self.messages.iter().enumerate() {
-            let attempts = u64::from(scratch.attempts[m]);
-            if attempts == 0 {
-                continue;
-            }
-            let tail = msg.tail_slot as usize;
-            scratch.planes.record_tx(tail, attempts, msg.tx_uj);
-            if scratch.delivered[m] {
-                scratch.planes.record_rx(msg.head_slot as usize, msg.rx_uj);
-                if attempts > 1 {
-                    scratch.planes.record_retries(tail, attempts - 1);
-                }
-            } else {
-                scratch.planes.record_retries(tail, attempts);
-                if scratch.dropped[m] {
-                    scratch.planes.record_drop(tail);
-                }
-            }
-        }
-        scratch.planes.add_rounds(1);
+    /// Resolves every message's link under `model` once: the per-message
+    /// [`LinkLoss`] oracles a slot scan asks instead of the model.
+    fn link_losses<'m>(&self, model: &'m DeliveryModel) -> Vec<LinkLoss<'m>> {
+        self.messages
+            .iter()
+            .map(|msg| model.link(msg.edge.0, msg.edge.1))
+            .collect()
     }
 
-    /// Phase A: the slot-by-slot delivery simulation. A message is
-    /// attempted once per eligible slot — at or after its assigned slot,
-    /// past its backoff, with every predecessor *resolved* (delivered or
-    /// dropped) — until it is delivered, exhausts `policy.max_attempts`,
-    /// or the slot budget ends. Returns `(slots_used, retransmissions,
-    /// dropped)` and fills `scratch.delivered` / `scratch.attempts`.
-    fn simulate_delivery(
+    /// Phase A: the TDMA slot scan. A message is attempted once per
+    /// eligible slot — at or after its assigned slot, past its backoff,
+    /// with every predecessor *resolved* (delivered or dropped) — until it
+    /// is delivered, exhausts `policy.max_attempts`, or the slot budget
+    /// ends; an attempt of message `m` in slot `t` asks `links[m]` at tick
+    /// `round_salt + t`. Returns `(slots_used, retransmissions, dropped)`
+    /// and fills the delivery vector in `scratch`.
+    ///
+    /// Only *ready* messages are visited: a bitset of the eligible ones,
+    /// fed by the messages assigned to each slot, by the successors of
+    /// each resolved message once their last predecessor resolves, and by
+    /// the backoff queue. Each slot walks the bitset in ascending message
+    /// order and re-reads the current word after every attempt, so a
+    /// message readied in slot `t` goes in `t` if it lies ahead of the
+    /// message that readied it and in `t + 1` otherwise — exactly the
+    /// order of a full ascending rescan of every message every slot,
+    /// which the test module keeps as the reference.
+    fn scan_delivery(
         &self,
-        model: &DeliveryModel,
+        links: &[LinkLoss<'_>],
         policy: &RetryPolicy,
         round_salt: u64,
         scratch: &mut FaultScratch,
     ) -> (u32, usize, usize) {
-        let message_count = self.messages.len();
-        scratch.delivered.fill(false);
-        scratch.dropped.fill(false);
-        scratch.attempts.fill(0);
-        scratch.next_attempt.fill(0);
+        let FaultScratch {
+            delivered,
+            dropped,
+            attempts,
+            pending,
+            ready,
+            backoff,
+            ..
+        } = scratch;
+        delivered.fill(false);
+        dropped.fill(false);
+        attempts.fill(0);
+        pending.copy_from_slice(&self.init_pending);
+        ready.fill(0);
+        backoff.clear();
+        let assigned_slots = self.slot_start.len() - 1;
         let mut slots_used = 0u32;
         let mut retransmissions = 0usize;
         let mut dropped_count = 0usize;
-        let mut remaining = message_count;
-        for slot in 0..policy.max_slots {
-            if remaining == 0 {
-                break;
-            }
-            let mut progressed = false;
-            for m in 0..message_count {
-                let msg = &self.messages[m];
-                if scratch.delivered[m]
-                    || scratch.dropped[m]
-                    || self.slots.slots[m] > slot
-                    || scratch.next_attempt[m] > slot
-                {
-                    continue;
-                }
-                let preds = &self.pred_pool[msg.preds.0 as usize..msg.preds.1 as usize];
-                if preds
-                    .iter()
-                    .any(|&p| !scratch.delivered[p as usize] && !scratch.dropped[p as usize])
-                {
-                    continue;
-                }
-                scratch.attempts[m] += 1;
-                if model.is_down(
-                    msg.edge.0,
-                    msg.edge.1,
-                    round_salt.wrapping_add(u64::from(slot)),
-                ) {
-                    retransmissions += 1;
-                    if policy.max_attempts > 0 && scratch.attempts[m] >= policy.max_attempts {
-                        scratch.dropped[m] = true;
-                        dropped_count += 1;
-                        remaining -= 1;
-                    } else {
-                        scratch.next_attempt[m] = slot + 1 + policy.backoff_slots;
+        let mut remaining = self.messages.len();
+        let mut slot = 0u32;
+        while slot < policy.max_slots && remaining > 0 {
+            // Messages assigned this slot join once every predecessor has
+            // resolved; the rest join when their last one resolves.
+            if (slot as usize) < assigned_slots {
+                let t = slot as usize;
+                let row = self.slot_start[t] as usize..self.slot_start[t + 1] as usize;
+                for &m in &self.slot_pool[row] {
+                    if pending[m as usize] == 0 {
+                        ready[m as usize / 64] |= 1 << (m % 64);
                     }
-                    continue;
                 }
-                scratch.delivered[m] = true;
-                remaining -= 1;
-                slots_used = slots_used.max(slot + 1);
-                progressed = true;
+            }
+            while let Some(&(at, m)) = backoff.front() {
+                if at > slot {
+                    break;
+                }
+                backoff.pop_front();
+                ready[m as usize / 64] |= 1 << (m % 64);
+            }
+            let tick = round_salt.wrapping_add(u64::from(slot));
+            let mut progressed = false;
+            for w in 0..ready.len() {
+                let mut passed = 0u64;
+                loop {
+                    let live = ready[w] & !passed;
+                    if live == 0 {
+                        break;
+                    }
+                    let bit = live.trailing_zeros();
+                    passed |= u64::MAX >> (63 - bit);
+                    let m = w * 64 + bit as usize;
+                    attempts[m] += 1;
+                    let lost = links[m].is_down(tick);
+                    retransmissions += usize::from(lost);
+                    if lost && (policy.max_attempts == 0 || attempts[m] < policy.max_attempts) {
+                        // Retry: next slot (still ready), or after the
+                        // backoff. Saturating: a retry slot past
+                        // `u32::MAX` lies beyond every budget.
+                        if policy.backoff_slots > 0 {
+                            ready[w] &= !(1 << bit);
+                            let at = slot.saturating_add(1).saturating_add(policy.backoff_slots);
+                            if at < policy.max_slots {
+                                backoff.push_back((at, m as u32));
+                            }
+                        }
+                        continue;
+                    }
+                    // Resolved: delivered, or dropped on its last attempt.
+                    ready[w] &= !(1 << bit);
+                    remaining -= 1;
+                    if lost {
+                        dropped[m] = true;
+                        dropped_count += 1;
+                    } else {
+                        delivered[m] = true;
+                        progressed = true;
+                    }
+                    for &s in self.successors_of(m) {
+                        let s = s as usize;
+                        pending[s] -= 1;
+                        if pending[s] == 0 && self.slots.slots[s] <= slot {
+                            ready[s / 64] |= 1 << (s % 64);
+                        }
+                    }
+                }
             }
             // Even slots with only failed attempts advance the clock.
-            if !progressed && remaining > 0 {
-                slots_used = slots_used.max(slot + 1);
+            if progressed || remaining > 0 {
+                slots_used = slot + 1;
+            }
+            slot += 1;
+            // Nothing ready and no arrivals left: skip to the next retry
+            // (or the budget); every skipped slot ends with work left.
+            if remaining > 0 && slot as usize >= assigned_slots && ready.iter().all(|&w| w == 0) {
+                slot = backoff.front().map_or(policy.max_slots, |&(at, _)| at);
+                slots_used = slot;
             }
         }
         (slots_used, retransmissions, dropped_count)
@@ -685,8 +866,8 @@ impl FaultyExec {
 
     /// Settles a round once its clock has decided delivery: turns the
     /// delivery vector in `scratch` (per message: delivered, dropped,
-    /// attempts) plus `readings` into the [`FaultOutcome`] — per-node
-    /// planes, cost, link events, the degraded fold and coverage. Both
+    /// attempts) plus `readings` into the [`FaultOutcome`] — plane
+    /// tallies, cost, link events, the degraded fold and coverage. Both
     /// clocks end here: [`FaultyExec::run`] after its TDMA slot scan and
     /// [`crate::sim::SimExec::run`] after its event wheel stops. Every
     /// node folds whichever units reached it, so the answer depends on
@@ -701,11 +882,12 @@ impl FaultyExec {
     ) -> FaultOutcome {
         crate::telemetry::counter(names::FAULTS_RETRANSMISSIONS, retransmissions as u64);
         crate::telemetry::counter(names::FAULTS_DROPPED_MESSAGES, dropped as u64);
-        if m2m_telemetry::timeseries::obs_enabled() {
-            self.update_planes(scratch);
-        }
         let cost = self.accumulate_cost(scratch);
         let delivered_all = scratch.delivered.iter().all(|&d| d);
+        let obs = m2m_telemetry::timeseries::obs_enabled();
+        if obs {
+            scratch.tally.add_round(&scratch.delivered, delivered_all);
+        }
 
         // Per-link failure summaries (unconditional, so an outcome is
         // identical with observability on or off; empty when lossless).
@@ -721,6 +903,9 @@ impl FaultyExec {
                         failures,
                         dropped: scratch.dropped[m],
                     });
+                    if obs {
+                        scratch.tally.add_failures(m, failures, scratch.dropped[m]);
+                    }
                 }
             }
         }
@@ -805,9 +990,9 @@ impl FaultyExec {
         }
     }
 
-    /// Runs one fault-tolerant round: the TDMA delivery simulation under
-    /// `model` and `policy`, then `FaultyExec::settle` over `readings`
-    /// (dense, in [`CompiledSchedule::sources`] slot order). `round_salt`
+    /// Runs one fault-tolerant round: the TDMA slot scan under `model`
+    /// and `policy`, then `FaultyExec::settle` over `readings` (dense, in
+    /// [`CompiledSchedule::sources`] slot order). `round_salt`
     /// decorrelates this round's losses from other rounds'.
     ///
     /// # Panics
@@ -817,6 +1002,20 @@ impl FaultyExec {
         &self,
         readings: &[f64],
         model: &DeliveryModel,
+        policy: &RetryPolicy,
+        round_salt: u64,
+        scratch: &mut FaultScratch,
+    ) -> FaultOutcome {
+        let links = self.link_losses(model);
+        self.run_linked(readings, &links, policy, round_salt, scratch)
+    }
+
+    /// [`FaultyExec::run`] over links already resolved by
+    /// `FaultyExec::link_losses`.
+    fn run_linked(
+        &self,
+        readings: &[f64],
+        links: &[LinkLoss<'_>],
         policy: &RetryPolicy,
         round_salt: u64,
         scratch: &mut FaultScratch,
@@ -834,7 +1033,7 @@ impl FaultyExec {
             "scratch/executor mismatch"
         );
         let (slots_used, retransmissions, dropped) =
-            self.simulate_delivery(model, policy, round_salt, scratch);
+            self.scan_delivery(links, policy, round_salt, scratch);
         self.settle(readings, scratch, slots_used, retransmissions, dropped)
     }
 
@@ -865,7 +1064,7 @@ impl FaultyExec {
         self.run(&dense, model, policy, round_salt, scratch)
     }
 
-    /// Delivery simulation only — no readings, no dataflow. Returns the
+    /// The slot scan only — no readings, no dataflow. Returns the
     /// legacy resilience view of the round: makespan, retransmissions,
     /// cost, and whether everything was delivered. This is what
     /// [`crate::resilience`] is built on.
@@ -876,8 +1075,9 @@ impl FaultyExec {
         round_salt: u64,
         scratch: &mut FaultScratch,
     ) -> (u32, usize, usize, RoundCost, bool) {
+        let links = self.link_losses(model);
         let (slots_used, retransmissions, dropped) =
-            self.simulate_delivery(model, policy, round_salt, scratch);
+            self.scan_delivery(&links, policy, round_salt, scratch);
         let cost = self.accumulate_cost(scratch);
         let delivered = scratch.delivered.iter().all(|&d| d);
         (slots_used, retransmissions, dropped, cost, delivered)
@@ -885,8 +1085,9 @@ impl FaultyExec {
 
     /// Runs one round per entry of `rounds` (dense reading vectors)
     /// across up to `threads` workers, salting round `i` with
-    /// `base_salt + i * SALT_STRIDE`. Results come back in input order, so
-    /// the output is identical at any thread count.
+    /// `base_salt + i * SALT_STRIDE`. Links are resolved once for the
+    /// whole batch. Results come back in input order, so the output is
+    /// identical at any thread count.
     pub fn run_rounds(
         &self,
         rounds: &[Vec<f64>],
@@ -895,6 +1096,7 @@ impl FaultyExec {
         base_salt: u64,
         threads: usize,
     ) -> Vec<FaultOutcome> {
+        let links = self.link_losses(model);
         let indexed: Vec<(usize, &Vec<f64>)> = rounds.iter().enumerate().collect();
         parallel::parallel_map_with(
             &indexed,
@@ -902,7 +1104,7 @@ impl FaultyExec {
             || self.scratch(),
             |scratch, &(i, readings)| {
                 let salt = base_salt.wrapping_add(i as u64 * SALT_STRIDE);
-                self.run(readings, model, policy, salt, scratch)
+                self.run_linked(readings, &links, policy, salt, scratch)
             },
         )
     }
@@ -919,11 +1121,18 @@ impl FaultyExec {
         &self.messages
     }
 
-    /// Predecessor messages of message `m`.
+    /// Messages waiting on message `m`, ascending.
     #[inline]
-    pub(crate) fn preds_of(&self, m: usize) -> &[u32] {
-        let (a, b) = self.messages[m].preds;
-        &self.pred_pool[a as usize..b as usize]
+    pub(crate) fn successors_of(&self, m: usize) -> &[u32] {
+        let (lo, hi) = (self.succ_start[m], self.succ_start[m + 1]);
+        &self.succ_pool[lo as usize..hi as usize]
+    }
+
+    /// Per message: its predecessor count (the pending count a round
+    /// starts from).
+    #[inline]
+    pub(crate) fn initial_pending(&self) -> &[u32] {
+        &self.init_pending
     }
 
     /// Sorted per-node plane universe (message endpoints as `u64` ids).
@@ -936,6 +1145,29 @@ impl FaultyExec {
 /// Per-round salt stride: a prime far larger than any slot budget, so no
 /// two rounds share a `(link, tick)` coordinate.
 pub const SALT_STRIDE: u64 = 1_000_003;
+
+/// Groups `(row, value)` pairs into a CSR over `rows` rows, keeping each
+/// row's values in iteration order: row `r` is
+/// `pool[start[r]..start[r + 1]]`.
+fn csr<I>(rows: usize, pairs: I) -> (Vec<u32>, Vec<u32>)
+where
+    I: Iterator<Item = (usize, u32)> + Clone,
+{
+    let mut start = vec![0u32; rows + 1];
+    for (r, _) in pairs.clone() {
+        start[r + 1] += 1;
+    }
+    for r in 0..rows {
+        start[r + 1] += start[r];
+    }
+    let mut pool = vec![0u32; start[rows] as usize];
+    let mut cursor = start.clone();
+    for (r, v) in pairs {
+        pool[cursor[r] as usize] = v;
+        cursor[r] += 1;
+    }
+    (start, pool)
+}
 
 /// Per-destination staleness: how many consecutive rounds each
 /// destination has ended with partial coverage. Complements the per-round
@@ -1077,8 +1309,16 @@ mod tests {
     use crate::exec::ExecState;
     use crate::plan::GlobalPlan;
     use crate::spec::AggregationSpec;
+    use crate::workload::{generate_workload, WorkloadConfig};
     use m2m_netsim::failure::FailureTrace;
     use m2m_netsim::{Deployment, RoutingMode, RoutingTables};
+    use proptest::prelude::*;
+
+    const MODES: [RoutingMode; 3] = [
+        RoutingMode::ShortestPathTrees,
+        RoutingMode::SharedSpanningTree,
+        RoutingMode::SteinerTrees,
+    ];
 
     fn network() -> Network {
         Network::with_default_energy(Deployment::grid(4, 4, 10.0, 12.0))
@@ -1258,6 +1498,233 @@ mod tests {
         let idx = compiled.sources().slot(NodeId(3)).unwrap();
         let expected = readings[idx];
         assert_eq!(out.results[0], Some(expected));
+    }
+
+    #[test]
+    fn a_retry_slot_past_u32_max_saturates_on_both_clocks() {
+        // A backoff that overflows the slot counter must push the retry
+        // past the budget, as the event wheel's u64 ticks do, rather than
+        // panic (debug) or wrap into an immediate retry (release).
+        let net = Network::with_default_energy(Deployment::grid(5, 1, 10.0, 12.0));
+        let mut s = AggregationSpec::new();
+        s.add_function(
+            NodeId(4),
+            AggregateFunction::weighted_sum([(NodeId(0), 1.0), (NodeId(3), 1.0)]),
+        );
+        let compiled = compile(&net, &s, RoutingMode::ShortestPathTrees);
+        let faulty = FaultyExec::new(&net, &compiled);
+        let model =
+            DeliveryModel::trace(FailureTrace::new().down(NodeId(0), NodeId(1), 0, u64::MAX));
+        let policy = RetryPolicy::bounded(3, u32::MAX, 100);
+        let readings = dense_readings(&compiled);
+        let mut slots = faulty.run(&readings, &model, &policy, 0, &mut faulty.scratch());
+        let sim = crate::sim::SimExec::new(&net, &compiled);
+        let mut ticks = sim
+            .run(&readings, &model, &policy, 0, &mut sim.state())
+            .outcome;
+        for out in [&slots, &ticks] {
+            assert_eq!(
+                out.retransmissions, 1,
+                "one attempt, then a retry beyond the budget"
+            );
+            assert_eq!(out.dropped_messages, 0);
+            assert_eq!(
+                out.link_events,
+                vec![LinkEvent {
+                    tail: NodeId(0),
+                    head: NodeId(1),
+                    failures: 1,
+                    dropped: false,
+                }]
+            );
+        }
+        slots.slots_used = 0;
+        ticks.slots_used = 0;
+        assert_eq!(slots, ticks);
+    }
+
+    /// The full-rescan slot loop the ready-set scan replaced, kept as its
+    /// reference: every slot visits every message in ascending order and
+    /// attempts each one at or past its assigned slot, past its backoff,
+    /// with every predecessor resolved, asking `model` afresh per attempt.
+    /// Its retry slot saturates like the scan's. Returns the delivery
+    /// vector (delivered, dropped, attempts) and `(slots_used,
+    /// retransmissions, dropped)`.
+    #[allow(clippy::type_complexity)]
+    fn rescan_delivery(
+        faulty: &FaultyExec,
+        model: &DeliveryModel,
+        policy: &RetryPolicy,
+        round_salt: u64,
+    ) -> (Vec<bool>, Vec<bool>, Vec<u32>, (u32, usize, usize)) {
+        let message_count = faulty.messages.len();
+        let mut preds: Vec<Vec<usize>> = vec![Vec::new(); message_count];
+        for p in 0..message_count {
+            for &s in faulty.successors_of(p) {
+                preds[s as usize].push(p);
+            }
+        }
+        let mut delivered = vec![false; message_count];
+        let mut dropped = vec![false; message_count];
+        let mut attempts = vec![0u32; message_count];
+        let mut next_attempt = vec![0u32; message_count];
+        let mut slots_used = 0u32;
+        let mut retransmissions = 0usize;
+        let mut dropped_count = 0usize;
+        let mut remaining = message_count;
+        for slot in 0..policy.max_slots {
+            if remaining == 0 {
+                break;
+            }
+            let mut progressed = false;
+            for m in 0..message_count {
+                if delivered[m]
+                    || dropped[m]
+                    || faulty.slots.slots[m] > slot
+                    || next_attempt[m] > slot
+                {
+                    continue;
+                }
+                if preds[m].iter().any(|&p| !delivered[p] && !dropped[p]) {
+                    continue;
+                }
+                attempts[m] += 1;
+                let (a, b) = faulty.messages[m].edge;
+                if model.is_down(a, b, round_salt.wrapping_add(u64::from(slot))) {
+                    retransmissions += 1;
+                    if policy.max_attempts > 0 && attempts[m] >= policy.max_attempts {
+                        dropped[m] = true;
+                        dropped_count += 1;
+                        remaining -= 1;
+                    } else {
+                        next_attempt[m] =
+                            slot.saturating_add(1).saturating_add(policy.backoff_slots);
+                    }
+                    continue;
+                }
+                delivered[m] = true;
+                remaining -= 1;
+                slots_used = slots_used.max(slot + 1);
+                progressed = true;
+            }
+            if !progressed && remaining > 0 {
+                slots_used = slots_used.max(slot + 1);
+            }
+        }
+        let counts = (slots_used, retransmissions, dropped_count);
+        (delivered, dropped, attempts, counts)
+    }
+
+    /// A small seeded hash for picking links in the loss-model builders.
+    fn pick(seed: u64, m: usize) -> u64 {
+        let h = (seed ^ m as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        h ^ (h >> 29)
+    }
+
+    /// Per-link loss from distance-based link quality, with some message
+    /// links forced to p = 1 and p = 0 and some left out of the map.
+    fn per_link_model(net: &Network, faulty: &FaultyExec, p: f64, seed: u64) -> DeliveryModel {
+        let mut quality = LinkQuality::distance_based(net, p, seed);
+        for (m, msg) in faulty.messages.iter().enumerate() {
+            match pick(seed, m) % 8 {
+                0 => quality.set_loss(msg.edge.0, msg.edge.1, 1.0),
+                1 => quality.set_loss(msg.edge.0, msg.edge.1, 0.0),
+                _ => {}
+            }
+        }
+        let absent: Vec<(NodeId, NodeId)> = faulty
+            .messages
+            .iter()
+            .enumerate()
+            .filter(|&(m, _)| pick(seed, m) % 8 == 2)
+            .map(|(_, msg)| (msg.edge.0.min(msg.edge.1), msg.edge.0.max(msg.edge.1)))
+            .collect();
+        DeliveryModel::PerLink {
+            loss: quality
+                .links()
+                .filter(|(key, _)| !absent.contains(key))
+                .collect(),
+            seed,
+        }
+    }
+
+    /// A scripted trace: some message links down for a stretch of each
+    /// round in `salts`, one in sixteen down for good.
+    fn trace_model(faulty: &FaultyExec, salts: &[u64], seed: u64) -> DeliveryModel {
+        let span = u64::from(faulty.slot_schedule().slot_count.max(2));
+        let mut trace = FailureTrace::new();
+        for (m, msg) in faulty.messages.iter().enumerate() {
+            let h = pick(seed, m);
+            let (a, b) = msg.edge;
+            match h % 16 {
+                0 => trace = trace.down(a, b, 0, u64::MAX),
+                1..=5 => {
+                    for &salt in salts {
+                        let from = salt + (h >> 8) % span;
+                        trace = trace.down(a, b, from, from + 1 + (h >> 20) % span);
+                    }
+                }
+                _ => {}
+            }
+        }
+        DeliveryModel::trace(trace)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(6))]
+
+        /// The ready-set scan decides exactly what the full rescan decides:
+        /// the same per-message delivery vector and the same
+        /// `(slots_used, retransmissions, dropped)`, over every routing
+        /// mode, all three loss models, and retry policies with unlimited
+        /// attempts, backoff, and slot budgets below the makespan.
+        #[test]
+        fn ready_set_scan_matches_the_full_rescan(
+            place_seed in 0u64..10_000,
+            wl_seed in 0u64..10_000,
+            loss_seed in 0u64..10_000,
+            base_salt in 0u64..1_000_000,
+            p in 0.05f64..0.6,
+        ) {
+            let net = Network::with_default_energy(Deployment::great_duck_island(place_seed));
+            let spec = generate_workload(&net, &WorkloadConfig::paper_default(8, 6, wl_seed));
+            let salts: Vec<u64> = (0..4).map(|i| base_salt + i * SALT_STRIDE).collect();
+            for mode in MODES {
+                let compiled = compile(&net, &spec, mode);
+                let faulty = FaultyExec::new(&net, &compiled);
+                let half = faulty.slot_schedule().slot_count / 2;
+                let models = [
+                    DeliveryModel::uniform(p, loss_seed),
+                    per_link_model(&net, &faulty, p, loss_seed),
+                    trace_model(&faulty, &salts, loss_seed),
+                ];
+                let policies = [
+                    RetryPolicy::unlimited(1_000),
+                    RetryPolicy::bounded(0, 2, 1_000),
+                    RetryPolicy::bounded(3, 0, 1_000),
+                    RetryPolicy::bounded(4, 3, 1_000),
+                    RetryPolicy::bounded(3, 1, 1),
+                    RetryPolicy::bounded(2, 0, half),
+                    RetryPolicy::unlimited(half),
+                ];
+                let mut scratch = faulty.scratch();
+                for model in &models {
+                    let links = faulty.link_losses(model);
+                    for policy in &policies {
+                        for &salt in &salts {
+                            let (delivered, dropped, attempts, counts) =
+                                rescan_delivery(&faulty, model, policy, salt);
+                            let scanned = faulty.scan_delivery(&links, policy, salt, &mut scratch);
+                            let at = format!("{mode:?} {policy:?} salt {salt}");
+                            prop_assert_eq!(scanned, counts, "{}", at);
+                            prop_assert_eq!(&scratch.attempts, &attempts, "{}", at);
+                            prop_assert_eq!(&scratch.delivered, &delivered, "{}", at);
+                            prop_assert_eq!(&scratch.dropped, &dropped, "{}", at);
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

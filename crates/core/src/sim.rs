@@ -18,8 +18,8 @@
 //!   `seq` is a monotone push counter, so the pop order is a total order
 //!   independent of heap internals: runs are bit-replayable.
 //! * **Message graph** — the schedule's unit arcs collapsed to message
-//!   granularity (the same `preds` table the TDMA simulator uses),
-//!   plus its reverse (successor CSR) so resolution is push-driven.
+//!   granularity, as the successor CSR and initial pending counts the
+//!   TDMA slot scan runs on, so resolution is push-driven.
 //! * **One answer path** — the wheel only decides delivery, filling the
 //!   per-message delivery vector of the [`FaultScratch`] inside
 //!   [`SimState`]; `FaultyExec::settle` turns it into the answer, the
@@ -184,11 +184,6 @@ pub struct SimState {
 pub struct SimExec {
     faults: FaultyExec,
     params: SimParams,
-    /// Successor CSR: reverse of the message `preds` table.
-    succ_start: Vec<u32>,
-    succ_pool: Vec<u32>,
-    /// Per message: initial predecessor count.
-    init_preds: Vec<u32>,
 }
 
 impl SimExec {
@@ -211,50 +206,13 @@ impl SimExec {
     /// Lowers an already-built [`FaultyExec`] (shares its static tables).
     pub fn from_faults(faults: FaultyExec, params: SimParams) -> Self {
         crate::telemetry::counter(names::SIM_BUILDS, 1);
-        let message_count = faults.message_facts().len();
-
-        // Reverse the predecessor table into a successor CSR, and record
-        // initial pending counts.
-        let mut init_preds = vec![0u32; message_count];
-        let mut succ_count = vec![0u32; message_count];
-        for (m, init) in init_preds.iter_mut().enumerate() {
-            let preds = faults.preds_of(m);
-            *init = preds.len() as u32;
-            for &p in preds {
-                succ_count[p as usize] += 1;
-            }
-        }
-        let mut succ_start = Vec::with_capacity(message_count + 1);
-        let mut acc = 0u32;
-        for &c in &succ_count {
-            succ_start.push(acc);
-            acc += c;
-        }
-        succ_start.push(acc);
-        let mut succ_pool = vec![0u32; acc as usize];
-        let mut cursor = succ_start.clone();
-        for m in 0..message_count {
-            for &p in faults.preds_of(m) {
-                let at = &mut cursor[p as usize];
-                succ_pool[*at as usize] = m as u32;
-                *at += 1;
-            }
-        }
-
         crate::m2m_log!(
             crate::telemetry::Level::Debug,
-            "sim compiled: {} components, {} messages, {} succ arcs",
+            "sim compiled: {} components, {} messages",
             faults.plane_universe().len(),
-            message_count,
-            succ_pool.len()
+            faults.message_facts().len()
         );
-        SimExec {
-            faults,
-            params,
-            succ_start,
-            succ_pool,
-            init_preds,
-        }
+        SimExec { faults, params }
     }
 
     /// The shared static lowering (message graph, gates, slot schedule).
@@ -350,10 +308,7 @@ impl SimExec {
         peak_depth: &mut u32,
         overflows: &mut u64,
     ) {
-        let lo = self.succ_start[m as usize] as usize;
-        let hi = self.succ_start[m as usize + 1] as usize;
-        for i in lo..hi {
-            let s = self.succ_pool[i];
+        for &s in self.faults.successors_of(m as usize) {
             st.pred_left[s as usize] -= 1;
             if st.pred_left[s as usize] == 0 {
                 self.ready(s, now, st, peak_depth, overflows);
@@ -401,7 +356,7 @@ impl SimExec {
 
         // Tick 0: source-local messages are ready immediately.
         for m in 0..self.message_count() as u32 {
-            if self.init_preds[m as usize] == 0 {
+            if self.faults.initial_pending()[m as usize] == 0 {
                 self.ready(m, 0, st, &mut peak_depth, &mut overflows);
             }
         }
@@ -522,7 +477,7 @@ impl SimExec {
         st.scratch.delivered.fill(false);
         st.scratch.dropped.fill(false);
         st.scratch.attempts.fill(0);
-        st.pred_left.copy_from_slice(&self.init_preds);
+        st.pred_left.copy_from_slice(self.faults.initial_pending());
         st.next_in_q.fill(NO_MSG);
         st.q_head.fill(NO_MSG);
         st.q_tail.fill(NO_MSG);

@@ -14,6 +14,11 @@
 //!   (lossier links drop more frames, matching their ETX),
 //! * [`FailureTrace`] — scripted down-intervals for exact replay of a
 //!   specific failure scenario.
+//!
+//! [`DeliveryModel::link`] resolves one link's loss once, as a [`LinkLoss`]
+//! oracle over ticks; [`DeliveryModel::is_down`] is that oracle asked once.
+//! A caller attempting the same link many times (every slot of a lossy
+//! round, every round of a batch) resolves it once and keeps the oracle.
 
 use std::collections::BTreeMap;
 
@@ -57,26 +62,80 @@ impl LinkFailureModel {
     /// Returns true if the undirected link `{a, b}` is down in `round`.
     /// Symmetric in `a` and `b`.
     pub fn is_down(&self, a: NodeId, b: NodeId, round: u64) -> bool {
-        if self.failure_probability <= 0.0 {
-            return false;
-        }
-        if self.failure_probability >= 1.0 {
-            return true;
-        }
-        link_tick_unit(a, b, round, self.seed) < self.failure_probability
+        LinkLoss::bernoulli(self.failure_probability, a, b, self.seed).is_down(round)
     }
 }
 
-/// Maps a (link, tick, seed) triple to a uniform value in `[0, 1)` with
-/// 53-bit precision; symmetric in the endpoints.
-fn link_tick_unit(a: NodeId, b: NodeId, tick: u64, seed: u64) -> f64 {
+/// The seeded hash state of undirected link `{a, b}`: the (seed, link)
+/// prefix of the per-(link, tick) stream, so a tick costs one more
+/// [`splitmix64`] round. Symmetric in the endpoints.
+fn link_key(a: NodeId, b: NodeId, seed: u64) -> u64 {
     let (lo, hi) = if a.0 <= b.0 { (a.0, b.0) } else { (b.0, a.0) };
     let mut h = seed ^ 0x9E37_79B9_7F4A_7C15;
-    for word in [u64::from(lo), u64::from(hi), tick] {
+    for word in [u64::from(lo), u64::from(hi)] {
         h ^= word;
         h = splitmix64(h);
     }
-    (h >> 11) as f64 / (1u64 << 53) as f64
+    h
+}
+
+/// Maps a link's [`link_key`] and a tick to a uniform value in `[0, 1)`
+/// with 53-bit precision.
+#[inline]
+fn tick_unit(key: u64, tick: u64) -> f64 {
+    (splitmix64(key ^ tick) >> 11) as f64 / (1u64 << 53) as f64
+}
+
+/// One link's loss, resolved once from a [`DeliveryModel`] by
+/// [`DeliveryModel::link`]: answers "is a frame on this link lost at
+/// `tick`?" exactly as [`DeliveryModel::is_down`] does for the link, but
+/// without finding the link again (no map lookup, no seed hashing).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum LinkLoss<'a> {
+    /// The link never drops a frame.
+    Never,
+    /// The link drops every frame.
+    Always,
+    /// Independent per-tick loss with probability `p`, drawn from the
+    /// link's seeded per-tick stream.
+    Bernoulli {
+        /// Loss probability, strictly inside `(0, 1)`.
+        p: f64,
+        /// The stream's state after hashing the seed and both endpoints.
+        key: u64,
+    },
+    /// Scripted half-open down intervals `[from, until)`.
+    Trace(&'a [(u64, u64)]),
+}
+
+impl LinkLoss<'_> {
+    /// Bernoulli loss `p` on link `{a, b}` under `seed`; `p ≤ 0` never
+    /// drops and `p ≥ 1` always does.
+    fn bernoulli(p: f64, a: NodeId, b: NodeId, seed: u64) -> Self {
+        if p <= 0.0 {
+            LinkLoss::Never
+        } else if p >= 1.0 {
+            LinkLoss::Always
+        } else {
+            LinkLoss::Bernoulli {
+                p,
+                key: link_key(a, b, seed),
+            }
+        }
+    }
+
+    /// True if a frame sent on this link at `tick` is lost.
+    #[inline]
+    pub fn is_down(&self, tick: u64) -> bool {
+        match *self {
+            LinkLoss::Never => false,
+            LinkLoss::Always => true,
+            LinkLoss::Bernoulli { p, key } => tick_unit(key, tick) < p,
+            LinkLoss::Trace(down) => down
+                .iter()
+                .any(|&(from, until)| from <= tick && tick < until),
+        }
+    }
 }
 
 /// A scripted failure schedule: each undirected link is down during an
@@ -111,10 +170,15 @@ impl FailureTrace {
 
     /// True if link `{a, b}` is scripted down at `tick`.
     pub fn is_down(&self, a: NodeId, b: NodeId, tick: u64) -> bool {
+        self.link(a, b).is_down(tick)
+    }
+
+    /// Link `{a, b}`'s scripted intervals as a [`LinkLoss`] oracle.
+    fn link(&self, a: NodeId, b: NodeId) -> LinkLoss<'_> {
         let key = if a.0 <= b.0 { (a, b) } else { (b, a) };
         self.down
             .get(&key)
-            .is_some_and(|iv| iv.iter().any(|&(from, until)| from <= tick && tick < until))
+            .map_or(LinkLoss::Never, |down| LinkLoss::Trace(down))
     }
 
     /// Number of links with at least one scripted down interval.
@@ -173,22 +237,23 @@ impl DeliveryModel {
     }
 
     /// True if a frame sent on link `{a, b}` at `tick` is lost.
-    /// Deterministic and symmetric in the endpoints.
+    /// Deterministic and symmetric in the endpoints. Resolves the link
+    /// each call; see [`DeliveryModel::link`] to resolve it once.
     pub fn is_down(&self, a: NodeId, b: NodeId, tick: u64) -> bool {
+        self.link(a, b).is_down(tick)
+    }
+
+    /// Link `{a, b}`'s loss as a per-tick oracle: `link(a, b).is_down(t)
+    /// == is_down(a, b, t)` for every tick, in either endpoint order.
+    pub fn link(&self, a: NodeId, b: NodeId) -> LinkLoss<'_> {
         match self {
-            DeliveryModel::Bernoulli(m) => m.is_down(a, b, tick),
+            DeliveryModel::Bernoulli(m) => LinkLoss::bernoulli(m.failure_probability, a, b, m.seed),
             DeliveryModel::PerLink { loss, seed } => {
                 let key = if a.0 <= b.0 { (a, b) } else { (b, a) };
                 let p = loss.get(&key).copied().unwrap_or(0.0);
-                if p <= 0.0 {
-                    false
-                } else if p >= 1.0 {
-                    true
-                } else {
-                    link_tick_unit(a, b, tick, *seed) < p
-                }
+                LinkLoss::bernoulli(p, a, b, *seed)
             }
-            DeliveryModel::Trace(t) => t.is_down(a, b, tick),
+            DeliveryModel::Trace(t) => t.link(a, b),
         }
     }
 

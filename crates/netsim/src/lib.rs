@@ -38,7 +38,7 @@ pub mod routing;
 
 pub use deployment::Deployment;
 pub use energy::EnergyModel;
-pub use failure::{DeliveryModel, FailureTrace, LinkFailureModel};
+pub use failure::{DeliveryModel, FailureTrace, LinkFailureModel, LinkLoss};
 pub use forest::{RoutingForest, TreeView};
 pub use network::Network;
 pub use position::Position;

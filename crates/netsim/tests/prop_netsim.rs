@@ -7,7 +7,9 @@ use proptest::prelude::*;
 
 use m2m_graph::NodeId;
 use m2m_netsim::failure::LinkFailureModel;
-use m2m_netsim::{Deployment, Network, RoutingMode, RoutingTables};
+use m2m_netsim::{
+    DeliveryModel, Deployment, FailureTrace, LinkLoss, Network, RoutingMode, RoutingTables,
+};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
@@ -108,5 +110,73 @@ proptest! {
         }
         let rate = f64::from(down) / trials as f64;
         prop_assert!((rate - p).abs() < 0.06, "rate {rate} vs p {p}");
+    }
+
+    /// A link oracle resolved once answers every tick exactly as its model
+    /// does: all three model kinds, both endpoint orders, p = 0 and p = 1
+    /// links, and links the model never names.
+    #[test]
+    fn link_oracles_answer_like_their_model(
+        p in 0.0f64..1.0,
+        seed in any::<u64>(),
+        base in 0u64..1_000_000,
+    ) {
+        let per_link = [
+            ((NodeId(0), NodeId(1)), 0.0),
+            ((NodeId(1), NodeId(2)), 1.0),
+            ((NodeId(2), NodeId(3)), p),
+            ((NodeId(3), NodeId(4)), p * 0.5),
+        ];
+        let trace = FailureTrace::new()
+            .down(NodeId(1), NodeId(0), base, base + 7)
+            .down(NodeId(2), NodeId(1), base + 3, base + 4)
+            .down(NodeId(0), NodeId(1), base + 9, base + 11)
+            .down(NodeId(4), NodeId(3), 0, u64::MAX);
+        let models = [
+            DeliveryModel::uniform(p, seed),
+            DeliveryModel::uniform(0.0, seed),
+            DeliveryModel::uniform(1.0, seed),
+            DeliveryModel::PerLink {
+                loss: per_link.into_iter().collect(),
+                seed,
+            },
+            DeliveryModel::trace(trace.clone()),
+        ];
+        // Node 5 is named by neither the per-link map nor the trace: its
+        // links are absent there (uniform loss covers every link).
+        let nodes: Vec<NodeId> = (0..6).map(NodeId).collect();
+        for model in &models {
+            for &a in &nodes {
+                for &b in &nodes {
+                    if a == b {
+                        continue;
+                    }
+                    let link = model.link(a, b);
+                    prop_assert_eq!(link, model.link(b, a), "{:?} {}-{}", model, a, b);
+                    if b == NodeId(5) && !matches!(model, DeliveryModel::Bernoulli(_)) {
+                        prop_assert_eq!(link, LinkLoss::Never);
+                    }
+                    for tick in base..base + 16 {
+                        let down = link.is_down(tick);
+                        prop_assert_eq!(down, model.is_down(a, b, tick), "{:?} {}-{} @{}", model, a, b, tick);
+                        prop_assert_eq!(down, model.is_down(b, a, tick), "{:?} {}-{} @{}", model, b, a, tick);
+                        match model {
+                            DeliveryModel::Bernoulli(m) => {
+                                prop_assert_eq!(down, m.is_down(a, b, tick));
+                            }
+                            DeliveryModel::Trace(t) => {
+                                prop_assert_eq!(down, t.is_down(a, b, tick));
+                            }
+                            DeliveryModel::PerLink { .. } => {}
+                        }
+                    }
+                }
+            }
+        }
+        // The p = 0 and p = 1 links are constant oracles.
+        prop_assert_eq!(models[3].link(NodeId(1), NodeId(0)), LinkLoss::Never);
+        prop_assert_eq!(models[3].link(NodeId(2), NodeId(1)), LinkLoss::Always);
+        prop_assert_eq!(models[1].link(NodeId(0), NodeId(1)), LinkLoss::Never);
+        prop_assert_eq!(models[2].link(NodeId(0), NodeId(1)), LinkLoss::Always);
     }
 }

@@ -21,11 +21,11 @@
 //! # Planes and the flush contract
 //!
 //! A [`NodePlanes`] is a set of dense columns (energy, messages tx/rx,
-//! retries, drops) over a fixed sorted node-id universe. Hot loops own a
-//! *local* instance inside their per-worker scratch arena and update it
-//! with plain array stores — no locks, no allocation. When a worker
-//! finishes its chunk (or its scratch is dropped), the local planes are
-//! flushed into the process-wide registry with [`merge_planes`];
+//! retries, drops) over a fixed sorted node-id universe. Hot loops keep
+//! their counts in per-worker scratch — no locks, no allocation — and
+//! when a worker finishes its chunk (or its scratch is dropped) they are
+//! flushed into the process-wide registry with [`record_planes`] (or, for
+//! a static per-round profile, [`merge_planes_scaled`]);
 //! [`planes_snapshot`] aggregates for readers. The registry merges by
 //! node id, so planes from executors with different node universes
 //! combine correctly.
@@ -159,11 +159,12 @@ impl NodePlanes {
         self.touched = true;
     }
 
-    /// Records one successful reception at `slot`, paying `uj` µJ.
+    /// Records `messages` successful receptions at `slot`, each paying
+    /// `uj_per_message` µJ.
     #[inline]
-    pub fn record_rx(&mut self, slot: usize, uj: f64) {
-        self.msgs_rx[slot] += 1;
-        self.energy_rx_uj[slot] += uj;
+    pub fn record_rx(&mut self, slot: usize, messages: u64, uj_per_message: f64) {
+        self.msgs_rx[slot] += messages;
+        self.energy_rx_uj[slot] += uj_per_message * messages as f64;
         self.touched = true;
     }
 
@@ -174,10 +175,10 @@ impl NodePlanes {
         self.touched = true;
     }
 
-    /// Records one message abandoned at `slot` (retry budget exhausted).
+    /// Records `n` messages abandoned at `slot` (retry budget exhausted).
     #[inline]
-    pub fn record_drop(&mut self, slot: usize) {
-        self.drops[slot] += 1;
+    pub fn record_drops(&mut self, slot: usize, n: u64) {
+        self.drops[slot] += n;
         self.touched = true;
     }
 
@@ -343,18 +344,27 @@ fn planes_registry() -> &'static Mutex<NodePlanes> {
     REGISTRY.get_or_init(|| Mutex::new(NodePlanes::default()))
 }
 
-/// Flushes `local` into the process-wide plane registry and clears it.
-/// Called on chunk completion / scratch drop — never per round — so the
-/// registry lock stays off the hot path.
-pub fn merge_planes(local: &mut NodePlanes) {
-    if local.is_zero() {
-        return;
+/// Flushes per-node records into the process-wide plane registry:
+/// `record` writes through the slots of `ids` (sorted, deduplicated).
+/// Once the registry's universe is exactly `ids` — every flush of one
+/// executor after its first — `record` writes into the registry itself,
+/// under its lock, so a flush allocates and merges nothing; otherwise it
+/// fills a fresh shard that is merged in by node id. Called on chunk
+/// completion / scratch drop — never per round — so the registry lock
+/// stays off the hot path.
+pub fn record_planes(ids: &[u64], record: impl FnOnce(&mut NodePlanes)) {
+    debug_assert!(
+        ids.windows(2).all(|w| w[0] < w[1]),
+        "ids must be sorted and unique"
+    );
+    let mut registry = planes_registry().lock().expect("plane registry poisoned");
+    if registry.ids() == ids {
+        record(&mut registry);
+    } else {
+        let mut shard = NodePlanes::for_ids(ids.to_vec());
+        record(&mut shard);
+        registry.merge(&shard);
     }
-    planes_registry()
-        .lock()
-        .expect("plane registry poisoned")
-        .merge(local);
-    local.clear();
 }
 
 /// Merges `template` scaled by `rounds` into the registry — the shape the
@@ -524,12 +534,19 @@ impl EventRing {
     }
 
     /// Appends an event, evicting the oldest when full.
+    #[inline]
     pub fn push(&mut self, e: Event) {
         if self.buf.len() < self.cap {
             self.buf.push(e);
         } else {
+            // Compare-and-wrap, not `%`: the flight recorder pushes one
+            // event per failed link per round, and a division each
+            // doubled the cost of a push.
             self.buf[self.head] = e;
-            self.head = (self.head + 1) % self.cap;
+            self.head += 1;
+            if self.head == self.cap {
+                self.head = 0;
+            }
             self.overwritten += 1;
         }
     }
@@ -692,9 +709,9 @@ mod tests {
         let s7 = p.slot(7).unwrap();
         p.record_tx(s7, 3, 10.0);
         p.record_retries(s7, 2);
-        p.record_drop(s7);
+        p.record_drops(s7, 1);
         let s11 = p.slot(11).unwrap();
-        p.record_rx(s11, 4.5);
+        p.record_rx(s11, 1, 4.5);
         p.add_rounds(1);
         assert_eq!(p.msgs_tx()[s7], 3);
         assert_eq!(p.retries()[s7], 2);
@@ -717,7 +734,7 @@ mod tests {
         a.add_rounds(1);
         let mut b = NodePlanes::for_ids(vec![2, 9]);
         b.record_tx(1, 4, 0.5);
-        b.record_rx(0, 1.0);
+        b.record_rx(0, 1, 1.0);
         b.add_rounds(1);
         a.merge_scaled(&b, 3);
         assert_eq!(a.ids(), &[1, 2, 9]);
@@ -735,16 +752,18 @@ mod tests {
     fn plane_registry_merges_and_resets() {
         let _g = lock();
         reset_planes();
-        let mut local = NodePlanes::for_ids(vec![5]);
-        local.record_tx(0, 2, 1.0);
-        merge_planes(&mut local);
-        assert!(local.is_zero(), "flush clears the local");
-        // A zero local flush is a no-op (no lock-side effects to see).
-        merge_planes(&mut local);
+        // The first flush adopts the universe; later ones write in place,
+        // and a flush over a different universe merges by node id.
+        record_planes(&[5], |p| p.record_tx(0, 2, 1.0));
+        record_planes(&[5], |p| p.record_tx(0, 1, 1.0));
+        record_planes(&[4, 5], |p| p.record_retries(1, 3));
         let snap = planes_snapshot();
-        assert_eq!(snap.msgs_tx()[snap.slot(5).unwrap()], 2);
+        assert_eq!(snap.ids(), &[4, 5]);
+        assert_eq!(snap.msgs_tx()[snap.slot(5).unwrap()], 3);
+        assert_eq!(snap.retries()[snap.slot(5).unwrap()], 3);
+        assert_eq!(snap.retries()[snap.slot(4).unwrap()], 0);
         let mut template = NodePlanes::for_ids(vec![5]);
-        template.record_rx(0, 3.0);
+        template.record_rx(0, 1, 3.0);
         template.add_rounds(1);
         merge_planes_scaled(&template, 10);
         let snap = planes_snapshot();

@@ -6,6 +6,12 @@
 # path on the stock 250-node deployment). Run from anywhere; works on
 # the repo root.
 #
+# Release fault-scan tests: the lossy slot scan's and the event wheel's
+# unit tests (`faults::`, `sim::`) and their equivalence suites
+# (`fault_equivalence`, `sim_equivalence`) run a second time under
+# `--release`. Slot and retry arithmetic is exactly what debug builds
+# (overflow panics) and release builds (wrapping) treat differently.
+#
 # Telemetry gate: the smoke benchmark runs twice, with M2M_TRACE=0 and
 # M2M_TRACE=1. The two runs must print the same `smoke_digest=` line
 # (tracing must be unobservable in results and costs), the traced run
@@ -83,6 +89,8 @@ cargo test -q
 # The interpreted reference executor is feature-gated out of the default
 # build; keep its equivalence property in the gate explicitly.
 cargo test -q -p m2m-core --features test-oracle --test exec_equivalence
+cargo test --release -q -p m2m-core --lib -- faults:: sim::
+cargo test --release -q -p m2m-core --test fault_equivalence --test sim_equivalence
 cargo fmt --all -- --check
 cargo clippy --all-targets -- -D warnings
 
