@@ -32,22 +32,27 @@
 //! regression gate wired into `scripts/verify.sh`. Smoke mode also
 //! prints machine-readable `smoke_*` lines on stdout: a digest folding
 //! every epoch result and round cost (so the verify gate can assert that
-//! a traced run computes bit-identical numbers to an untraced one), an
-//! in-process tracing-off vs tracing-on timing of the compiled hot
-//! path (so the gate can bound instrumentation overhead without
-//! cross-process timing noise), and `smoke_batched_speedup=` — the
-//! lane-batched path's rounds/sec over the *same-run* naive baseline, a
-//! machine-independent ratio verify.sh holds a floor against.
+//! a traced run computes bit-identical numbers to an untraced one); the
+//! instrumentation's disabled path (a layer span, a counter and an obs
+//! check with both flags off) timed against the [`m2m_bench::gauge`]
+//! reference loop read just before each probe, as
+//! `smoke_disabled_ratio=` (host-speed independent, so verify.sh can
+//! compare it across a `M2M_TRACE=0` and a `M2M_TRACE=1` process); and
+//! `smoke_batched_speedup=` — the lane-batched path's rounds/sec over
+//! the *same-run* naive baseline, a machine-independent ratio verify.sh
+//! holds a floor against.
 
 use std::collections::BTreeMap;
+use std::hint::black_box;
+use std::time::Instant;
 
 use m2m_bench::report::{
     bench_report, check_header, median_ns, require_fields, require_rows, telemetry_section,
     time_ns, JsonValue,
 };
 use m2m_core::exec::{
-    run_epochs, run_epochs_slab, CompiledSchedule, EpochDriver, EpochOutcome, ExecState,
-    DEFAULT_LANE_WIDTH, SUPPORTED_LANE_WIDTHS,
+    run_epochs_slab, CompiledSchedule, EpochDriver, EpochSlab, ExecState, DEFAULT_LANE_WIDTH,
+    SUPPORTED_LANE_WIDTHS,
 };
 use m2m_core::memo::SolveCache;
 use m2m_core::plan::GlobalPlan;
@@ -59,6 +64,10 @@ use m2m_graph::NodeId;
 use m2m_netsim::{Deployment, Network, RoutingMode, RoutingTables};
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
+/// Gauge/probe pairs behind `smoke_disabled_ratio` (~0.3 s in all).
+const DRIFT_PAIRS: usize = 40_000;
+/// Disabled-path iterations per probe.
+const DISABLED_ITERS: u64 = 2_000;
 
 /// Deterministic synthetic reading for `(source, round)` — no RNG so the
 /// benchmark is reproducible byte-for-byte across runs and machines.
@@ -68,25 +77,41 @@ fn reading(source: NodeId, round: usize) -> f64 {
     (s * 0.37 + r * 1.13).sin() * 50.0 + s * 0.01
 }
 
-/// FNV-1a over the bit patterns of every result and cost field, so two
-/// runs agree on the digest iff they computed bit-identical outcomes.
-fn digest_outcomes(outcomes: &[EpochOutcome]) -> u64 {
+/// FNV-1a over the bit patterns of every round's results and cost
+/// fields, so two runs agree on the digest iff they computed
+/// bit-identical outcomes.
+fn digest_slab(slab: &EpochSlab) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut fold = |bits: u64| {
         h ^= bits;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     };
-    for outcome in outcomes {
-        for &r in &outcome.results {
-            fold(r.to_bits());
+    let cost = slab.cost();
+    for r in 0..slab.rounds() {
+        for &x in slab.round(r) {
+            fold(x.to_bits());
         }
-        fold(outcome.cost.tx_uj.to_bits());
-        fold(outcome.cost.rx_uj.to_bits());
-        fold(outcome.cost.messages as u64);
-        fold(outcome.cost.units as u64);
-        fold(outcome.cost.payload_bytes);
+        fold(cost.tx_uj.to_bits());
+        fold(cost.rx_uj.to_bits());
+        fold(cost.messages as u64);
+        fold(cost.units as u64);
+        fold(cost.payload_bytes);
     }
     h
+}
+
+/// One probe of the disabled path every instrumentation site takes — a
+/// layer span, a counter, an obs check — with tracing and observability
+/// off; ns per iteration.
+fn disabled_path_ns() -> f64 {
+    let t = Instant::now();
+    for i in 0..DISABLED_ITERS {
+        let _span = telemetry::span(telemetry::layer::EXEC_ROUNDS);
+        telemetry::counter(telemetry::names::EXEC_ROUNDS, 1);
+        black_box(telemetry::timeseries::obs_enabled());
+        black_box(i);
+    }
+    t.elapsed().as_secs_f64() * 1e9 / DISABLED_ITERS as f64
 }
 
 /// `--check`: parse an artifact and assert the schema its readers rely on.
@@ -275,10 +300,9 @@ fn main() {
 
     // Epoch fan-out at several worker counts, batched at the default lane
     // width. The scalar loop's results are the reference: every thread
-    // count must reproduce them bit-for-bit. `run_epochs` (the outcome
-    // shape) stays the digest source so the smoke digest is comparable
-    // across schema versions.
-    let serial_outcomes = run_epochs(&compiled, &batch, 1);
+    // count must reproduce them bit-for-bit; the serial slab is the
+    // digest source.
+    let serial = run_epochs_slab(&compiled, &batch, DEFAULT_LANE_WIDTH, 1);
     let mut epoch_rows = Vec::new();
     for &threads in &THREAD_COUNTS {
         let mut times: Vec<f64> = Vec::with_capacity(samples);
@@ -330,44 +354,29 @@ fn main() {
         );
 
         // Tracing on must compute the exact same numbers as tracing off.
-        // Measure both states in the same process, interleaved, so the
-        // comparison is immune to cross-process scheduling noise.
-        // More probes than timing samples: the min estimator converges
-        // with probe count, and the cross-process drift gate in verify.sh
-        // needs the two processes' minima to agree within ~2%.
         let was_enabled = telemetry::enabled();
-        let probes = samples.max(25);
-        let mut off_times: Vec<f64> = Vec::with_capacity(probes);
-        let mut on_times: Vec<f64> = Vec::with_capacity(probes);
-        for _ in 0..probes {
-            telemetry::set_enabled(false);
-            off_times.push(time_ns(|| run_batch(&mut state)) / compiled_batch as f64);
-            telemetry::set_enabled(true);
-            on_times.push(time_ns(|| run_batch(&mut state)) / compiled_batch as f64);
-        }
         telemetry::set_enabled(false);
-        let traced_off = run_epochs(&compiled, &batch, 2);
+        let traced_off = run_epochs_slab(&compiled, &batch, DEFAULT_LANE_WIDTH, 2);
         telemetry::set_enabled(true);
-        let traced_on = run_epochs(&compiled, &batch, 2);
-        telemetry::set_enabled(was_enabled);
-        assert_eq!(traced_off, serial_outcomes, "tracing-off run diverged");
-        assert_eq!(traced_on, serial_outcomes, "tracing-on run diverged");
+        let traced_on = run_epochs_slab(&compiled, &batch, DEFAULT_LANE_WIDTH, 2);
+        telemetry::set_enabled(false);
+        assert_eq!(traced_off, serial, "tracing-off run diverged");
+        assert_eq!(traced_on, serial, "tracing-on run diverged");
 
-        // Minimum over the probes: the most repeatable estimator of the
-        // loop's true cost (every slower sample is the same code plus
-        // scheduler interference), so two processes gating on
-        // `smoke_disabled_ns` agree far more tightly than medians would.
-        let off_ns = off_times.iter().copied().fold(f64::INFINITY, f64::min);
-        let on_ns = on_times.iter().copied().fold(f64::INFINITY, f64::min);
-        let overhead_pct = (on_ns - off_ns) / off_ns * 100.0;
+        // The disabled path, gauged: its fastest probe over the fastest
+        // reading of the reference loop, read just before each probe.
+        // The flag is the same code in every process, so the ratio may
+        // not move with M2M_TRACE.
+        let drift = m2m_bench::gauge::gauged(DRIFT_PAIRS, disabled_path_ns);
+        telemetry::set_enabled(was_enabled);
         // Machine-readable lines for scripts/verify.sh. The digest folds
         // every epoch result and cost computed above under the ambient
         // M2M_TRACE state, so runs with different trace settings must
         // print the same digest.
-        println!("smoke_digest=0x{:016x}", digest_outcomes(&serial_outcomes));
-        println!("smoke_disabled_ns={off_ns:.1}");
-        println!("smoke_enabled_ns={on_ns:.1}");
-        println!("smoke_overhead_pct={overhead_pct:.2}");
+        println!("smoke_digest=0x{:016x}", digest_slab(&serial));
+        println!("smoke_disabled_ns={:.3}", drift.probe_ns);
+        println!("smoke_gauge_ns={:.3}", drift.gauge_ns);
+        println!("smoke_disabled_ratio={:.4}", drift.ratio);
         // Same-run ratio of the lane-batched hot path over the naive
         // interpreter — machine-independent, so verify.sh can hold an
         // absolute floor against it on any hardware.
@@ -375,12 +384,11 @@ fn main() {
         m2m_log!(
             Level::Info,
             "smoke: compiled path is {speedup:.1}x the naive path (batched W={DEFAULT_LANE_WIDTH}: \
-             {batched_speedup:.1}x), tracing overhead \
-             {overhead_pct:.2}% ({off_ns:.0} ns off / {on_ns:.0} ns on) — OK"
+             {batched_speedup:.1}x), disabled path {:.2} ns ({:.3}x the gauge) — OK",
+            drift.probe_ns,
+            drift.ratio
         );
-        if let Some(path) = telemetry::export_if_requested() {
-            m2m_log!(Level::Info, "exported telemetry snapshot to {path}");
-        }
+        m2m_bench::report::export_telemetry();
         return;
     }
 
@@ -394,8 +402,8 @@ fn main() {
         let warm = GlobalPlan::build_cached(&network, &spec, &routing, &mut cache);
         assert_eq!(cold.solutions(), warm.solutions());
         let traced = CompiledSchedule::compile(&network, &spec, &warm).expect("schedulable plan");
-        let outcomes = run_epochs(&traced, &batch, 2);
-        assert_eq!(outcomes, serial_outcomes, "traced replay diverged");
+        let replay = run_epochs_slab(&traced, &batch, DEFAULT_LANE_WIDTH, 2);
+        assert_eq!(replay, serial, "traced replay diverged");
 
         let mut driver = EpochDriver::new(
             network.clone(),
@@ -462,7 +470,5 @@ fn main() {
         .with("epochs", JsonValue::Array(epoch_rows))
         .with("telemetry", telemetry_json);
     m2m_bench::report::write_report(&out_path, &report);
-    if let Some(path) = telemetry::export_if_requested() {
-        m2m_log!(Level::Info, "exported telemetry snapshot to {path}");
-    }
+    m2m_bench::report::export_telemetry();
 }

@@ -273,7 +273,5 @@ fn main() {
         .with("seed", SEED)
         .with("sizes", JsonValue::Array(rows));
     m2m_bench::report::write_report(&out_path, &report);
-    if let Some(path) = telemetry::export_if_requested() {
-        m2m_log!(Level::Info, "exported telemetry snapshot to {path}");
-    }
+    m2m_bench::report::export_telemetry();
 }

@@ -38,7 +38,9 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use m2m_bench::report::{bench_report, check_header, time_ns, BenchCli, JsonValue};
+use m2m_bench::report::{
+    bench_report, check_header, require_fields, require_rows, time_ns, BenchCli, JsonValue,
+};
 use m2m_core::config::{Config, Runtime};
 use m2m_core::service::{PlanService, TenantId, TenantOptions};
 use m2m_core::session::Session;
@@ -333,25 +335,26 @@ fn main() {
                 .with("replay", "bit-identical"),
         );
     m2m_bench::report::write_report(&cli.out_path, &report);
-    if let Some(path) = telemetry::export_if_requested() {
-        m2m_log!(Level::Info, "exported telemetry snapshot to {path}");
-    }
+    m2m_bench::report::export_telemetry();
 }
 
 /// `--check`: parse an artifact and assert the schema the gate relies
 /// on, including the committed marginal-cost bound.
 fn check_artifact(path: &str) {
     let value = check_header(path, "service");
-    for field in [
-        "nodes",
-        "tenants",
-        "admits_per_sec",
-        "cache_hit_rate",
-        "sharing",
-        "checkpoint",
-    ] {
-        assert!(value.get(field).is_some(), "{path}: missing {field}");
-    }
+    require_fields(
+        path,
+        "artifact",
+        &value,
+        &[
+            "nodes",
+            "tenants",
+            "admits_per_sec",
+            "cache_hit_rate",
+            "sharing",
+            "checkpoint",
+        ],
+    );
     let marginal = value
         .get("marginal_64_pct")
         .and_then(JsonValue::as_f64)
@@ -368,18 +371,12 @@ fn check_artifact(path: &str) {
         matches!(value.get("bit_identical"), Some(JsonValue::Bool(true))),
         "{path}: artifact did not assert tenant bit-identity"
     );
-    let curve = match value.get("curve") {
-        Some(JsonValue::Array(rows)) if !rows.is_empty() => rows,
-        _ => panic!("{path}: missing or empty curve"),
-    };
-    for row in curve {
-        for field in ["tenant", "admit_ns", "solves_fresh", "solves_cached"] {
-            assert!(
-                row.get(field).is_some(),
-                "{path}: curve row missing {field}"
-            );
-        }
-    }
+    let curve = require_rows(
+        path,
+        &value,
+        "curve",
+        &["tenant", "admit_ns", "solves_fresh", "solves_cached"],
+    );
     assert_eq!(
         value
             .get("checkpoint")

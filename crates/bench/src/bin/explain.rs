@@ -117,7 +117,5 @@ fn main() {
     } else {
         print!("{}", report.to_text());
     }
-    if let Some(path) = telemetry::export_if_requested() {
-        m2m_log!(Level::Info, "exported telemetry snapshot to {path}");
-    }
+    m2m_bench::report::export_telemetry();
 }

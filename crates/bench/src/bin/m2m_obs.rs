@@ -21,21 +21,26 @@
 //!         [--smoke] [--check [artifact.json]] [--nodes N] \
 //!         [output.json] [rounds] [trace.json]`
 //!
-//! `--smoke` runs a reduced batch and prints the machine-readable
+//! `--smoke` skips the artifact and prints the machine-readable
 //! `smoke_obs_*` lines verify.sh gates on. `--check` validates an
 //! existing artifact's schema. The optional third positional writes the
-//! stage spans (route → intern → problems → solve → compile) as Chrome
-//! `trace_event` JSON loadable in Perfetto or speedscope.
+//! layer spans the run recorded (`routing.build` → `topo.intern` →
+//! `edge_opt.problems` → … → `faults.lower` → `faults.round`, the
+//! [`m2m_core::telemetry::layer`] names) as Chrome `trace_event` JSON
+//! loadable in Perfetto or speedscope.
 //!
 //! [`M2M_OBS`]: m2m_core::config::OBS_ENV
 
-use m2m_bench::report::{bench_report, check_header, median_ns, time_ns, BenchCli, JsonValue};
+use m2m_bench::report::{
+    bench_report, check_header, median_ns, require_fields, require_rows, time_ns, BenchCli,
+    JsonValue,
+};
 use m2m_core::config::{Config, Runtime};
 use m2m_core::faults::FaultOutcome;
 use m2m_core::obs::DEFAULT_BATTERY_UJ;
 use m2m_core::session::Session;
 use m2m_core::telemetry::timeseries;
-use m2m_core::telemetry::{names, Level};
+use m2m_core::telemetry::{layer, names, Level};
 use m2m_core::workload::{generate_workload, WorkloadConfig};
 use m2m_core::{m2m_log, telemetry};
 use m2m_graph::NodeId;
@@ -237,27 +242,25 @@ fn check_artifact(path: &str) {
         timeseries::OBS_SCHEMA_VERSION,
         "{path}: unexpected obs schema {schema}"
     );
-    for field in [
-        "stride",
-        "cap",
-        "totals",
-        "series",
-        "events",
-        "plane_rounds",
+    require_fields(
+        path,
+        "obs dump",
+        obs,
+        &[
+            "stride",
+            "cap",
+            "totals",
+            "series",
+            "events",
+            "plane_rounds",
+        ],
+    );
+    let nodes = require_rows(
+        path,
+        obs,
         "nodes",
-    ] {
-        assert!(obs.get(field).is_some(), "{path}: obs dump missing {field}");
-    }
-    let nodes = match obs.get("nodes") {
-        Some(JsonValue::Array(rows)) if !rows.is_empty() => rows,
-        _ => panic!("{path}: obs dump has no per-node planes"),
-    };
-    for field in ["node", "energy_tx_uj", "retries", "drops", "battery_uj"] {
-        assert!(
-            nodes[0].get(field).is_some(),
-            "{path}: node row missing {field}"
-        );
-    }
+        &["node", "energy_tx_uj", "retries", "drops", "battery_uj"],
+    );
     let rounds = obs
         .get("totals")
         .and_then(|t| t.get("rounds"))
@@ -289,8 +292,11 @@ fn main() {
         return;
     }
     let node_count = cli.nodes.first().copied().unwrap_or(250);
-    let rounds = cli.count.unwrap_or(if cli.smoke { 24 } else { 96 });
-    let samples = if cli.smoke { 5 } else { 7 };
+    // Smoke runs the full batch too: a pair is ~15 ms, long enough that
+    // a millisecond hiccup of the host moves one side by a few percent.
+    let rounds = cli.count.unwrap_or(96);
+    // Off/on pairs for the overhead race.
+    let samples = 41;
     let trace_path = cli.rest.first().cloned();
 
     let deployment = Deployment::scaled_series(&[node_count], 7).remove(0);
@@ -313,35 +319,42 @@ fn main() {
         on.compiled().schedule().messages.len(),
     );
 
-    // Overhead race: per sample, run the batch with the layer off and
-    // on; both sessions advance their salt streams in lockstep, so the
-    // outcome digests must match bit for bit. One untimed warmup batch
-    // per session first — cold caches and pool spin-up otherwise land
-    // entirely on the first timed sample.
-    timeseries::set_obs_enabled(false);
-    lossy_batch(&mut off, &batch);
-    timeseries::set_obs_enabled(true);
-    lossy_batch(&mut on, &batch);
+    // Overhead race: per pair, run the batch with the layer off and on;
+    // both sessions advance their salt streams in lockstep, so the
+    // outcome digests must match bit for bit. Pairs alternate which side
+    // runs first, so a host slowing down or speeding up within a pair
+    // favours neither side, and the overhead is the median of the pairs'
+    // on/off ratios. One untimed warmup batch per session first — cold
+    // caches and pool spin-up otherwise land entirely on the first pair.
+    let timed_batch = |session: &mut Session, obs: bool| {
+        timeseries::set_obs_enabled(obs);
+        let mut digest = 0u64;
+        let ns = time_ns(|| digest = digest_outcomes(&lossy_batch(session, &batch)));
+        (ns, digest)
+    };
+    timed_batch(&mut off, false);
+    timed_batch(&mut on, true);
     let mut on_ns = Vec::with_capacity(samples);
     let mut off_ns = Vec::with_capacity(samples);
-    let mut digest_on = 0u64;
-    let mut digest_off = 0u64;
-    for _ in 0..samples {
-        timeseries::set_obs_enabled(false);
-        off_ns.push(time_ns(|| {
-            digest_off = digest_outcomes(&lossy_batch(&mut off, &batch));
-        }));
-        timeseries::set_obs_enabled(true);
-        on_ns.push(time_ns(|| {
-            digest_on = digest_outcomes(&lossy_batch(&mut on, &batch));
-        }));
+    let mut ratios = Vec::with_capacity(samples);
+    let (mut digest_on, mut digest_off) = (0u64, 0u64);
+    for pair in 0..samples {
+        let (off_side, on_side) = if pair % 2 == 0 {
+            let off_side = timed_batch(&mut off, false);
+            (off_side, timed_batch(&mut on, true))
+        } else {
+            let on_side = timed_batch(&mut on, true);
+            (timed_batch(&mut off, false), on_side)
+        };
+        (digest_off, digest_on) = (off_side.1, on_side.1);
         assert_eq!(digest_on, digest_off, "observability changed the outcomes");
+        off_ns.push(off_side.0);
+        on_ns.push(on_side.0);
+        ratios.push(on_side.0 / off_side.0);
     }
-    let per_round_on = median_ns(&mut on_ns) / rounds as f64;
-    let per_round_off = median_ns(&mut off_ns) / rounds as f64;
-    let rps_on = 1e9 / per_round_on;
-    let rps_off = 1e9 / per_round_off;
-    let overhead_pct = (per_round_on / per_round_off - 1.0) * 100.0;
+    let rps_on = 1e9 * rounds as f64 / median_ns(&mut on_ns);
+    let rps_off = 1e9 * rounds as f64 / median_ns(&mut off_ns);
+    let overhead_pct = (median_ns(&mut ratios) - 1.0) * 100.0;
 
     // Reconciled showcase run: fresh session, fresh books. The ring cap
     // bounds the committed artifact's size; totals stay exact across
@@ -391,12 +404,12 @@ fn main() {
     m2m_bench::report::write_report(&cli.out_path, &report);
 
     if let Some(path) = trace_path {
+        let names = timeseries::span_event_names();
+        if let Some(stray) = names.iter().find(|n| !layer::ALL.contains(n)) {
+            panic!("span {stray} is not a layer name");
+        }
         let trace = timeseries::chrome_trace().render();
         std::fs::write(&path, &trace).expect("write chrome trace");
-        m2m_log!(
-            Level::Info,
-            "wrote {} stage spans to {path}",
-            timeseries::stage_span_count()
-        );
+        m2m_log!(Level::Info, "wrote {} layer spans to {path}", names.len());
     }
 }

@@ -14,6 +14,7 @@
 #![warn(missing_docs)]
 
 pub mod figures;
+pub mod gauge;
 pub mod report;
 pub mod stats;
 pub mod svg;

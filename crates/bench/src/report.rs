@@ -220,6 +220,23 @@ pub fn telemetry_section(instrumented: impl FnOnce()) -> JsonValue {
     section
 }
 
+/// Writes the telemetry snapshot `M2M_TRACE_OUT` asks for, if any.
+/// Binaries call this once before exiting; a failed write is reported on
+/// stderr and exits the process with status 1.
+pub fn export_telemetry() {
+    match m2m_core::telemetry::export_if_requested() {
+        Ok(Some(path)) => m2m_core::m2m_log!(
+            m2m_core::telemetry::Level::Info,
+            "exported telemetry snapshot to {path}"
+        ),
+        Ok(None) => {}
+        Err(e) => {
+            eprintln!("telemetry export failed: {e}");
+            std::process::exit(1);
+        }
+    }
+}
+
 /// Renders a report, writes it to `path`, and echoes it to stdout (the
 /// artifacts double as the benchmark's machine-readable output).
 pub fn write_report(path: &str, report: &JsonValue) {

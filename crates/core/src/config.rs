@@ -49,7 +49,7 @@ pub const HYSTERESIS_ENV: &str = "M2M_HYSTERESIS";
 /// [`crate::exec::SUPPORTED_LANE_WIDTHS`]).
 pub const LANES_ENV: &str = "M2M_LANES";
 /// Environment variable enabling the observability layer (per-node
-/// planes, flight recorder, stage spans; `1`/`true`/…).
+/// planes, flight recorder, layer-span trace events; `1`/`true`/…).
 pub const OBS_ENV: &str = m2m_telemetry::timeseries::OBS_ENV;
 /// Environment variable setting the flight-recorder sampling stride:
 /// record every Nth round's series point (events are never strided).
@@ -279,7 +279,7 @@ impl Config {
     }
 
     /// Whether the observability layer (per-node planes, flight
-    /// recorder, stage spans) is on.
+    /// recorder, layer-span trace events) is on.
     #[inline]
     pub fn obs(&self) -> bool {
         self.obs
@@ -347,12 +347,12 @@ impl Config {
     }
 
     /// Writes the current telemetry snapshot to [`Config::trace_out`]
-    /// (if configured), returning the path written. The config-driven
-    /// counterpart of [`crate::telemetry::export_if_requested`].
-    pub fn export_telemetry(&self) -> Option<String> {
-        let path = self.trace_out.clone()?;
-        std::fs::write(&path, crate::telemetry::snapshot().to_json().render()).ok()?;
-        Some(path)
+    /// (if configured), returning the path written: `Ok(None)` when no
+    /// output is configured, the I/O error when the write fails. The
+    /// config-driven counterpart of
+    /// [`crate::telemetry::export_if_requested`].
+    pub fn export_telemetry(&self) -> std::io::Result<Option<String>> {
+        crate::telemetry::export_snapshot(self.trace_out())
     }
 }
 
@@ -630,6 +630,18 @@ mod tests {
     #[should_panic(expected = "unsupported lane width")]
     fn odd_lane_width_rejected() {
         let _ = Config::builder().lanes(3);
+    }
+
+    #[test]
+    fn failed_telemetry_export_is_an_error() {
+        let missing = std::env::temp_dir().join("m2m_config_no_such_dir/trace.json");
+        let cfg = Config::builder()
+            .trace_out(missing.to_str().expect("utf-8 temp path"))
+            .build();
+        assert!(cfg.export_telemetry().is_err());
+        // The test environment sets no M2M_TRACE_OUT: nothing to write.
+        let silent = Config::builder().build();
+        assert_eq!(silent.export_telemetry().expect("no export"), None);
     }
 
     #[test]

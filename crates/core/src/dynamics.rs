@@ -108,35 +108,11 @@ impl PlanMaintainer {
     pub fn new(network: impl Into<Arc<Network>>, spec: AggregationSpec, mode: RoutingMode) -> Self {
         let network = network.into();
         let routing = RoutingTables::build(&network, &spec.source_to_destinations(), mode);
-        let topo = {
-            let _s = m2m_telemetry::timeseries::stage_span(m2m_telemetry::timeseries::STAGE_INTERN);
-            Arc::new(Topology::snapshot(&spec, &routing))
-        };
-        let problems = {
-            let _s =
-                m2m_telemetry::timeseries::stage_span(m2m_telemetry::timeseries::STAGE_PROBLEMS);
-            build_edge_problems(&topo)
-        };
-        let base_solutions = {
-            let _s = m2m_telemetry::timeseries::stage_span(m2m_telemetry::timeseries::STAGE_SOLVE);
-            solve_edge_slab(&problems, &spec, parallel::max_threads())
-        };
-        let plan = GlobalPlan::from_solutions(
-            &spec,
-            Arc::clone(&topo),
-            problems.clone(),
-            base_solutions.clone(),
-        );
-        PlanMaintainer {
-            network,
-            spec,
-            mode,
-            routing: Arc::new(routing),
-            topo,
-            base_solutions,
-            problems,
-            plan,
-        }
+        let topo = Arc::new(Topology::snapshot(&spec, &routing));
+        let problems = build_edge_problems(&topo);
+        let base_solutions = solve_edge_slab(&problems, &spec, parallel::max_threads());
+        let routing = Arc::new(routing);
+        Self::from_parts(network, spec, mode, routing, topo, problems, base_solutions)
     }
 
     /// Wraps an already-planned substrate without re-routing or
@@ -313,7 +289,7 @@ impl PlanMaintainer {
     /// independent and ordered collection keeps the plan bit-identical to
     /// a serial re-solve.
     fn install(&mut self, new_routing: RoutingTables) -> UpdateStats {
-        let _span = crate::telemetry::span(crate::telemetry::names::DYNAMICS_INSTALL_NS);
+        let _span = crate::telemetry::span(crate::telemetry::layer::DYNAMICS_ROUTE_CHANGE);
         let new_topo = Arc::new(Topology::snapshot(&self.spec, &new_routing));
         let new_problems = build_edge_problems(&new_topo);
 

@@ -333,6 +333,7 @@ pub fn solve_edge_batch(
     spec: &AggregationSpec,
     threads: usize,
 ) -> Vec<EdgeSolution> {
+    let _span = crate::telemetry::span(crate::telemetry::layer::EDGE_OPT_SOLVE);
     parallel_map_with(
         problems,
         threads,
@@ -358,6 +359,7 @@ pub fn solve_edge_slab(
     spec: &AggregationSpec,
     threads: usize,
 ) -> Vec<EdgeSolution> {
+    let _span = crate::telemetry::span(crate::telemetry::layer::EDGE_OPT_SOLVE);
     let mut slots: Vec<Option<EdgeSolution>> = Vec::with_capacity(problems.len());
     slots.resize_with(problems.len(), || None);
     crate::parallel::parallel_chunks_mut(
@@ -390,6 +392,7 @@ pub fn solve_edge_slab(
 /// in exactly the ascending-edge order the old `BTreeMap` builder
 /// produced.
 pub fn build_edge_problems(topo: &Topology) -> Vec<EdgeProblem> {
+    let _span = crate::telemetry::span(crate::telemetry::layer::EDGE_OPT_PROBLEMS);
     // Flat bucketing instead of one `BTreeMap` pair per edge: count
     // registrations per edge, carve one shared buffer into per-edge
     // spans by prefix sum, drop every `(source, group)` registration

@@ -50,7 +50,7 @@
 //! [`CompiledSchedule::run_round`] of the same readings
 //! (`tests/batched_equivalence.rs` pins this, NaN/∞ included).
 //!
-//! [`run_epochs`] fans independent rounds (distinct reading vectors)
+//! [`run_epochs_slab`] fans independent rounds (distinct reading vectors)
 //! across worker threads in **chunked batches**: each worker owns one
 //! lane-batched [`ExecState`] arena and writes its rounds' results
 //! directly into a disjoint span of one preallocated output slab
@@ -247,9 +247,6 @@ impl CompiledSchedule {
         spec: &AggregationSpec,
         plan: &GlobalPlan,
     ) -> Result<Self, String> {
-        let _span = crate::telemetry::span(crate::telemetry::names::EXEC_COMPILE_NS);
-        let _stage =
-            m2m_telemetry::timeseries::stage_span(m2m_telemetry::timeseries::STAGE_COMPILE);
         crate::telemetry::counter(crate::telemetry::names::EXEC_COMPILES, 1);
         let schedule = build_schedule(spec, plan)?;
         let sources = NodeIndex::from_ids(plan.topology().sources().to_vec());
@@ -274,6 +271,7 @@ impl CompiledSchedule {
         schedule: Schedule,
         sources: NodeIndex,
     ) -> Self {
+        let _span = crate::telemetry::span(crate::telemetry::layer::EXEC_LOWER);
         debug_assert_eq!(
             sources.ids(),
             NodeIndex::from_ids(pre_sources(&schedule)).ids(),
@@ -373,7 +371,7 @@ impl CompiledSchedule {
 
     /// The interned source ids (slot order defines the layout of
     /// [`ExecState::readings_mut`] and of each row passed to
-    /// [`run_epochs`]).
+    /// [`run_epochs_slab`]).
     #[inline]
     pub fn sources(&self) -> &NodeIndex {
         &self.sources
@@ -511,7 +509,7 @@ impl CompiledSchedule {
     /// written result is bit-identical to a scalar [`Self::run_round`].
     ///
     /// Allocation-free given a prepared `state` and `out` slab; this is
-    /// the engine under [`run_epochs`] / [`EpochSlab`].
+    /// the engine under [`run_epochs_slab`].
     ///
     /// # Panics
     /// Panics if `state` was sized for a different schedule, a reading
@@ -656,7 +654,7 @@ fn pre_sources(schedule: &Schedule) -> Vec<NodeId> {
 /// cache line of `f64`s per plane row; 1 is the scalar path.
 pub const SUPPORTED_LANE_WIDTHS: [usize; 4] = [1, 4, 8, 16];
 
-/// Default lane width for [`run_epochs`] / [`EpochSlab`] batching
+/// Default lane width for [`run_epochs_slab`] batching
 /// (overridable per [`crate::config::Config::lanes`]).
 pub const DEFAULT_LANE_WIDTH: usize = 8;
 
@@ -903,15 +901,6 @@ impl Drop for ExecState {
     }
 }
 
-/// One epoch's outcome from [`run_epochs`].
-#[derive(Clone, Debug, PartialEq)]
-pub struct EpochOutcome {
-    /// Per-destination results in ascending destination order.
-    pub results: Vec<f64>,
-    /// The (readings-independent) round cost.
-    pub cost: RoundCost,
-}
-
 /// The preallocated output of [`run_epochs_slab`]: one flat
 /// rounds × destinations `f64` slab plus the (readings-independent) round
 /// cost — no per-round `Vec`, no per-round allocation.
@@ -958,18 +947,6 @@ impl EpochSlab {
     pub fn cost(&self) -> RoundCost {
         self.cost
     }
-
-    /// Expands into per-round [`EpochOutcome`]s (allocates one `Vec` per
-    /// round — compatibility shape only; iterate [`EpochSlab::round`] on
-    /// the hot path).
-    pub fn into_outcomes(self) -> Vec<EpochOutcome> {
-        (0..self.rounds)
-            .map(|r| EpochOutcome {
-                results: self.round(r).to_vec(),
-                cost: self.cost,
-            })
-            .collect()
-    }
 }
 
 /// Runs one round per entry of `rounds` — each a dense reading vector in
@@ -1001,7 +978,7 @@ pub fn run_epochs_slab(
     width: usize,
     threads: usize,
 ) -> EpochSlab {
-    let _span = crate::telemetry::span(crate::telemetry::names::EXEC_RUN_EPOCHS_NS);
+    let _span = crate::telemetry::span(crate::telemetry::layer::EXEC_ROUNDS);
     let threads = threads.min(std::thread::available_parallelism().map_or(1, |p| p.get()));
     let dests = compiled.dest_steps.len();
     let mut results = vec![0.0; rounds.len() * dests];
@@ -1039,20 +1016,6 @@ pub fn run_epochs_slab(
         dests,
         cost: compiled.round_cost,
     }
-}
-
-/// Compatibility shape of [`run_epochs_slab`]: runs at the default lane
-/// width and expands the slab into per-round [`EpochOutcome`]s. Identical
-/// bits at any thread count.
-///
-/// # Panics
-/// Panics if any reading vector has the wrong length.
-pub fn run_epochs(
-    compiled: &CompiledSchedule,
-    rounds: &[Vec<f64>],
-    threads: usize,
-) -> Vec<EpochOutcome> {
-    run_epochs_slab(compiled, rounds, DEFAULT_LANE_WIDTH, threads).into_outcomes()
 }
 
 /// A [`PlanMaintainer`] paired with the compiled executor for its current
@@ -1277,21 +1240,21 @@ mod tests {
                     .collect()
             })
             .collect();
-        let serial = run_epochs(&compiled, &rounds, 1);
+        let serial = run_epochs_slab(&compiled, &rounds, DEFAULT_LANE_WIDTH, 1);
         for threads in [2, 4, 8] {
             assert_eq!(
-                run_epochs(&compiled, &rounds, threads),
+                run_epochs_slab(&compiled, &rounds, DEFAULT_LANE_WIDTH, threads),
                 serial,
                 "threads={threads}"
             );
         }
         // And each epoch equals a standalone run_round.
         let mut state = ExecState::for_schedule(&compiled);
-        for (round, outcome) in rounds.iter().zip(&serial) {
+        for (r, round) in rounds.iter().enumerate() {
             state.readings_mut().copy_from_slice(round);
             let cost = compiled.run_round(&mut state);
-            assert_eq!(state.results(), outcome.results.as_slice());
-            assert_eq!(cost, outcome.cost);
+            assert_eq!(state.results(), serial.round(r));
+            assert_eq!(cost, serial.cost());
         }
     }
 

@@ -392,6 +392,7 @@ impl FaultyExec {
     /// construction relies on (it cannot, for a schedule produced by
     /// [`crate::schedule::build_schedule`]).
     pub fn new(network: &Network, compiled: &CompiledSchedule) -> Self {
+        let _span = crate::telemetry::span(crate::telemetry::layer::FAULTS_LOWER);
         crate::telemetry::counter(names::FAULTS_BUILDS, 1);
         let schedule = compiled.schedule().clone();
         let slots = assign_slots(network, &schedule);
@@ -1020,7 +1021,7 @@ impl FaultyExec {
         round_salt: u64,
         scratch: &mut FaultScratch,
     ) -> FaultOutcome {
-        let _span = crate::telemetry::span(names::FAULTS_ROUND_NS);
+        let _span = crate::telemetry::span(crate::telemetry::layer::FAULTS_ROUND);
         crate::telemetry::counter(names::FAULTS_ROUNDS, 1);
         assert_eq!(
             readings.len(),

@@ -180,8 +180,8 @@ pub mod prelude {
     pub use crate::dynamics::{PlanMaintainer, WorkloadUpdate};
     pub use crate::edge_opt::{EdgeProblem, EdgeSolution};
     pub use crate::exec::{
-        run_epochs, run_epochs_slab, CompiledSchedule, EpochDriver, EpochSlab, ExecState,
-        DEFAULT_LANE_WIDTH, SUPPORTED_LANE_WIDTHS,
+        run_epochs_slab, CompiledSchedule, EpochDriver, EpochSlab, ExecState, DEFAULT_LANE_WIDTH,
+        SUPPORTED_LANE_WIDTHS,
     };
     pub use crate::faults::{
         ChurnController, DegradationTracker, DestCoverage, FaultOutcome, FaultyExec, RetryPolicy,

@@ -117,6 +117,7 @@ impl SolveCache {
         spec: &AggregationSpec,
         threads: usize,
     ) -> Vec<EdgeSolution> {
+        let _span = crate::telemetry::span(crate::telemetry::layer::MEMO_SOLVE_ALL);
         // Per-destination dirty bitset: a destination whose remembered
         // record size disagrees with today's spec invalidates exactly the
         // entries that mention it.
@@ -309,6 +310,7 @@ impl SharedSolveCache {
         spec: &AggregationSpec,
         threads: usize,
     ) -> Vec<EdgeSolution> {
+        let _span = crate::telemetry::span(crate::telemetry::layer::MEMO_SOLVE_ALL);
         let (hits_before, misses_before) = (self.hits, self.misses);
         let mut out: Vec<Option<EdgeSolution>> = Vec::with_capacity(problems.len());
         let mut missing: Vec<(usize, SharedKey, &EdgeProblem)> = Vec::new();

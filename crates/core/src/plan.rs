@@ -42,6 +42,17 @@ use crate::parallel;
 use crate::spec::AggregationSpec;
 use crate::topo::Topology;
 
+/// Checks (in debug builds) that every multicast edge is a radio link.
+fn debug_assert_radio_links(network: &Network, routing: &RoutingTables) {
+    debug_assert!(
+        routing
+            .directed_edges()
+            .iter()
+            .all(|&(a, b)| network.graph().has_edge(a, b)),
+        "every multicast edge must be a radio link"
+    );
+}
+
 /// The assembled network-wide many-to-many aggregation plan.
 #[derive(Clone, Debug)]
 pub struct GlobalPlan {
@@ -68,13 +79,7 @@ impl GlobalPlan {
         routing: &RoutingTables,
         threads: usize,
     ) -> Self {
-        debug_assert!(
-            routing
-                .directed_edges()
-                .iter()
-                .all(|&(a, b)| network.graph().has_edge(a, b)),
-            "every multicast edge must be a radio link"
-        );
+        debug_assert_radio_links(network, routing);
         Self::build_unchecked_with_threads(spec, routing, threads)
     }
 
@@ -91,26 +96,9 @@ impl GlobalPlan {
         routing: &RoutingTables,
         threads: usize,
     ) -> Self {
-        let _span = crate::telemetry::span(crate::telemetry::names::PLAN_BUILD_NS);
-        let topo = {
-            let _s = m2m_telemetry::timeseries::stage_span(m2m_telemetry::timeseries::STAGE_INTERN);
-            Arc::new(Topology::snapshot(spec, routing))
-        };
-        let problems = {
-            let _s =
-                m2m_telemetry::timeseries::stage_span(m2m_telemetry::timeseries::STAGE_PROBLEMS);
-            build_edge_problems(&topo)
-        };
-        let solutions = {
-            let _s = m2m_telemetry::timeseries::stage_span(m2m_telemetry::timeseries::STAGE_SOLVE);
-            solve_edge_slab(&problems, spec, threads)
-        };
-        let plan = Self::assemble(spec, topo, problems, solutions, true);
-        if crate::telemetry::enabled() {
-            crate::telemetry::counter(crate::telemetry::names::PLAN_BUILDS, 1);
-            crate::telemetry::counter(crate::telemetry::names::PLAN_REPAIRS, plan.repairs as u64);
-        }
-        plan
+        Self::build_solving(spec, routing, |problems| {
+            solve_edge_slab(problems, spec, threads)
+        })
     }
 
     /// [`GlobalPlan::build`] through a [`SolveCache`]: edges whose
@@ -124,27 +112,22 @@ impl GlobalPlan {
         routing: &RoutingTables,
         cache: &mut SolveCache,
     ) -> Self {
-        debug_assert!(
-            routing
-                .directed_edges()
-                .iter()
-                .all(|&(a, b)| network.graph().has_edge(a, b)),
-            "every multicast edge must be a radio link"
-        );
-        let _span = crate::telemetry::span(crate::telemetry::names::PLAN_BUILD_NS);
-        let topo = {
-            let _s = m2m_telemetry::timeseries::stage_span(m2m_telemetry::timeseries::STAGE_INTERN);
-            Arc::new(Topology::snapshot(spec, routing))
-        };
-        let problems = {
-            let _s =
-                m2m_telemetry::timeseries::stage_span(m2m_telemetry::timeseries::STAGE_PROBLEMS);
-            build_edge_problems(&topo)
-        };
-        let solutions = {
-            let _s = m2m_telemetry::timeseries::stage_span(m2m_telemetry::timeseries::STAGE_SOLVE);
-            cache.solve_all(&problems, spec, parallel::max_threads())
-        };
+        debug_assert_radio_links(network, routing);
+        Self::build_solving(spec, routing, |problems| {
+            cache.solve_all(problems, spec, parallel::max_threads())
+        })
+    }
+
+    /// The build body both paths share: intern the topology, build the
+    /// per-edge problems, `solve` them, assemble.
+    fn build_solving(
+        spec: &AggregationSpec,
+        routing: &RoutingTables,
+        solve: impl FnOnce(&[EdgeProblem]) -> Vec<EdgeSolution>,
+    ) -> Self {
+        let topo = Arc::new(Topology::snapshot(spec, routing));
+        let problems = build_edge_problems(&topo);
+        let solutions = solve(&problems);
         let plan = Self::assemble(spec, topo, problems, solutions, true);
         if crate::telemetry::enabled() {
             crate::telemetry::counter(crate::telemetry::names::PLAN_BUILDS, 1);
@@ -177,6 +160,7 @@ impl GlobalPlan {
         mut solutions: Vec<EdgeSolution>,
         run_repair_sweep: bool,
     ) -> Self {
+        let _span = crate::telemetry::span(crate::telemetry::layer::PLAN_ASSEMBLE);
         debug_assert_eq!(problems.len(), topo.edge_count());
         debug_assert_eq!(solutions.len(), topo.edge_count());
         let repairs = if run_repair_sweep {

@@ -212,6 +212,7 @@ impl Schedule {
 /// Returns an error if the wait-for relation is cyclic, which would make
 /// the plan unschedulable.
 pub fn build_schedule(spec: &AggregationSpec, plan: &GlobalPlan) -> Result<Schedule, String> {
+    let _span = crate::telemetry::span(crate::telemetry::layer::SCHEDULE_BUILD);
     let topo = plan.topology();
     let sols = plan.solutions();
 

@@ -751,8 +751,9 @@ impl Session {
     }
 
     /// Writes the telemetry snapshot to the configured trace output, if
-    /// any, returning the path written (see [`Config::export_telemetry`]).
-    pub fn export_telemetry(&self) -> Option<String> {
+    /// any, returning the path written or the I/O error (see
+    /// [`Config::export_telemetry`]).
+    pub fn export_telemetry(&self) -> std::io::Result<Option<String>> {
         self.config.export_telemetry()
     }
 

@@ -198,6 +198,7 @@ impl SimExec {
     /// # Panics
     /// Panics if `params.queue_cap` or `params.latency` is zero.
     pub fn with_params(network: &Network, compiled: &CompiledSchedule, params: SimParams) -> Self {
+        let _span = crate::telemetry::span(crate::telemetry::layer::SIM_LOWER);
         assert!(params.queue_cap >= 1, "queue bound must be >= 1");
         assert!(params.latency >= 1, "link latency must be >= 1 tick");
         Self::from_faults(FaultyExec::new(network, compiled), params)
@@ -331,7 +332,7 @@ impl SimExec {
         round_salt: u64,
         st: &mut SimState,
     ) -> SimOutcome {
-        let _span = crate::telemetry::span(names::SIM_ROUND_NS);
+        let _span = crate::telemetry::span(crate::telemetry::layer::SIM_ROUND);
         crate::telemetry::counter(names::SIM_ROUNDS, 1);
         assert_eq!(
             readings.len(),

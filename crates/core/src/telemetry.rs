@@ -5,9 +5,10 @@
 //! (re-exported here wholesale), so `m2m-netsim` can emit events without
 //! depending on this crate. This module adds what is core-specific:
 //!
-//! * [`names`] — the registry of counter/span names every instrumentation
+//! * [`names`] — the registry of counter names every instrumentation
 //!   site in the workspace uses, so consumers (benchmarks, the verify
-//!   gate) can read snapshots without grepping for string literals;
+//!   gate) can read snapshots without grepping for string literals (span
+//!   names are the pipeline layers of [`layer`]);
 //! * [`explain`](fn@explain) / [`PlanExplain`] — a deterministic report
 //!   that walks a [`GlobalPlan`] and states, per directed edge, which
 //!   values cross raw and which as partial records, with the cover-side
@@ -15,11 +16,14 @@
 //!   as stable text (golden-tested) and JSON (consumed by the `explain`
 //!   bench bin).
 //!
-//! Instrumentation is atomic-flag-gated ([`enabled`]): when tracing is
-//! off — the default — every site costs one relaxed load. `M2M_TRACE=1`
-//! turns it on; [`snapshot`] aggregates the per-thread shards. The
-//! property test `tests/telemetry_equivalence.rs` pins the contract that
-//! none of this ever changes a plan, a round result, or a cost.
+//! Instrumentation is gated by one atomic flag word ([`enabled`],
+//! [`timeseries::obs_enabled`]): when tracing and observability are off
+//! — the default — every site, each layer [`span`] included, costs one
+//! relaxed load. `M2M_TRACE=1` turns tracing on; [`snapshot`] aggregates
+//! the per-thread shards, where each span leaves a histogram under its
+//! layer name. The property test `tests/telemetry_equivalence.rs` pins
+//! the contract that none of this ever changes a plan, a round result,
+//! or a cost.
 
 pub use m2m_telemetry::*;
 
@@ -34,7 +38,9 @@ use crate::spec::AggregationSpec;
 
 /// Canonical counter / distribution names used by the instrumentation
 /// sites across the workspace. One name, one site meaning — benchmark
-/// exporters and the verify gate key on these.
+/// exporters and the verify gate key on these. Span histograms are named
+/// by their layer instead ([`crate::telemetry::layer`], e.g.
+/// `plan.assemble`), one span inside each layer's function.
 pub mod names {
     /// Single-edge vertex-cover problems solved ([`crate::edge_opt`]).
     pub const EDGE_OPT_SOLVES: &str = "edge_opt.solves";
@@ -60,8 +66,6 @@ pub mod names {
     pub const PLAN_BUILDS: &str = "plan.builds";
     /// Edges patched by the §2.3 availability sweep, summed over builds.
     pub const PLAN_REPAIRS: &str = "plan.repairs";
-    /// Distribution of plan-build wall time (solve fan-out latency), ns.
-    pub const PLAN_BUILD_NS: &str = "plan.build.ns";
 
     /// Incremental updates applied by [`crate::dynamics::PlanMaintainer`].
     pub const DYNAMICS_UPDATES: &str = "dynamics.updates";
@@ -69,17 +73,11 @@ pub mod names {
     pub const DYNAMICS_EDGES_REUSED: &str = "dynamics.edges_reused";
     /// Edges re-solved because their single-edge inputs changed.
     pub const DYNAMICS_EDGES_REOPTIMIZED: &str = "dynamics.edges_reoptimized";
-    /// Distribution of incremental-install wall time, ns.
-    pub const DYNAMICS_INSTALL_NS: &str = "dynamics.install.ns";
 
     /// Schedule lowerings ([`crate::exec::CompiledSchedule`]).
     pub const EXEC_COMPILES: &str = "exec.compiles";
-    /// Distribution of compile wall time, ns.
-    pub const EXEC_COMPILE_NS: &str = "exec.compile.ns";
     /// Rounds executed through the compiled path.
     pub const EXEC_ROUNDS: &str = "exec.rounds";
-    /// Distribution of [`crate::exec::run_epochs`] batch wall time, ns.
-    pub const EXEC_RUN_EPOCHS_NS: &str = "exec.run_epochs.ns";
     /// Updates that forced a full recompile ([`crate::exec::EpochDriver`]).
     pub const EXEC_RECOMPILES: &str = "exec.recompiles";
     /// Updates absorbed as in-place weight refreshes.
@@ -95,8 +93,6 @@ pub mod names {
     pub const FAULTS_DEGRADED_DESTINATIONS: &str = "faults.degraded_destinations";
     /// Fault-executor lowerings ([`crate::faults::FaultyExec::new`]).
     pub const FAULTS_BUILDS: &str = "faults.builds";
-    /// Distribution of fault-tolerant round wall time, ns.
-    pub const FAULTS_ROUND_NS: &str = "faults.round.ns";
     /// Route recomputations triggered by ETX drift past the hysteresis
     /// threshold ([`crate::faults::ChurnController`]).
     pub const FAULTS_REROUTES: &str = "faults.reroutes";
@@ -109,8 +105,6 @@ pub mod names {
     pub const SIM_ROUNDS: &str = "sim.rounds";
     /// Events processed by the simulator's event wheel, summed.
     pub const SIM_EVENTS: &str = "sim.events";
-    /// Distribution of event-driven round wall time, ns.
-    pub const SIM_ROUND_NS: &str = "sim.round.ns";
     /// Per-link queue pushes past the configured bound, summed.
     pub const SIM_QUEUE_OVERFLOWS: &str = "sim.queue_overflows";
 
@@ -124,9 +118,7 @@ pub mod names {
     // Routing-tree construction counters are defined next to their site
     // in `m2m-netsim` (which cannot depend on this crate); re-exported
     // here so consumers have one namespace.
-    pub use m2m_netsim::routing::{
-        ROUTING_BUILDS, ROUTING_BUILD_NS, ROUTING_TREES, ROUTING_TREE_EDGES,
-    };
+    pub use m2m_netsim::routing::{ROUTING_BUILDS, ROUTING_TREES, ROUTING_TREE_EDGES};
 }
 
 /// Why one transmitted unit is in the minimum-weight cover: a raw value

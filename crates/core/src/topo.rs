@@ -165,6 +165,7 @@ impl Topology {
     /// actually demands from that source, and interns every node and
     /// directed edge on the surviving routes.
     pub fn snapshot(spec: &AggregationSpec, routing: &RoutingTables) -> Topology {
+        let _span = crate::telemetry::span(crate::telemetry::layer::TOPO_INTERN);
         // Pass 1: walk every demanded route once through a single reused
         // path buffer (routes are re-walked from the forest in pass 2
         // instead of being materialized as one `Vec<NodeId>` each).

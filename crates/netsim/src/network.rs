@@ -39,6 +39,7 @@ fn hops_if_small(graph: &Graph) -> Vec<HopDistances> {
 impl Network {
     /// Builds a network from a deployment with the given energy model.
     pub fn new(deployment: Deployment, energy: EnergyModel) -> Self {
+        let _span = m2m_telemetry::span(m2m_telemetry::layer::NETWORK_BUILD);
         let graph = deployment.radio_graph();
         let hops = hops_if_small(&graph);
         Network {

@@ -142,6 +142,7 @@ pub fn weighted_routing(
     demands: &BTreeMap<NodeId, Vec<NodeId>>,
     quality: &LinkQuality,
 ) -> RoutingTables {
+    let _span = m2m_telemetry::span(m2m_telemetry::layer::QUALITY_WEIGHTED_ROUTING);
     let n = network.node_count();
     let trees: BTreeMap<NodeId, MulticastTree> = demands
         .iter()

@@ -43,8 +43,6 @@ pub const ROUTING_TREES: &str = "routing.trees";
 /// Telemetry counter: directed tree edges summed across all builds
 /// (the paper's `Σ|T_s|` state bound, Theorem 3).
 pub const ROUTING_TREE_EDGES: &str = "routing.tree_edges";
-/// Telemetry span: wall time of [`RoutingTables::build`] in nanoseconds.
-pub const ROUTING_BUILD_NS: &str = "routing.build.ns";
 
 /// How multicast trees are constructed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -84,8 +82,7 @@ impl RoutingTables {
         demands: &BTreeMap<NodeId, Vec<NodeId>>,
         mode: RoutingMode,
     ) -> Self {
-        let _span = m2m_telemetry::span(ROUTING_BUILD_NS);
-        let _stage = m2m_telemetry::timeseries::stage_span(m2m_telemetry::timeseries::STAGE_ROUTE);
+        let _span = m2m_telemetry::span(m2m_telemetry::layer::ROUTING_BUILD);
         let forest = match mode {
             RoutingMode::ShortestPathTrees => build_spt_forest(network.graph(), demands),
             RoutingMode::SharedSpanningTree => build_shared_forest(network.graph(), demands),

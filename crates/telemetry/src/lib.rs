@@ -1,31 +1,32 @@
 //! Zero-overhead instrumentation facade for the m2m workspace.
 //!
 //! The paper's whole evaluation is an observability exercise — per-round
-//! message and energy accounting, per-edge raw-vs-partial decisions — and
-//! the ROADMAP's "as fast as the hardware allows" target needs profiling
-//! hooks that attribute time to optimizer vs. executor phases. This crate
-//! is the shared substrate: a global, dependency-free facade with
+//! message and energy accounting, per-edge raw-vs-partial decisions —
+//! and profiling has to attribute time to each layer of the pipeline.
+//! This crate is the shared substrate: a global, dependency-free facade
+//! with
 //!
 //! * **monotonic counters** ([`counter`]) and **fixed-bucket power-of-two
 //!   histograms** ([`observe`], [`Dist`]) for values and durations;
-//! * **scoped span timers** ([`span`]) that record elapsed nanoseconds
-//!   into a histogram on drop;
-//! * a **leveled log sink** ([`m2m_log!`], quiet by default, `M2M_LOG` to
-//!   enable) so library code never writes to stderr unconditionally;
-//! * env control: `M2M_TRACE=1` enables tracing at startup,
-//!   `M2M_TRACE_OUT=path` makes [`export_if_requested`] write a JSON
-//!   snapshot, `M2M_LOG=debug` (etc.) opens the log sink.
+//! * **one scoped span** ([`span`]) per pipeline layer, named from
+//!   [`layer`]: on drop it records its nanoseconds into the histogram of
+//!   its name when tracing is on, and one Chrome complete event
+//!   ([`timeseries::chrome_trace`]) when observability is on;
+//! * a **leveled log sink** ([`m2m_log!`], quiet by default);
+//! * env control: `M2M_TRACE=1` and `M2M_OBS=1` turn tracing and
+//!   observability on at startup, `M2M_TRACE_OUT=path` makes
+//!   [`export_if_requested`] write a JSON snapshot, `M2M_LOG=debug`
+//!   (etc.) opens the log sink.
 //!
 //! # The overhead contract
 //!
-//! Instrumentation must cost (almost) nothing when disabled, because the
-//! sites live on the optimizer's and executor's hot paths. Every public
-//! entry point first checks one global [`AtomicU8`] with a single
-//! **relaxed load** ([`enabled`]); when tracing is off that load-and-branch
-//! is the *entire* cost, and the facade is guaranteed — property-tested in
-//! `tests/telemetry_equivalence.rs` at the workspace root — to never
-//! change any observable result: plans, round results, and costs are
-//! bit-identical with telemetry enabled and disabled.
+//! Tracing and observability are two bits of one global flag word.
+//! Every entry point, a span included, reads it with one **relaxed
+//! load** ([`enabled`], [`timeseries::obs_enabled`]); with both bits off
+//! that load and a branch are the *entire* cost on the optimizer's and
+//! executor's hot paths. The property tests `tests/telemetry_equivalence.rs`
+//! and `tests/obs_equivalence.rs` pin that neither flag ever changes a
+//! plan, a round result, or a cost.
 //!
 //! # Shard-per-thread registry
 //!
@@ -44,11 +45,13 @@
 #![warn(missing_docs)]
 
 pub mod json;
+pub mod layer;
 pub mod timeseries;
 
 use std::cell::OnceCell;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::io;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
@@ -66,44 +69,67 @@ pub const TRACE_OUT_ENV: &str = "M2M_TRACE_OUT";
 pub const LOG_ENV: &str = "M2M_LOG";
 
 // ---------------------------------------------------------------------
-// The tracing flag.
+// The flag word.
 // ---------------------------------------------------------------------
 
-const UNINIT: u8 = 0;
-const OFF: u8 = 1;
-const ON: u8 = 2;
+/// Flag bit: tracing (counters, histograms, span durations).
+const TRACE: u8 = 1;
+/// Flag bit: observability (node planes, flight recorder, span events).
+pub(crate) const OBS: u8 = 2;
+/// Flag bit: the environment has been read.
+const INIT: u8 = 4;
 
-static TRACE: AtomicU8 = AtomicU8::new(UNINIT);
+static FLAGS: AtomicU8 = AtomicU8::new(0);
 
-/// True if tracing is enabled. This is the disabled-path hot check: one
-/// relaxed atomic load and a branch (the env read happens once, on the
+/// The flag word: one relaxed atomic load (the env is read once, on the
 /// first call ever).
 #[inline]
-pub fn enabled() -> bool {
-    match TRACE.load(Ordering::Relaxed) {
-        ON => true,
-        OFF => false,
-        _ => init_trace_from_env(),
+pub(crate) fn flags() -> u8 {
+    let word = FLAGS.load(Ordering::Relaxed);
+    if word & INIT != 0 {
+        word
+    } else {
+        init_flags_from_env()
     }
 }
 
 #[cold]
-fn init_trace_from_env() -> bool {
-    let on = std::env::var(TRACE_ENV).is_ok_and(|v| parse_bool(&v));
-    // Racing initializers agree (same env), and an explicit set_enabled
-    // that slipped in between wins via the failed exchange.
-    let _ = TRACE.compare_exchange(
-        UNINIT,
-        if on { ON } else { OFF },
-        Ordering::Relaxed,
-        Ordering::Relaxed,
-    );
-    TRACE.load(Ordering::Relaxed) == ON
+fn init_flags_from_env() -> u8 {
+    let env_bit = |var: &str, bit: u8| {
+        if std::env::var(var).is_ok_and(|v| parse_bool(&v)) {
+            bit
+        } else {
+            0
+        }
+    };
+    let word = INIT | env_bit(TRACE_ENV, TRACE) | env_bit(timeseries::OBS_ENV, OBS);
+    // Racing initializers agree (same env), and a setter that got in
+    // first has already set INIT, so the failed exchange keeps its bit.
+    let _ = FLAGS.compare_exchange(0, word, Ordering::Relaxed, Ordering::Relaxed);
+    FLAGS.load(Ordering::Relaxed)
+}
+
+/// Sets or clears one flag bit, after the env read so that it cannot be
+/// overwritten by it later.
+pub(crate) fn set_flag(bit: u8, on: bool) {
+    flags();
+    if on {
+        FLAGS.fetch_or(bit, Ordering::Relaxed);
+    } else {
+        FLAGS.fetch_and(!bit, Ordering::Relaxed);
+    }
+}
+
+/// True if tracing is enabled. This is the disabled-path hot check: one
+/// relaxed atomic load and a branch.
+#[inline]
+pub fn enabled() -> bool {
+    flags() & TRACE != 0
 }
 
 /// Turns tracing on or off programmatically (overrides `M2M_TRACE`).
 pub fn set_enabled(on: bool) {
-    TRACE.store(if on { ON } else { OFF }, Ordering::Relaxed);
+    set_flag(TRACE, on);
 }
 
 fn parse_bool(v: &str) -> bool {
@@ -215,8 +241,16 @@ fn with_shard(f: impl FnOnce(&mut ShardData)) {
 #[inline]
 pub fn counter(name: &'static str, delta: u64) {
     if enabled() {
-        with_shard(|d| *d.counters.entry(name).or_insert(0) += delta);
+        record_counter(name, delta);
     }
+}
+
+// The recording paths are out of line, so a disabled site inlines to a
+// load and a branch.
+#[cold]
+#[inline(never)]
+fn record_counter(name: &'static str, delta: u64) {
+    with_shard(|d| *d.counters.entry(name).or_insert(0) += delta);
 }
 
 /// Records one value into the named distribution. No-op when tracing is
@@ -224,39 +258,69 @@ pub fn counter(name: &'static str, delta: u64) {
 #[inline]
 pub fn observe(name: &'static str, value: u64) {
     if enabled() {
-        with_shard(|d| d.dists.entry(name).or_default().record(value));
+        record_value(name, value);
     }
+}
+
+#[cold]
+#[inline(never)]
+fn record_value(name: &'static str, value: u64) {
+    with_shard(|d| d.dists.entry(name).or_default().record(value));
 }
 
 // ---------------------------------------------------------------------
 // Scoped span timers.
 // ---------------------------------------------------------------------
 
-/// A scoped timer from [`span`]: records elapsed nanoseconds into the
-/// named distribution when dropped. Inert (no clock read at all) when
-/// tracing was disabled at creation.
+/// A scoped span from [`span`]. On drop it records its elapsed
+/// nanoseconds into the histogram of its name if tracing was on at
+/// creation, and appends one Chrome complete event if observability was.
+/// Inert (no clock read at all) when both were off.
 #[must_use = "a span records on drop; binding it to _ discards the measurement immediately"]
 pub struct Span {
     name: &'static str,
+    flags: u8,
     start: Option<Instant>,
 }
 
-/// Starts a scoped span timer. When tracing is disabled this costs one
-/// relaxed load and never touches the clock.
+/// Starts a scoped span named from [`layer`]. When tracing and
+/// observability are both off this costs one relaxed load and never
+/// touches the clock.
 #[inline]
 pub fn span(name: &'static str) -> Span {
+    let flags = flags() & (TRACE | OBS);
     Span {
         name,
-        start: enabled().then(Instant::now),
+        flags,
+        start: (flags != 0).then(|| {
+            if flags & OBS != 0 {
+                // Pin the trace epoch before the span's own start so ts ≥ 0.
+                timeseries::trace_epoch();
+            }
+            Instant::now()
+        }),
     }
 }
 
 impl Drop for Span {
+    #[inline]
     fn drop(&mut self) {
         if let Some(start) = self.start {
-            let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            with_shard(|d| d.dists.entry(self.name).or_default().record(ns));
+            record_span(self.name, self.flags, start);
         }
+    }
+}
+
+/// The enabled path of a span's drop, out of line.
+#[cold]
+#[inline(never)]
+fn record_span(name: &'static str, flags: u8, start: Instant) {
+    let elapsed = start.elapsed();
+    if flags & TRACE != 0 {
+        record_value(name, u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX));
+    }
+    if flags & OBS != 0 {
+        timeseries::record_span_event(name, start, elapsed);
     }
 }
 
@@ -371,19 +435,26 @@ pub fn reset() {
     }
 }
 
+/// Writes the current snapshot as JSON to `path`, if one is given, and
+/// returns the path written: `Ok(None)` when there is nothing to write,
+/// and the I/O error (naming the path) when the write fails. The one
+/// writer behind [`export_if_requested`] and the config-driven export.
+pub fn export_snapshot(path: Option<&str>) -> io::Result<Option<String>> {
+    let Some(path) = path else { return Ok(None) };
+    std::fs::write(path, snapshot().to_json().render())
+        .map_err(|e| io::Error::new(e.kind(), format!("{path}: {e}")))?;
+    Ok(Some(path.to_string()))
+}
+
 /// If tracing is enabled and `M2M_TRACE_OUT` names a file, writes the
-/// current snapshot there as JSON and returns the path. Binaries call
-/// this once before exiting.
-pub fn export_if_requested() -> Option<String> {
+/// current snapshot there (see [`export_snapshot`]). Binaries call this
+/// once before exiting.
+pub fn export_if_requested() -> io::Result<Option<String>> {
     if !enabled() {
-        return None;
+        return Ok(None);
     }
-    let path = std::env::var(TRACE_OUT_ENV).ok()?;
-    if path.is_empty() {
-        return None;
-    }
-    std::fs::write(&path, snapshot().to_json().render()).ok()?;
-    Some(path)
+    let path = std::env::var(TRACE_OUT_ENV).ok();
+    export_snapshot(path.as_deref().filter(|p| !p.is_empty()))
 }
 
 // ---------------------------------------------------------------------
@@ -511,11 +582,12 @@ macro_rules! m2m_log {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    /// Global-state tests must not interleave.
-    fn lock() -> std::sync::MutexGuard<'static, ()> {
+    /// Global-state tests (here and in [`crate::timeseries`]) must not
+    /// interleave.
+    pub(crate) fn lock() -> std::sync::MutexGuard<'static, ()> {
         static GUARD: Mutex<()> = Mutex::new(());
         GUARD.lock().unwrap_or_else(|e| e.into_inner())
     }
@@ -524,6 +596,7 @@ mod tests {
     fn disabled_facade_records_nothing() {
         let _g = lock();
         set_enabled(false);
+        timeseries::set_obs_enabled(false);
         reset();
         counter("test.disabled.counter", 5);
         observe("test.disabled.dist", 9);
@@ -559,19 +632,83 @@ mod tests {
         assert_eq!(dist.buckets.iter().sum::<u64>(), 40);
     }
 
+    /// Drops one span under the given flag bits; returns the histogram
+    /// samples and the Chrome events it left behind.
+    fn one_span(trace: bool, obs: bool) -> (u64, usize) {
+        set_enabled(trace);
+        timeseries::set_obs_enabled(obs);
+        reset();
+        timeseries::reset_span_events();
+        {
+            let _span = span(layer::PLAN_ASSEMBLE);
+            std::hint::black_box(17u64);
+        }
+        set_enabled(false);
+        timeseries::set_obs_enabled(false);
+        let samples = snapshot().dist(layer::PLAN_ASSEMBLE).map_or(0, |d| d.count);
+        (samples, timeseries::span_event_names().len())
+    }
+
+    /// Trace only: one histogram sample, no Chrome event.
     #[test]
     fn span_records_elapsed_nanoseconds() {
         let _g = lock();
+        assert_eq!(one_span(true, false), (1, 0));
+    }
+
+    #[test]
+    fn span_with_obs_only_records_one_chrome_event() {
+        let _g = lock();
+        assert_eq!(one_span(false, true), (0, 1));
+        assert_eq!(timeseries::span_event_names(), [layer::PLAN_ASSEMBLE]);
+        let trace = timeseries::chrome_trace().render();
+        assert!(trace.contains("\"traceEvents\""));
+        assert!(trace.contains("\"ph\": \"X\""));
+        timeseries::reset_span_events();
+    }
+
+    #[test]
+    fn span_with_both_on_records_both() {
+        let _g = lock();
+        assert_eq!(one_span(true, true), (1, 1));
+        timeseries::reset_span_events();
+    }
+
+    #[test]
+    fn span_with_both_off_records_nothing() {
+        let _g = lock();
+        assert_eq!(one_span(false, false), (0, 0));
+    }
+
+    #[test]
+    fn the_two_flags_are_independent_bits() {
+        let _g = lock();
         set_enabled(true);
-        reset();
-        {
-            let _span = span("test.span.ns");
-            std::hint::black_box(17u64);
-        }
-        let snap = snapshot();
+        timeseries::set_obs_enabled(false);
+        assert!(enabled() && !timeseries::obs_enabled());
         set_enabled(false);
-        let dist = snap.dist("test.span.ns").expect("span recorded");
-        assert_eq!(dist.count, 1);
+        timeseries::set_obs_enabled(true);
+        assert!(!enabled() && timeseries::obs_enabled());
+        timeseries::set_obs_enabled(false);
+        assert!(!enabled() && !timeseries::obs_enabled());
+    }
+
+    #[test]
+    fn export_reports_an_unwritable_path() {
+        let _g = lock();
+        let dir = std::env::temp_dir().join("m2m_telemetry_export_test");
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let ok = dir.join("snapshot.json");
+        let ok = ok.to_str().expect("utf-8 temp path");
+        assert_eq!(
+            export_snapshot(Some(ok)).expect("writable"),
+            Some(ok.to_string())
+        );
+        assert_eq!(export_snapshot(None).expect("nothing to write"), None);
+        let missing = dir.join("no_such_dir/snapshot.json");
+        let err = export_snapshot(missing.to_str()).expect_err("missing directory");
+        assert!(err.to_string().contains("no_such_dir"), "{err}");
+        std::fs::remove_file(ok).ok();
     }
 
     #[test]

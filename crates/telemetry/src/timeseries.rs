@@ -1,22 +1,24 @@
 //! Time-series observability primitives: dense per-node accumulator
 //! planes, a bounded ring buffer for structured per-round events, and
-//! wall-clock stage spans exported as Chrome `trace_event` JSON.
+//! the Chrome `trace_event` log the layer spans ([`crate::span`]) append
+//! to.
 //!
 //! The counter facade in the crate root answers "how much, in total";
 //! this module answers *where* and *when*: which node spent the energy,
-//! which round lost coverage, which pipeline stage took the time. It is
+//! which round lost coverage, which pipeline layer took the time. It is
 //! the substrate the session-level flight recorder
 //! (`m2m_core::obs::FlightRecorder`) and the `m2m_obs` bin read from.
 //!
 //! # The obs flag
 //!
-//! Everything here is gated by its own tri-state atomic ([`obs_enabled`],
-//! env `M2M_OBS`), mirroring the tracing flag: when off — the default —
-//! every hot-path site costs one relaxed load, and the property test
-//! `tests/obs_equivalence.rs` pins that flipping the flag never changes a
-//! result bit. The flag is separate from `M2M_TRACE` because the planes
-//! are dense per-node state, an order of magnitude heavier than the
-//! counter shards; either can be on without the other.
+//! Everything here is gated by the observability bit of the crate's
+//! flag word ([`obs_enabled`], env `M2M_OBS`), next to the tracing bit:
+//! when off — the default — every hot-path site costs one relaxed load,
+//! and the property test `tests/obs_equivalence.rs` pins that flipping
+//! the flag never changes a result bit. The bit is separate from
+//! `M2M_TRACE` because the planes are dense per-node state, an order of
+//! magnitude heavier than the counter shards; either can be on without
+//! the other.
 //!
 //! # Planes and the flush contract
 //!
@@ -30,9 +32,9 @@
 //! node id, so planes from executors with different node universes
 //! combine correctly.
 
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use crate::json::JsonValue;
 
@@ -44,44 +46,17 @@ pub const OBS_ENV: &str = "M2M_OBS";
 /// plane columns, series fields). Bump on any incompatible change.
 pub const OBS_SCHEMA_VERSION: u64 = 1;
 
-const UNINIT: u8 = 0;
-const OFF: u8 = 1;
-const ON: u8 = 2;
-
-static OBS: AtomicU8 = AtomicU8::new(UNINIT);
-
 /// True if observability collection is enabled. One relaxed atomic load
 /// and a branch on the hot path (the env read happens once).
 #[inline]
 pub fn obs_enabled() -> bool {
-    match OBS.load(Ordering::Relaxed) {
-        ON => true,
-        OFF => false,
-        _ => init_obs_from_env(),
-    }
-}
-
-#[cold]
-fn init_obs_from_env() -> bool {
-    let on = std::env::var(OBS_ENV).is_ok_and(|v| {
-        matches!(
-            v.trim().to_ascii_lowercase().as_str(),
-            "1" | "true" | "on" | "yes"
-        )
-    });
-    let _ = OBS.compare_exchange(
-        UNINIT,
-        if on { ON } else { OFF },
-        Ordering::Relaxed,
-        Ordering::Relaxed,
-    );
-    OBS.load(Ordering::Relaxed) == ON
+    crate::flags() & crate::OBS != 0
 }
 
 /// Turns observability collection on or off programmatically (overrides
 /// `M2M_OBS`).
 pub fn set_obs_enabled(on: bool) {
-    OBS.store(if on { ON } else { OFF }, Ordering::Relaxed);
+    crate::set_flag(crate::OBS, on);
 }
 
 // ---------------------------------------------------------------------
@@ -564,26 +539,15 @@ impl EventRing {
 }
 
 // ---------------------------------------------------------------------
-// Stage spans → Chrome trace_event JSON.
+// Span events → Chrome trace_event JSON.
 // ---------------------------------------------------------------------
 
-/// Stage name: routing-tree construction.
-pub const STAGE_ROUTE: &str = "route";
-/// Stage name: topology interning.
-pub const STAGE_INTERN: &str = "intern";
-/// Stage name: per-edge problem construction.
-pub const STAGE_PROBLEMS: &str = "problems";
-/// Stage name: the per-edge solve fan-out.
-pub const STAGE_SOLVE: &str = "solve";
-/// Stage name: schedule lowering.
-pub const STAGE_COMPILE: &str = "compile";
-
-/// Hard cap on retained stage-span events; later spans are counted but
-/// not stored (a runaway loop must not grow the trace without bound).
-const STAGE_EVENT_CAP: usize = 65_536;
+/// Hard cap on retained span events; later spans are counted but not
+/// stored (a runaway loop must not grow the trace without bound).
+const SPAN_EVENT_CAP: usize = 65_536;
 
 #[derive(Clone, Copy, Debug)]
-struct StageEvent {
+struct SpanEvent {
     name: &'static str,
     ts_us: u64,
     dur_us: u64,
@@ -591,17 +555,18 @@ struct StageEvent {
 }
 
 #[derive(Default)]
-struct StageLog {
-    events: Vec<StageEvent>,
+struct SpanLog {
+    events: Vec<SpanEvent>,
     dropped: u64,
 }
 
-fn stage_log() -> &'static Mutex<StageLog> {
-    static LOG: OnceLock<Mutex<StageLog>> = OnceLock::new();
-    LOG.get_or_init(|| Mutex::new(StageLog::default()))
+fn span_log() -> &'static Mutex<SpanLog> {
+    static LOG: OnceLock<Mutex<SpanLog>> = OnceLock::new();
+    LOG.get_or_init(|| Mutex::new(SpanLog::default()))
 }
 
-fn process_epoch() -> Instant {
+/// The instant span-event timestamps count from (pinned on first use).
+pub(crate) fn trace_epoch() -> Instant {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     *EPOCH.get_or_init(Instant::now)
 }
@@ -614,53 +579,29 @@ fn current_tid() -> u64 {
     TID.with(|t| *t)
 }
 
-/// A scoped stage timer from [`stage_span`]: on drop, appends one Chrome
-/// `"ph": "X"` complete event to the process-wide stage log. Inert (no
-/// clock read) when observability was disabled at creation.
-#[must_use = "a stage span records on drop; binding it to _ discards the measurement immediately"]
-pub struct StageSpan {
-    name: &'static str,
-    start: Option<Instant>,
-}
-
-/// Starts a stage span. Costs one relaxed load when observability is off.
-#[inline]
-pub fn stage_span(name: &'static str) -> StageSpan {
-    StageSpan {
+/// Appends one Chrome `"ph": "X"` complete event for a span that started
+/// at `start` and ran for `elapsed` (called by the span's drop).
+pub(crate) fn record_span_event(name: &'static str, start: Instant, elapsed: Duration) {
+    let us = |d: Duration| u64::try_from(d.as_micros()).unwrap_or(u64::MAX);
+    let event = SpanEvent {
         name,
-        start: obs_enabled().then(|| {
-            // Pin the epoch before the span's own start so ts ≥ 0.
-            process_epoch();
-            Instant::now()
-        }),
+        ts_us: us(start.duration_since(trace_epoch())),
+        dur_us: us(elapsed),
+        tid: current_tid(),
+    };
+    let mut log = span_log().lock().expect("span log poisoned");
+    if log.events.len() < SPAN_EVENT_CAP {
+        log.events.push(event);
+    } else {
+        log.dropped += 1;
     }
 }
 
-impl Drop for StageSpan {
-    fn drop(&mut self) {
-        let Some(start) = self.start else { return };
-        let dur_us = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
-        let ts_us =
-            u64::try_from(start.duration_since(process_epoch()).as_micros()).unwrap_or(u64::MAX);
-        let mut log = stage_log().lock().expect("stage log poisoned");
-        if log.events.len() < STAGE_EVENT_CAP {
-            log.events.push(StageEvent {
-                name: self.name,
-                ts_us,
-                dur_us,
-                tid: current_tid(),
-            });
-        } else {
-            log.dropped += 1;
-        }
-    }
-}
-
-/// The recorded stage spans as a Chrome `trace_event` document
+/// The recorded span events as a Chrome `trace_event` document
 /// (`{"traceEvents": [...]}` with complete `"ph": "X"` events),
 /// loadable in Perfetto or speedscope.
 pub fn chrome_trace() -> JsonValue {
-    let log = stage_log().lock().expect("stage log poisoned");
+    let log = span_log().lock().expect("span log poisoned");
     let events: Vec<JsonValue> = log
         .events
         .iter()
@@ -677,17 +618,18 @@ pub fn chrome_trace() -> JsonValue {
     JsonValue::object()
         .with("traceEvents", JsonValue::Array(events))
         .with("displayTimeUnit", "ms")
-        .with("m2m_stage_spans_dropped", log.dropped)
+        .with("m2m_spans_dropped", log.dropped)
 }
 
-/// Number of stage spans currently recorded.
-pub fn stage_span_count() -> usize {
-    stage_log().lock().expect("stage log poisoned").events.len()
+/// The names of the recorded span events, in recording order.
+pub fn span_event_names() -> Vec<&'static str> {
+    let log = span_log().lock().expect("span log poisoned");
+    log.events.iter().map(|e| e.name).collect()
 }
 
-/// Clears the recorded stage spans.
-pub fn reset_stage_spans() {
-    let mut log = stage_log().lock().expect("stage log poisoned");
+/// Clears the recorded span events.
+pub fn reset_span_events() {
+    let mut log = span_log().lock().expect("span log poisoned");
     log.events.clear();
     log.dropped = 0;
 }
@@ -696,11 +638,7 @@ pub fn reset_stage_spans() {
 mod tests {
     use super::*;
 
-    /// Obs-flag and registry tests must not interleave.
-    fn lock() -> std::sync::MutexGuard<'static, ()> {
-        static GUARD: Mutex<()> = Mutex::new(());
-        GUARD.lock().unwrap_or_else(|e| e.into_inner())
-    }
+    use crate::tests::lock;
 
     #[test]
     fn planes_record_and_report() {
@@ -806,28 +744,6 @@ mod tests {
         let json = e.to_json().render();
         assert!(json.contains("\"reroute\""));
         assert!(!json.contains("\"a\""));
-    }
-
-    #[test]
-    fn stage_spans_record_only_when_enabled() {
-        let _g = lock();
-        set_obs_enabled(false);
-        reset_stage_spans();
-        drop(stage_span(STAGE_ROUTE));
-        assert_eq!(stage_span_count(), 0);
-        set_obs_enabled(true);
-        {
-            let _s = stage_span(STAGE_SOLVE);
-            std::hint::black_box(3u64);
-        }
-        set_obs_enabled(false);
-        assert_eq!(stage_span_count(), 1);
-        let trace = chrome_trace().render();
-        assert!(trace.contains("\"traceEvents\""));
-        assert!(trace.contains("\"solve\""));
-        assert!(trace.contains("\"ph\": \"X\""));
-        reset_stage_spans();
-        assert_eq!(stage_span_count(), 0);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 
 use m2m_core::agg::{AggregateFunction, AggregateKind};
 use m2m_core::exec::{
-    run_epochs, run_epochs_slab, CompiledSchedule, ExecState, SUPPORTED_LANE_WIDTHS,
+    run_epochs_slab, CompiledSchedule, ExecState, DEFAULT_LANE_WIDTH, SUPPORTED_LANE_WIDTHS,
 };
 use m2m_core::plan::GlobalPlan;
 use m2m_core::spec::AggregationSpec;
@@ -161,19 +161,20 @@ proptest! {
             }
         }
 
-        // The compatibility shape batches at the default width.
+        // Round by round through the slab's per-round view, at the
+        // default width.
         for threads in [1usize, 2, 8] {
-            let outcomes = run_epochs(&compiled, &rounds, threads);
-            prop_assert_eq!(outcomes.len(), round_count);
-            for (r, outcome) in outcomes.iter().enumerate() {
+            let slab = run_epochs_slab(&compiled, &rounds, DEFAULT_LANE_WIDTH, threads);
+            prop_assert_eq!(slab.rounds(), round_count);
+            for r in 0..round_count {
                 prop_assert_eq!(
-                    &bits(&outcome.results),
+                    &bits(slab.round(r)),
                     &expected_bits[r * dests..(r + 1) * dests].to_vec(),
                     "round = {}, threads = {}",
                     r,
                     threads
                 );
-                prop_assert_eq!(outcome.cost, compiled.round_cost());
+                prop_assert_eq!(slab.cost(), compiled.round_cost());
             }
         }
         }

@@ -16,7 +16,7 @@
 
 use std::collections::BTreeMap;
 
-use m2m_core::exec::{run_epochs, CompiledSchedule, ExecState};
+use m2m_core::exec::{run_epochs_slab, CompiledSchedule, ExecState, DEFAULT_LANE_WIDTH};
 use m2m_core::plan::GlobalPlan;
 use m2m_core::runtime::execute_round;
 use m2m_core::workload::{generate_workload, WorkloadConfig};
@@ -87,14 +87,14 @@ proptest! {
 
         // The epoch driver must reproduce the serial outcome at any
         // worker count (deterministic in-order collection).
-        let serial = run_epochs(&compiled, &batch, 1);
-        prop_assert_eq!(serial.len(), ROUNDS);
-        for (round, outcome) in serial.iter().enumerate() {
-            prop_assert_eq!(&outcome.results, &expected[round], "round = {}", round);
-            prop_assert_eq!(outcome.cost, compiled.round_cost());
+        let serial = run_epochs_slab(&compiled, &batch, DEFAULT_LANE_WIDTH, 1);
+        prop_assert_eq!(serial.rounds(), ROUNDS);
+        for (round, want) in expected.iter().enumerate() {
+            prop_assert_eq!(serial.round(round), want.as_slice(), "round = {}", round);
+            prop_assert_eq!(serial.cost(), compiled.round_cost());
         }
         for threads in [2usize, 8] {
-            let parallel = run_epochs(&compiled, &batch, threads);
+            let parallel = run_epochs_slab(&compiled, &batch, DEFAULT_LANE_WIDTH, threads);
             prop_assert_eq!(&parallel, &serial, "threads = {}", threads);
         }
     }

@@ -15,8 +15,9 @@
 //! enabled/disabled comparison lives inside each proptest case instead.
 
 use m2m_core::config::{Config, Runtime};
-use m2m_core::exec::{run_epochs, EpochOutcome};
+use m2m_core::exec::{run_epochs_slab, DEFAULT_LANE_WIDTH};
 use m2m_core::faults::FaultOutcome;
+use m2m_core::metrics::RoundCost;
 use m2m_core::session::Session;
 use m2m_core::telemetry::timeseries;
 use m2m_core::workload::{generate_workload, WorkloadConfig};
@@ -41,7 +42,7 @@ fn full_pass(
     loss_p: f64,
     value_salt: u64,
     obs: bool,
-) -> (Vec<FaultOutcome>, Vec<EpochOutcome>) {
+) -> (Vec<FaultOutcome>, (Vec<u64>, RoundCost)) {
     // Session::build applies the config, which installs the obs flag.
     let config = Config::builder().obs(obs).obs_cap(64).build();
     let mut session = Session::builder(net.clone(), spec.clone())
@@ -89,10 +90,16 @@ fn full_pass(
         );
     }
 
-    let epochs = run_epochs(
+    // The reliable-path epochs: every round's result bits and the cost.
+    let slab = run_epochs_slab(
         session.compiled(),
         &batch,
+        DEFAULT_LANE_WIDTH,
         session.config().resolved_threads(),
+    );
+    let epochs = (
+        slab.results().iter().map(|x| x.to_bits()).collect(),
+        slab.cost(),
     );
 
     if obs {

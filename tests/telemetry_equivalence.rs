@@ -14,7 +14,8 @@
 
 use std::collections::BTreeMap;
 
-use m2m_core::exec::{run_epochs, CompiledSchedule, EpochOutcome, ExecState};
+use m2m_core::exec::{run_epochs_slab, CompiledSchedule, ExecState, DEFAULT_LANE_WIDTH};
+use m2m_core::metrics::RoundCost;
 use m2m_core::plan::GlobalPlan;
 use m2m_core::telemetry;
 use m2m_core::workload::{generate_workload, WorkloadConfig};
@@ -36,7 +37,7 @@ fn full_pass(
     routing: &RoutingTables,
     value_salt: u64,
     traced: bool,
-) -> (Vec<GlobalPlan>, Vec<Vec<EpochOutcome>>) {
+) -> (Vec<GlobalPlan>, Vec<(Vec<u64>, RoundCost)>) {
     telemetry::set_enabled(traced);
     let plans: Vec<GlobalPlan> = [1usize, 2, 8]
         .iter()
@@ -57,9 +58,14 @@ fn full_pass(
             state.readings_mut().to_vec()
         })
         .collect();
-    let outcomes: Vec<Vec<EpochOutcome>> = [1usize, 2, 8]
+    // Per thread count: every round's result bits and the round cost.
+    let outcomes = [1usize, 2, 8]
         .iter()
-        .map(|&threads| run_epochs(&compiled, &batch, threads))
+        .map(|&threads| {
+            let slab = run_epochs_slab(&compiled, &batch, DEFAULT_LANE_WIDTH, threads);
+            let bits = slab.results().iter().map(|x| x.to_bits()).collect();
+            (bits, slab.cost())
+        })
         .collect();
     telemetry::set_enabled(false);
     (plans, outcomes)
@@ -106,7 +112,7 @@ proptest! {
 
         // The guarantee: bit-identical plans at every thread count,
         // bit-identical results and identical costs at every thread
-        // count. EpochOutcome equality covers exact f64 bits.
+        // count. The results compare as exact f64 bits.
         for (off, on) in plans_off.iter().zip(&plans_on) {
             prop_assert_eq!(off.solutions(), on.solutions());
         }
