@@ -14,6 +14,14 @@
 //! wait-for relation would contain a cycle. "For all our experiments …
 //! this algorithm is able to merge all messages along each edge into one"
 //! — reproduced by the `messages-per-edge` statistics in the benches.
+//!
+//! The merge is near-linear. One topological sort of the graph with every
+//! edge fully merged decides the common case, where the greedy answer is
+//! one message per edge. Only when that graph is cyclic does the greedy
+//! per-edge loop run, over a contracted unit graph whose cycle checks are
+//! searches bounded by a dynamic topological order (Pearce & Kelly). Both
+//! paths make the decisions of the original quadratic loop, which the
+//! tests keep as an oracle.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -353,7 +361,342 @@ pub fn build_schedule(spec: &AggregationSpec, plan: &GlobalPlan) -> Result<Sched
 
 /// Greedily merges units into messages without creating wait-for cycles
 /// at the message level.
+///
+/// The greedy rule: edges in ascending order; on each edge, first try all
+/// of its units as one message; if that closes a cycle, add the units one
+/// at a time in index order, each joining the edge's first message (by
+/// lowest unit) that it can join without closing a cycle, or else
+/// starting a new one. Messages come out ordered by their lowest unit.
+///
+/// No wait-for arc joins two units of one edge (an arc joins consecutive
+/// hops of one path), so every state the loop passes through refines the
+/// state with every edge fully merged, and a cycle in a refinement maps
+/// onto a cycle of that full merge. So when the full merge is acyclic,
+/// which one O(units + arcs) sort decides, every step of the loop
+/// succeeds and the answer is one message per edge. Otherwise the loop
+/// runs ([`merge_greedy`]).
 fn merge_messages(units: &[Unit], unit_arcs: &[(usize, usize)]) -> Vec<Message> {
+    debug_assert!(
+        unit_arcs
+            .iter()
+            .all(|&(u, v)| units[u].edge != units[v].edge),
+        "a wait-for arc joins two units of one edge"
+    );
+    let edges = EdgeUnits::new(units);
+    let edge_arcs = edges.merged_arcs(unit_arcs);
+    if topological_order(edges.len(), &edge_arcs).is_some() {
+        let mut messages: Vec<Message> = edges
+            .iter()
+            .map(|edge_units| Message {
+                edge: units[edge_units[0]].edge,
+                units: edge_units.to_vec(),
+            })
+            .collect();
+        messages.sort_by_key(|m| m.units[0]);
+        return messages;
+    }
+    crate::telemetry::counter(crate::telemetry::names::SCHEDULE_MERGE_FALLBACKS, 1);
+    merge_greedy(&edges, units, unit_arcs)
+}
+
+/// Unit indices grouped by edge: edges ascending, units ascending within
+/// an edge.
+struct EdgeUnits {
+    /// Unit indices sorted by `(edge, index)`.
+    units: Vec<usize>,
+    /// `units[start[e]..start[e + 1]]` are edge `e`'s units.
+    start: Vec<usize>,
+    /// The edge (group) of each unit.
+    edge_of: Vec<usize>,
+}
+
+impl EdgeUnits {
+    fn new(units: &[Unit]) -> Self {
+        let mut order: Vec<usize> = (0..units.len()).collect();
+        // Stable, and linear on the already edge-ordered units that
+        // `build_schedule` enumerates.
+        order.sort_by_key(|&u| units[u].edge);
+        let mut start = vec![0];
+        let mut edge_of = vec![0; units.len()];
+        for (i, &u) in order.iter().enumerate() {
+            if i > 0 && units[u].edge != units[order[i - 1]].edge {
+                start.push(i);
+            }
+            edge_of[u] = start.len() - 1;
+        }
+        if !order.is_empty() {
+            start.push(order.len());
+        }
+        EdgeUnits {
+            units: order,
+            start,
+            edge_of,
+        }
+    }
+
+    /// Number of edges.
+    fn len(&self) -> usize {
+        self.start.len() - 1
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &[usize]> + '_ {
+        self.start.windows(2).map(|w| &self.units[w[0]..w[1]])
+    }
+
+    /// The wait-for arcs between edges with every edge fully merged.
+    fn merged_arcs(&self, unit_arcs: &[(usize, usize)]) -> Vec<(usize, usize)> {
+        unit_arcs
+            .iter()
+            .map(|&(u, v)| (self.edge_of[u], self.edge_of[v]))
+            .filter(|&(a, b)| a != b)
+            .collect()
+    }
+}
+
+/// The greedy per-edge loop, for wait-for graphs whose full merge is
+/// cyclic.
+fn merge_greedy(edges: &EdgeUnits, units: &[Unit], unit_arcs: &[(usize, usize)]) -> Vec<Message> {
+    let mut graph = ContractedGraph::new(units.len(), unit_arcs);
+    let mut open: Vec<usize> = Vec::new();
+    for edge_units in edges.iter() {
+        if edge_units.len() < 2 || graph.try_merge(edge_units) {
+            continue;
+        }
+        // `open` holds one unit of each of this edge's messages, in
+        // creation order; the units not yet placed are still singletons.
+        open.clear();
+        open.push(edge_units[0]);
+        for &u in &edge_units[1..] {
+            let joined = open.iter().any(|&m| {
+                let m = graph.find(m);
+                graph.try_merge(&[m, u])
+            });
+            if !joined {
+                open.push(u);
+            }
+        }
+    }
+    // Freeze: messages in order of their lowest unit.
+    let mut message_of_root = vec![usize::MAX; units.len()];
+    let mut messages: Vec<Message> = Vec::new();
+    for (u, unit) in units.iter().enumerate() {
+        let root = graph.find(u);
+        if message_of_root[root] == usize::MAX {
+            message_of_root[root] = messages.len();
+            messages.push(Message {
+                edge: unit.edge,
+                units: Vec::new(),
+            });
+        }
+        messages[message_of_root[root]].units.push(u);
+    }
+    messages
+}
+
+const NIL: usize = usize::MAX;
+
+/// The unit wait-for graph with merged messages contracted in place.
+///
+/// A union-find over units names each message by a root unit. Each
+/// arc sits in its tail's out-list and its head's in-list (intrusive
+/// linked lists), and a merge splices the merged messages' lists, so no
+/// assignment is relabelled. `ord` is a topological order of the roots,
+/// kept up to date across merges by Pearce & Kelly's dynamic
+/// topological order: a merge only searches, and only reorders, the
+/// messages whose positions lie between those of the messages it joins.
+struct ContractedGraph {
+    parent: Vec<usize>,
+    size: Vec<usize>,
+    ord: Vec<usize>,
+    tail: Vec<usize>,
+    head: Vec<usize>,
+    next_out: Vec<usize>,
+    next_in: Vec<usize>,
+    /// `(first, last)` arc of each root's out-list and in-list.
+    out_list: Vec<(usize, usize)>,
+    in_list: Vec<(usize, usize)>,
+    /// Per-search stamps: `member` marks the messages being joined,
+    /// `seen` the messages a search has reached.
+    member: Vec<u32>,
+    seen: Vec<u32>,
+    stamp: u32,
+    stack: Vec<usize>,
+    forward: Vec<usize>,
+    backward: Vec<usize>,
+    pool: Vec<usize>,
+}
+
+impl ContractedGraph {
+    fn new(n: usize, arcs: &[(usize, usize)]) -> Self {
+        let order =
+            topological_order(n, arcs).expect("the unit wait-for graph is acyclic (Theorem 2)");
+        let mut ord = vec![0; n];
+        for (pos, &u) in order.iter().enumerate() {
+            ord[u] = pos;
+        }
+        let mut g = ContractedGraph {
+            parent: (0..n).collect(),
+            size: vec![1; n],
+            ord,
+            tail: Vec::with_capacity(arcs.len()),
+            head: Vec::with_capacity(arcs.len()),
+            next_out: vec![NIL; arcs.len()],
+            next_in: vec![NIL; arcs.len()],
+            out_list: vec![(NIL, NIL); n],
+            in_list: vec![(NIL, NIL); n],
+            member: vec![0; n],
+            seen: vec![0; n],
+            stamp: 0,
+            stack: Vec::new(),
+            forward: Vec::new(),
+            backward: Vec::new(),
+            pool: Vec::new(),
+        };
+        for (a, &(u, v)) in arcs.iter().enumerate() {
+            g.tail.push(u);
+            g.head.push(v);
+            append(&mut g.out_list[u], &mut g.next_out, a);
+            append(&mut g.in_list[v], &mut g.next_in, a);
+        }
+        g
+    }
+
+    /// The root of `u`'s message (path halving).
+    fn find(&mut self, mut u: usize) -> usize {
+        while self.parent[u] != u {
+            self.parent[u] = self.parent[self.parent[u]];
+            u = self.parent[u];
+        }
+        u
+    }
+
+    /// Merges the messages rooted at `roots` (distinct, all on one edge)
+    /// into one, unless that closes a cycle; returns whether it merged.
+    ///
+    /// With `lo` and `hi` the lowest and highest position among `roots`,
+    /// the merge closes a cycle exactly when one root reaches another,
+    /// and every message on such a path lies at a position up to `hi`.
+    /// Otherwise the messages that reach a root from above `lo` move just
+    /// below the merged message, and those a root reaches below `hi` just
+    /// above it, inside the positions the affected messages held.
+    fn try_merge(&mut self, roots: &[usize]) -> bool {
+        self.stamp += 1;
+        let stamp = self.stamp;
+        let (mut lo, mut hi) = (usize::MAX, 0);
+        for &r in roots {
+            self.member[r] = stamp;
+            lo = lo.min(self.ord[r]);
+            hi = hi.max(self.ord[r]);
+        }
+        self.forward.clear();
+        self.stack.clear();
+        self.stack.extend_from_slice(roots);
+        while let Some(x) = self.stack.pop() {
+            let mut a = self.out_list[x].0;
+            while a != NIL {
+                let t = self.find(self.head[a]);
+                a = self.next_out[a];
+                if self.member[t] == stamp {
+                    return false;
+                }
+                if self.ord[t] > hi || self.seen[t] == stamp {
+                    continue;
+                }
+                self.seen[t] = stamp;
+                self.forward.push(t);
+                self.stack.push(t);
+            }
+        }
+        self.backward.clear();
+        self.stack.extend_from_slice(roots);
+        while let Some(x) = self.stack.pop() {
+            let mut a = self.in_list[x].0;
+            while a != NIL {
+                let t = self.find(self.tail[a]);
+                a = self.next_in[a];
+                if self.member[t] == stamp || self.ord[t] < lo || self.seen[t] == stamp {
+                    continue;
+                }
+                self.seen[t] = stamp;
+                self.backward.push(t);
+                self.stack.push(t);
+            }
+        }
+        // Reorder inside the pool of affected positions: predecessors
+        // lowest, then the merged message, successors highest.
+        let ord = &mut self.ord;
+        self.pool.clear();
+        self.pool.extend(
+            self.backward
+                .iter()
+                .chain(roots)
+                .chain(&self.forward)
+                .map(|&v| ord[v]),
+        );
+        self.pool.sort_unstable();
+        self.backward.sort_unstable_by_key(|&v| ord[v]);
+        self.forward.sort_unstable_by_key(|&v| ord[v]);
+        for (&v, &pos) in self.backward.iter().zip(&self.pool) {
+            ord[v] = pos;
+        }
+        let merged_pos = self.pool[self.backward.len()];
+        let top = self.pool.len() - self.forward.len();
+        for (&v, &pos) in self.forward.iter().zip(&self.pool[top..]) {
+            ord[v] = pos;
+        }
+        let mut root = roots[0];
+        for &r in &roots[1..] {
+            root = self.union(root, r);
+        }
+        self.ord[root] = merged_pos;
+        true
+    }
+
+    /// Joins two roots (the smaller message under the larger), splicing
+    /// their arc lists; returns the new root.
+    fn union(&mut self, a: usize, b: usize) -> usize {
+        let (root, child) = if self.size[a] >= self.size[b] {
+            (a, b)
+        } else {
+            (b, a)
+        };
+        self.parent[child] = root;
+        self.size[root] += self.size[child];
+        splice(&mut self.out_list, &mut self.next_out, root, child);
+        splice(&mut self.in_list, &mut self.next_in, root, child);
+        root
+    }
+}
+
+/// Appends arc `a` to the list `(first, last)`.
+fn append(list: &mut (usize, usize), next: &mut [usize], a: usize) {
+    if list.1 == NIL {
+        list.0 = a;
+    } else {
+        next[list.1] = a;
+    }
+    list.1 = a;
+}
+
+/// Moves `child`'s list onto the end of `root`'s.
+fn splice(lists: &mut [(usize, usize)], next: &mut [usize], root: usize, child: usize) {
+    let (first, last) = std::mem::replace(&mut lists[child], (NIL, NIL));
+    if first == NIL {
+        return;
+    }
+    if lists[root].1 == NIL {
+        lists[root].0 = first;
+    } else {
+        next[lists[root].1] = first;
+    }
+    lists[root].1 = last;
+}
+
+/// The greedy merge by definition: per edge, clone the assignment and
+/// sort the whole unit graph for each candidate merge. The oracle the
+/// one-shot and contracted merges are tested against.
+#[cfg(test)]
+fn merge_messages_oracle(units: &[Unit], unit_arcs: &[(usize, usize)]) -> Vec<Message> {
     // Partition assignment: unit -> message id. Start with singletons.
     let mut assignment: Vec<usize> = (0..units.len()).collect();
     let mut message_count = units.len();
@@ -433,11 +776,89 @@ fn merge_messages(units: &[Unit], unit_arcs: &[(usize, usize)]) -> Vec<Message> 
         .collect()
 }
 
+/// A synthetic unit graph for merge and slot tests: units on edges drawn
+/// from `edge_pool`, interleaved in index order, and wait-for arcs that
+/// run forward in a random ranking of the units, never between two units
+/// of one edge, each kept with probability `density`. Arcs come sorted
+/// and unique, as [`build_schedule`] produces them.
+#[cfg(test)]
+pub(crate) fn synthetic_units(
+    seed: u64,
+    edge_pool: &[DirectedEdge],
+    max_units_per_edge: usize,
+    density: f64,
+) -> (Vec<Unit>, Vec<(usize, usize)>) {
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::{RngExt, SeedableRng};
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut units = Vec::new();
+    for &edge in edge_pool {
+        for _ in 0..rng.random_range(1..=max_units_per_edge) {
+            units.push(Unit {
+                edge,
+                content: UnitContent::Raw(edge.0),
+                size_bytes: RAW_VALUE_BYTES,
+            });
+        }
+    }
+    units.shuffle(&mut rng);
+    let mut rank: Vec<usize> = (0..units.len()).collect();
+    rank.shuffle(&mut rng);
+    let mut arcs = Vec::new();
+    for u in 0..units.len() {
+        for v in 0..units.len() {
+            if rank[u] < rank[v]
+                && units[u].edge != units[v].edge
+                && rng.random_range(0.0..1.0) < density
+            {
+                arcs.push((u, v));
+            }
+        }
+    }
+    (units, arcs)
+}
+
+/// A schedule over [`synthetic_units`], merged by [`merge_messages`],
+/// for slot tests; it carries no contributions or destination inputs.
+#[cfg(test)]
+pub(crate) fn synthetic_schedule(
+    seed: u64,
+    edge_pool: &[DirectedEdge],
+    max_units_per_edge: usize,
+    density: f64,
+) -> Schedule {
+    let (units, unit_arcs) = synthetic_units(seed, edge_pool, max_units_per_edge, density);
+    let topo_order = topological_order(units.len(), &unit_arcs).expect("ranked arcs are acyclic");
+    let messages = merge_messages(&units, &unit_arcs);
+    let mut per_edge_messages: BTreeMap<DirectedEdge, usize> = BTreeMap::new();
+    for m in &messages {
+        *per_edge_messages.entry(m.edge).or_insert(0) += 1;
+    }
+    Schedule {
+        contributions: vec![Vec::new(); units.len()],
+        units,
+        unit_arcs,
+        destination_inputs: BTreeMap::new(),
+        topo_order,
+        messages,
+        per_edge_messages,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::agg::AggregateFunction;
+    use crate::workload::{generate_workload, SourceSelection, WorkloadConfig};
     use m2m_netsim::{Deployment, Network, RoutingMode, RoutingTables};
+    use proptest::prelude::*;
+
+    const MODES: [RoutingMode; 3] = [
+        RoutingMode::ShortestPathTrees,
+        RoutingMode::SharedSpanningTree,
+        RoutingMode::SteinerTrees,
+    ];
 
     fn build(
         spec: &AggregationSpec,
@@ -632,6 +1053,7 @@ mod tests {
             m2m_graph::cycle::topological_order(messages.len(), &msg_arcs).is_some(),
             "merged message graph must be acyclic"
         );
+        assert_eq!(messages, merge_messages_oracle(&units, &arcs));
     }
 
     #[test]
@@ -651,5 +1073,145 @@ mod tests {
                 }
             }
         }
+    }
+    fn full_merge_is_acyclic(units: &[Unit], arcs: &[(usize, usize)]) -> bool {
+        let edges = EdgeUnits::new(units);
+        topological_order(edges.len(), &edges.merged_arcs(arcs)).is_some()
+    }
+
+    /// `edges` edges `(e, e + 1)`, ascending.
+    fn edge_chain(edges: u32) -> Vec<DirectedEdge> {
+        (0..edges).map(|e| (NodeId(e), NodeId(e + 1))).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// On random unit graphs, most of whose full merges are cyclic,
+        /// the one-shot and contracted merges choose the oracle's exact
+        /// partition.
+        #[test]
+        fn merge_matches_the_oracle_on_synthetic_graphs(
+            seed in 0u64..1_000_000,
+            edges in 2u32..7,
+            max_units in 1usize..6,
+            density in 0.02f64..0.5,
+        ) {
+            let (units, arcs) = synthetic_units(seed, &edge_chain(edges), max_units, density);
+            prop_assert_eq!(
+                merge_messages(&units, &arcs),
+                merge_messages_oracle(&units, &arcs)
+            );
+        }
+
+        /// Real plans in every routing mode: the same messages as the
+        /// oracle, whichever path the merge takes.
+        #[test]
+        fn merge_matches_the_oracle_on_real_plans(
+            place_seed in 0u64..10_000,
+            wl_seed in 0u64..10_000,
+            destinations in 4usize..16,
+            uniform in 0u32..2,
+        ) {
+            let net = Network::with_default_energy(Deployment::great_duck_island(place_seed));
+            let mut cfg = WorkloadConfig::paper_default(destinations, 10, wl_seed);
+            if uniform == 1 {
+                cfg.selection = SourceSelection::Uniform;
+            }
+            let spec = generate_workload(&net, &cfg);
+            for mode in MODES {
+                let routing = RoutingTables::build(&net, &spec.source_to_destinations(), mode);
+                let plan = GlobalPlan::build(&net, &spec, &routing);
+                let schedule = build_schedule(&spec, &plan).expect("schedulable");
+                prop_assert_eq!(
+                    &schedule.messages,
+                    &merge_messages_oracle(&schedule.units, &schedule.unit_arcs)
+                );
+            }
+        }
+    }
+
+    /// The synthetic cases exercise both paths: some full merges are
+    /// acyclic and take the one-shot answer, others need the greedy loop,
+    /// and in some of those the loop splits an edge. All match the
+    /// oracle.
+    #[test]
+    fn synthetic_graphs_reach_both_merge_paths() {
+        let (mut one_shot, mut fallback, mut split) = (0, 0, 0);
+        for seed in 0..400u64 {
+            let edges = 2 + (seed % 5) as u32;
+            let density = [0.02, 0.08, 0.2, 0.4][(seed % 4) as usize];
+            let (units, arcs) = synthetic_units(seed, &edge_chain(edges), 5, density);
+            let merged = merge_messages(&units, &arcs);
+            assert_eq!(merged, merge_messages_oracle(&units, &arcs), "seed {seed}");
+            if full_merge_is_acyclic(&units, &arcs) {
+                one_shot += 1;
+            } else {
+                fallback += 1;
+                if merged.len() > edges as usize {
+                    split += 1;
+                }
+            }
+        }
+        assert!(one_shot >= 40, "{one_shot} one-shot cases");
+        assert!(fallback >= 40, "{fallback} fallback cases");
+        assert!(split >= 20, "{split} fallback cases split an edge");
+    }
+
+    /// Steiner trees over a uniform 100-node workload: the full merge is
+    /// cyclic, and the greedy loop splits edges, exactly as the oracle.
+    #[test]
+    fn real_plans_that_need_the_fallback_match_the_oracle() {
+        for seed in 0..2u64 {
+            let net =
+                Network::with_default_energy(Deployment::scaled_series(&[100], seed).remove(0));
+            let cfg = WorkloadConfig {
+                selection: SourceSelection::Uniform,
+                ..WorkloadConfig::paper_default(20, 20, seed)
+            };
+            let spec = generate_workload(&net, &cfg);
+            let routing = RoutingTables::build(
+                &net,
+                &spec.source_to_destinations(),
+                RoutingMode::SteinerTrees,
+            );
+            let plan = GlobalPlan::build(&net, &spec, &routing);
+            let schedule = build_schedule(&spec, &plan).expect("schedulable");
+            let (units, arcs) = (&schedule.units, &schedule.unit_arcs);
+            assert!(!full_merge_is_acyclic(units, arcs));
+            assert!(schedule.max_messages_on_any_edge() > 1);
+            assert_eq!(schedule.messages, merge_messages_oracle(units, arcs));
+        }
+    }
+
+    #[test]
+    fn an_acyclic_full_merge_is_one_message_per_edge() {
+        // u0(A) → u1(B) and u2(A) → u3(B): merging each edge whole leaves
+        // the single arc A → B.
+        let edge_a = (NodeId(0), NodeId(1));
+        let edge_b = (NodeId(1), NodeId(2));
+        let mk = |edge| Unit {
+            edge,
+            content: UnitContent::Raw(NodeId(9)),
+            size_bytes: 4,
+        };
+        let units = vec![mk(edge_a), mk(edge_b), mk(edge_a), mk(edge_b)];
+        let arcs = vec![(0usize, 1usize), (2, 3)];
+        assert!(full_merge_is_acyclic(&units, &arcs));
+        let messages = merge_messages(&units, &arcs);
+        assert_eq!(
+            messages,
+            vec![
+                Message {
+                    edge: edge_a,
+                    units: vec![0, 2]
+                },
+                Message {
+                    edge: edge_b,
+                    units: vec![1, 3]
+                },
+            ]
+        );
+        assert_eq!(messages, merge_messages_oracle(&units, &arcs));
     }
 }

@@ -462,6 +462,10 @@ impl PlanService {
     /// re-validated against its spec and routing before the tenant
     /// session is built.
     ///
+    /// Declared counts never size an allocation beyond the input that
+    /// remains, and node ids at or above the network's node count are
+    /// rejected, not truncated.
+    ///
     /// # Errors
     /// Returns a message naming the first malformed line, a network
     /// mismatch, or a plan slab that fails validation.
@@ -471,7 +475,8 @@ impl PlanService {
         text: &str,
     ) -> Result<PlanService, String> {
         let mut service = PlanService::with_config(network, config);
-        let mut lines = text.lines();
+        // Collected so the count of lines left bounds declared counts.
+        let mut lines = text.lines().collect::<Vec<_>>().into_iter();
         if lines.next() != Some(CHECKPOINT_HEADER) {
             return Err(format!("checkpoint must start with '{CHECKPOINT_HEADER}'"));
         }
@@ -496,25 +501,28 @@ impl PlanService {
             let mut spec = AggregationSpec::new();
             for _ in 0..function_count {
                 let line = lines.next().ok_or("truncated checkpoint: function")?;
-                let mut tok = line.split_whitespace();
-                expect_tok(&mut tok, "function")?;
-                let dest = NodeId(next_num(&mut tok, "function destination")? as u32);
-                let kind_str = tok.next().ok_or("function missing kind")?;
+                let mut fields = Fields::new(line);
+                fields.expect("function")?;
+                let dest = fields.node("function destination", nodes)?;
+                let kind_str = fields.next().ok_or("function missing kind")?;
                 let kind = kind_parse(kind_str).ok_or(format!("unknown kind '{kind_str}'"))?;
-                let n = next_num(&mut tok, "function source count")? as usize;
-                let mut weights = Vec::with_capacity(n);
+                let n = fields.num("function source count")?;
+                if n == 0 {
+                    return Err(format!("function without sources in '{line}'"));
+                }
+                let mut weights = Vec::with_capacity(fields.capacity(n, 2));
                 for _ in 0..n {
-                    let s = NodeId(next_num(&mut tok, "function source")? as u32);
-                    let bits = next_num(&mut tok, "function weight bits")?;
+                    let s = fields.node("function source", nodes)?;
+                    let bits = fields.num("function weight bits")?;
                     weights.push((s, f64::from_bits(bits)));
                 }
                 spec.add_function(dest, AggregateFunction::new(kind, weights));
             }
             let solution_count: usize = parse_kv(lines.next(), "solutions")?;
-            let mut solutions = Vec::with_capacity(solution_count);
+            let mut solutions = Vec::with_capacity(solution_count.min(lines.len()));
             for _ in 0..solution_count {
                 let line = lines.next().ok_or("truncated checkpoint: solution")?;
-                solutions.push(parse_solution(line)?);
+                solutions.push(parse_solution(line, nodes)?);
             }
             let end = lines.next();
             if end != Some("end") {
@@ -639,45 +647,85 @@ fn parse_kv<T: std::str::FromStr>(line: Option<&str>, keyword: &str) -> Result<T
         .map_err(|_| format!("malformed value in '{line}'"))
 }
 
-fn expect_tok(tok: &mut std::str::SplitWhitespace<'_>, want: &str) -> Result<(), String> {
-    match tok.next() {
-        Some(t) if t == want => Ok(()),
-        other => Err(format!("expected '{want}', got {other:?}")),
+/// The whitespace-separated fields of one checkpoint line, kept with the
+/// line for error messages.
+struct Fields<'a> {
+    line: &'a str,
+    toks: std::vec::IntoIter<&'a str>,
+}
+
+impl<'a> Fields<'a> {
+    fn new(line: &'a str) -> Self {
+        Fields {
+            line,
+            toks: line.split_whitespace().collect::<Vec<_>>().into_iter(),
+        }
+    }
+
+    fn next(&mut self) -> Option<&'a str> {
+        self.toks.next()
+    }
+
+    fn expect(&mut self, want: &str) -> Result<(), String> {
+        match self.next() {
+            Some(t) if t == want => Ok(()),
+            other => Err(format!("expected '{want}', got {other:?}")),
+        }
+    }
+
+    fn num(&mut self, what: &str) -> Result<u64, String> {
+        self.next()
+            .ok_or(format!("missing {what} in '{}'", self.line))?
+            .parse()
+            .map_err(|_| format!("malformed {what} in '{}'", self.line))
+    }
+
+    /// A node id, rejected unless below `nodes`.
+    fn node(&mut self, what: &str, nodes: usize) -> Result<NodeId, String> {
+        let v = self.num(what)?;
+        if v >= nodes as u64 {
+            return Err(format!(
+                "{what} {v} out of range for a {nodes}-node network in '{}'",
+                self.line
+            ));
+        }
+        Ok(NodeId(v as u32))
+    }
+
+    /// A capacity for `declared` items of `width` fields each: no more
+    /// than the fields left on the line can hold.
+    fn capacity(&self, declared: u64, width: usize) -> usize {
+        usize::try_from(declared)
+            .unwrap_or(usize::MAX)
+            .min(self.toks.len() / width)
     }
 }
 
-fn next_num(tok: &mut std::str::SplitWhitespace<'_>, what: &str) -> Result<u64, String> {
-    tok.next()
-        .ok_or(format!("missing {what}"))?
-        .parse()
-        .map_err(|_| format!("malformed {what}"))
-}
-
-fn parse_solution(line: &str) -> Result<EdgeSolution, String> {
-    let mut tok = line.split_whitespace();
-    expect_tok(&mut tok, "solution")?;
-    let from = NodeId(next_num(&mut tok, "solution edge tail")? as u32);
-    let to = NodeId(next_num(&mut tok, "solution edge head")? as u32);
-    let nraw = next_num(&mut tok, "raw count")? as usize;
-    let mut raw = Vec::with_capacity(nraw);
+fn parse_solution(line: &str, nodes: usize) -> Result<EdgeSolution, String> {
+    let mut fields = Fields::new(line);
+    fields.expect("solution")?;
+    let from = fields.node("solution edge tail", nodes)?;
+    let to = fields.node("solution edge head", nodes)?;
+    let nraw = fields.num("raw count")?;
+    let mut raw = Vec::with_capacity(fields.capacity(nraw, 1));
     for _ in 0..nraw {
-        raw.push(NodeId(next_num(&mut tok, "raw source")? as u32));
+        raw.push(fields.node("raw source", nodes)?);
     }
-    let nagg = next_num(&mut tok, "agg count")? as usize;
-    let mut agg = Vec::with_capacity(nagg);
+    let nagg = fields.num("agg count")?;
+    let mut agg = Vec::with_capacity(fields.capacity(nagg, 2));
     for _ in 0..nagg {
-        let destination = NodeId(next_num(&mut tok, "agg destination")? as u32);
-        let suffix_len = next_num(&mut tok, "suffix length")? as usize;
-        let mut suffix = Vec::with_capacity(suffix_len);
+        let destination = fields.node("agg destination", nodes)?;
+        let suffix_len = fields.num("suffix length")?;
+        let mut suffix = Vec::with_capacity(fields.capacity(suffix_len, 1));
         for _ in 0..suffix_len {
-            suffix.push(NodeId(next_num(&mut tok, "suffix node")? as u32));
+            suffix.push(fields.node("suffix node", nodes)?);
         }
         agg.push(AggGroup {
             destination,
             suffix: suffix.into(),
         });
     }
-    let cost_bytes = next_num(&mut tok, "cost bytes")?;
+    let cost_bytes = fields.num("cost bytes")?;
     Ok(EdgeSolution {
         edge: (from, to),
         raw,
@@ -842,5 +890,74 @@ mod tests {
         let other = Network::with_default_energy(Deployment::grid(4, 4, 10.0, 12.0));
         let err = PlanService::restore(other, Config::default(), &text).unwrap_err();
         assert!(err.contains("network"), "{err}");
+    }
+
+    /// A one-tenant checkpoint whose function reads sources 1, 7 and 13,
+    /// with `edit` applied to its lines.
+    fn edited_checkpoint(edit: impl Fn(&mut Vec<String>)) -> Result<PlanService, String> {
+        let net = Arc::new(network());
+        let mut svc = PlanService::new(Arc::clone(&net));
+        let mut spec = AggregationSpec::new();
+        spec.add_function(
+            NodeId(12),
+            AggregateFunction::weighted_sum([
+                (NodeId(1), 1.0),
+                (NodeId(7), 0.5),
+                (NodeId(13), 2.0),
+            ]),
+        );
+        svc.admit(spec);
+        let mut lines: Vec<String> = svc.checkpoint().lines().map(String::from).collect();
+        edit(&mut lines);
+        PlanService::restore(net, Config::default(), &lines.join("\n"))
+    }
+
+    fn line_starting<'a>(lines: &'a mut [String], prefix: &str) -> &'a mut String {
+        lines
+            .iter_mut()
+            .find(|l| l.starts_with(prefix))
+            .expect("checkpoint has the line")
+    }
+
+    #[test]
+    fn restore_accepts_the_unedited_checkpoint() {
+        assert!(edited_checkpoint(|_| {}).is_ok());
+    }
+
+    #[test]
+    fn restore_rejects_a_solution_count_beyond_the_input() {
+        let err = edited_checkpoint(|lines| {
+            *line_starting(lines, "solutions ") = "solutions 1152921504606846975".to_string();
+        })
+        .unwrap_err();
+        assert!(err.contains("solution"), "{err}");
+    }
+
+    #[test]
+    fn restore_rejects_an_out_of_range_destination() {
+        let err = edited_checkpoint(|lines| {
+            let line = line_starting(lines, "function ");
+            *line = line.replacen("function 12 ", "function 999 ", 1);
+        })
+        .unwrap_err();
+        assert!(err.contains("function destination 999"), "{err}");
+        assert!(
+            err.contains("'function 999 "),
+            "the error names the line: {err}"
+        );
+    }
+
+    #[test]
+    fn restore_rejects_a_source_id_that_would_truncate() {
+        // 4294967297 = 2^32 + 1, which `as u32` would read as node 1.
+        let err = edited_checkpoint(|lines| {
+            let line = line_starting(lines, "function ");
+            let mut toks: Vec<&str> = line.split_whitespace().collect();
+            assert_eq!(toks[4], "1", "the first source is node 1");
+            toks[4] = "4294967297";
+            *line = toks.join(" ");
+        })
+        .unwrap_err();
+        assert!(err.contains("function source 4294967297"), "{err}");
     }
 }

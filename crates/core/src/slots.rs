@@ -19,6 +19,12 @@
 //! radio on in the slots where it sends or receives, which is the
 //! "reducing node listening time" payoff (quantified by
 //! [`SlotSchedule::listen_fraction`]).
+//!
+//! Feasibility is read from per-node slot sets rather than by scanning
+//! every placed message: each node a message touches keeps the slots
+//! where it sends or receives, where a neighbour transmits, and where a
+//! neighbour receives, so a candidate slot costs four lookups. The
+//! tests keep the scanning assignment as an oracle.
 
 use std::collections::BTreeMap;
 
@@ -26,7 +32,7 @@ use m2m_graph::cycle::topological_order;
 use m2m_graph::NodeId;
 use m2m_netsim::Network;
 
-use crate::schedule::Schedule;
+use crate::schedule::{Message, Schedule};
 
 /// A TDMA slot assignment for one round of a schedule's messages.
 #[derive(Clone, Debug)]
@@ -110,6 +116,7 @@ impl SlotSchedule {
 }
 
 /// True if two directed transmissions cannot share a slot.
+#[cfg(test)]
 fn conflicts(network: &Network, a: (NodeId, NodeId), b: (NodeId, NodeId)) -> bool {
     let (sa, ra) = a;
     let (sb, rb) = b;
@@ -123,19 +130,48 @@ fn conflicts(network: &Network, a: (NodeId, NodeId), b: (NodeId, NodeId)) -> boo
 
 /// Assigns collision-free slots to every message of `schedule`.
 ///
+/// Messages take slots in wait-for topological order, each the smallest
+/// slot after its predecessors' that conflicts with no message already
+/// placed. Two transmissions conflict when they share an endpoint, or
+/// when either one's sender is a radio neighbour of the other's
+/// receiver. So per node touched by a message, three slot sets answer
+/// the test in four lookups: the slots where the node sends or receives,
+/// where a neighbour transmits, and where a neighbour receives.
+///
 /// # Panics
 /// Panics if the message-level wait-for graph is cyclic, which
 /// [`crate::schedule::build_schedule`] already prevents.
 pub fn assign_slots(network: &Network, schedule: &Schedule) -> SlotSchedule {
     let message_count = schedule.messages.len();
-    // Message of each unit.
+    let (order, preds) = message_order(schedule);
+    let mut sets = NodeSlotSets::new(network.node_count(), &schedule.messages);
+    let mut slots = vec![0u32; message_count];
+    let mut slot_count = 0u32;
+    for &m in &order {
+        let earliest = preds[m].iter().map(|&p| slots[p] + 1).max().unwrap_or(0);
+        let (s, r) = schedule.messages[m].edge;
+        let slot = sets.first_free(s, r, earliest);
+        sets.occupy(network, s, r, slot);
+        slots[m] = slot;
+        slot_count = slot_count.max(slot + 1);
+    }
+    crate::telemetry::counter(
+        crate::telemetry::names::SLOTS_SET_BYTES,
+        sets.bytes() as u64,
+    );
+    SlotSchedule { slots, slot_count }
+}
+
+/// The messages in wait-for topological order, and each message's
+/// wait-for predecessors.
+fn message_order(schedule: &Schedule) -> (Vec<usize>, Vec<Vec<usize>>) {
+    let message_count = schedule.messages.len();
     let mut message_of = vec![usize::MAX; schedule.units.len()];
     for (m, msg) in schedule.messages.iter().enumerate() {
         for &u in &msg.units {
             message_of[u] = m;
         }
     }
-    // Message-level precedence arcs.
     let mut arcs: Vec<(usize, usize)> = schedule
         .unit_arcs
         .iter()
@@ -150,7 +186,113 @@ pub fn assign_slots(network: &Network, schedule: &Schedule) -> SlotSchedule {
     for &(a, b) in &arcs {
         preds[b].push(a);
     }
+    (order, preds)
+}
 
+/// The slot-set kinds: the node sends or receives, a neighbour
+/// transmits, a neighbour receives.
+const ACTIVE: usize = 0;
+const NEAR_TX: usize = 1;
+const NEAR_RX: usize = 2;
+const KINDS: usize = 3;
+
+/// Per-node slot sets, one growable bitset of each kind per node that
+/// some message touches; nodes no message touches get no storage.
+struct NodeSlotSets {
+    /// Compact index of each network node, `u32::MAX` if untouched.
+    index: Vec<u32>,
+    /// Per touched node, the three bitsets interleaved word by word:
+    /// word `w` of kind `k` is `words[KINDS * w + k]`.
+    words: Vec<Vec<u64>>,
+}
+
+impl NodeSlotSets {
+    fn new(node_count: usize, messages: &[Message]) -> Self {
+        let mut index = vec![u32::MAX; node_count];
+        let mut touched = 0u32;
+        for m in messages {
+            for v in [m.edge.0, m.edge.1] {
+                if index[v.index()] == u32::MAX {
+                    index[v.index()] = touched;
+                    touched += 1;
+                }
+            }
+        }
+        NodeSlotSets {
+            index,
+            words: vec![Vec::new(); touched as usize],
+        }
+    }
+
+    /// Bytes held by the sets and the node index.
+    fn bytes(&self) -> usize {
+        let words: usize = self.words.iter().map(Vec::capacity).sum();
+        8 * words + std::mem::size_of::<Vec<u64>>() * self.words.len() + 4 * self.index.len()
+    }
+
+    /// Word `w` of kind `kind` at `v`; zero past the end or untouched.
+    fn word(&self, v: NodeId, kind: usize, w: usize) -> u64 {
+        match self.index[v.index()] {
+            u32::MAX => 0,
+            i => self.words[i as usize]
+                .get(KINDS * w + kind)
+                .copied()
+                .unwrap_or(0),
+        }
+    }
+
+    fn insert(&mut self, v: NodeId, kind: usize, slot: u32) {
+        let i = self.index[v.index()];
+        if i == u32::MAX {
+            return;
+        }
+        let words = &mut self.words[i as usize];
+        let w = slot as usize / 64;
+        if words.len() <= KINDS * w + kind {
+            words.resize(KINDS * (w + 1), 0);
+        }
+        words[KINDS * w + kind] |= 1 << (slot % 64);
+    }
+
+    /// The smallest slot at or after `earliest` in which `s → r` conflicts
+    /// with no occupied transmission: neither endpoint is busy, no
+    /// neighbour of `r` transmits, and no neighbour of `s` receives.
+    fn first_free(&self, s: NodeId, r: NodeId, earliest: u32) -> u32 {
+        let mut w = earliest as usize / 64;
+        let mut below = (1u64 << (earliest % 64)) - 1;
+        loop {
+            let taken = below
+                | self.word(s, ACTIVE, w)
+                | self.word(r, ACTIVE, w)
+                | self.word(r, NEAR_TX, w)
+                | self.word(s, NEAR_RX, w);
+            if taken != u64::MAX {
+                return (w * 64) as u32 + taken.trailing_ones();
+            }
+            w += 1;
+            below = 0;
+        }
+    }
+
+    /// Records `s → r` transmitting in `slot`.
+    fn occupy(&mut self, network: &Network, s: NodeId, r: NodeId, slot: u32) {
+        self.insert(s, ACTIVE, slot);
+        self.insert(r, ACTIVE, slot);
+        for &v in network.neighbors(s) {
+            self.insert(v, NEAR_TX, slot);
+        }
+        for &v in network.neighbors(r) {
+            self.insert(v, NEAR_RX, slot);
+        }
+    }
+}
+
+/// Slot assignment by definition: every candidate slot scans every
+/// placed message. The oracle [`assign_slots`] is tested against.
+#[cfg(test)]
+fn assign_slots_oracle(network: &Network, schedule: &Schedule) -> SlotSchedule {
+    let message_count = schedule.messages.len();
+    let (order, preds) = message_order(schedule);
     let mut slots = vec![0u32; message_count];
     let mut assigned = vec![false; message_count];
     let mut slot_count = 0u32;
@@ -185,10 +327,24 @@ mod tests {
     use super::*;
     use crate::agg::AggregateFunction;
     use crate::plan::GlobalPlan;
-    use crate::schedule::build_schedule;
+    use crate::schedule::{build_schedule, synthetic_schedule};
     use crate::spec::AggregationSpec;
-    use crate::workload::{generate_workload, WorkloadConfig};
+    use crate::workload::{generate_workload, SourceSelection, WorkloadConfig};
     use m2m_netsim::{Deployment, RoutingMode, RoutingTables};
+    use proptest::prelude::*;
+
+    const MODES: [RoutingMode; 3] = [
+        RoutingMode::ShortestPathTrees,
+        RoutingMode::SharedSpanningTree,
+        RoutingMode::SteinerTrees,
+    ];
+
+    fn assert_matches_oracle(net: &Network, schedule: &Schedule) {
+        let fast = assign_slots(net, schedule);
+        let oracle = assign_slots_oracle(net, schedule);
+        assert_eq!(fast.slots, oracle.slots);
+        assert_eq!(fast.slot_count, oracle.slot_count);
+    }
 
     fn slot_all(net: &Network, spec: &AggregationSpec) -> (Schedule, SlotSchedule) {
         let routing = RoutingTables::build(
@@ -358,5 +514,80 @@ mod tests {
         let (schedule, slots) = slot_all(&net, &spec);
         verify(&net, &schedule, &slots);
         assert_eq!(slots.slot_count, 1, "independent distant hops fit one slot");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Real plans in every routing mode get the oracle's slots.
+        #[test]
+        fn slots_match_the_oracle_on_real_plans(
+            place_seed in 0u64..10_000,
+            wl_seed in 0u64..10_000,
+            destinations in 4usize..16,
+            uniform in 0u32..2,
+        ) {
+            let net = Network::with_default_energy(Deployment::great_duck_island(place_seed));
+            let mut cfg = WorkloadConfig::paper_default(destinations, 10, wl_seed);
+            if uniform == 1 {
+                cfg.selection = SourceSelection::Uniform;
+            }
+            let spec = generate_workload(&net, &cfg);
+            for mode in MODES {
+                let routing = RoutingTables::build(&net, &spec.source_to_destinations(), mode);
+                let plan = GlobalPlan::build(&net, &spec, &routing);
+                let schedule = build_schedule(&spec, &plan).expect("schedulable");
+                assert_matches_oracle(&net, &schedule);
+            }
+        }
+
+        /// Synthetic schedules on a grid's links, many of them split by the
+        /// merge fallback (several messages on one edge, which must take
+        /// distinct slots), get the oracle's slots.
+        #[test]
+        fn slots_match_the_oracle_on_synthetic_schedules(
+            seed in 0u64..1_000_000,
+            edges in 2usize..12,
+            max_units in 1usize..5,
+            density in 0.02f64..0.4,
+        ) {
+            let net = Network::with_default_energy(Deployment::grid(4, 4, 10.0, 12.0));
+            let links: Vec<(NodeId, NodeId)> = net
+                .graph()
+                .edges()
+                .flat_map(|(a, b)| [(a, b), (b, a)])
+                .collect();
+            let stride = links.len() / edges;
+            let pool: Vec<(NodeId, NodeId)> = (0..edges)
+                .map(|i| links[(i * stride + seed as usize) % links.len()])
+                .collect::<std::collections::BTreeSet<_>>()
+                .into_iter()
+                .collect();
+            let schedule = synthetic_schedule(seed, &pool, max_units, density);
+            assert_matches_oracle(&net, &schedule);
+        }
+    }
+
+    #[test]
+    fn split_real_schedules_match_the_oracle() {
+        // Steiner trees over a uniform 100-node workload: the merge
+        // fallback leaves several messages on some edges.
+        let net = Network::with_default_energy(Deployment::scaled_series(&[100], 0).remove(0));
+        let cfg = WorkloadConfig {
+            selection: SourceSelection::Uniform,
+            ..WorkloadConfig::paper_default(20, 20, 0)
+        };
+        let spec = generate_workload(&net, &cfg);
+        let routing = RoutingTables::build(
+            &net,
+            &spec.source_to_destinations(),
+            RoutingMode::SteinerTrees,
+        );
+        let plan = GlobalPlan::build(&net, &spec, &routing);
+        let schedule = build_schedule(&spec, &plan).unwrap();
+        assert!(schedule.max_messages_on_any_edge() > 1);
+        let slots = assign_slots(&net, &schedule);
+        verify(&net, &schedule, &slots);
+        assert_matches_oracle(&net, &schedule);
     }
 }

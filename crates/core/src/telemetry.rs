@@ -74,6 +74,13 @@ pub mod names {
     /// Edges re-solved because their single-edge inputs changed.
     pub const DYNAMICS_EDGES_REOPTIMIZED: &str = "dynamics.edges_reoptimized";
 
+    /// Schedule builds whose fully merged message graph was cyclic, so
+    /// the greedy per-edge merge loop ran ([`crate::schedule`]).
+    pub const SCHEDULE_MERGE_FALLBACKS: &str = "schedule.merge_fallbacks";
+    /// Bytes of per-node slot sets, summed over TDMA slot assignments
+    /// ([`crate::slots::assign_slots`]).
+    pub const SLOTS_SET_BYTES: &str = "slots.set_bytes";
+
     /// Schedule lowerings ([`crate::exec::CompiledSchedule`]).
     pub const EXEC_COMPILES: &str = "exec.compiles";
     /// Rounds executed through the compiled path.

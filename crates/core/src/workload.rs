@@ -14,6 +14,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{RngExt, SeedableRng};
 
+use m2m_graph::bfs::bfs_distances;
 use m2m_graph::NodeId;
 use m2m_netsim::Network;
 
@@ -152,8 +153,14 @@ fn pick_dispersed_sources(
         (0.0..=1.0).contains(&dispersion),
         "dispersion must be in [0, 1]"
     );
-    let ring = |h: u32| -> Vec<NodeId> { network.nodes_at_hops(dest, h) };
-    let mut rings: Vec<Vec<NodeId>> = (1..=max_hops).map(ring).collect();
+    let mut by_hop = hop_rings(network, dest);
+    let mut ring = |h: u32| -> Vec<NodeId> {
+        by_hop
+            .get_mut(h as usize)
+            .map(std::mem::take)
+            .unwrap_or_default()
+    };
+    let mut rings: Vec<Vec<NodeId>> = (1..=max_hops).map(&mut ring).collect();
     let mut picked = Vec::with_capacity(count);
     let mut extension = max_hops;
     while picked.len() < count {
@@ -207,6 +214,24 @@ fn pick_dispersed_sources(
     }
     picked.sort_unstable();
     picked
+}
+
+/// The hop rings around `dest` from one BFS: `rings[h]` holds the nodes
+/// exactly `h` hops away in ascending id order, as
+/// [`Network::nodes_at_hops`] lists them; rings past the farthest
+/// reachable node are absent.
+fn hop_rings(network: &Network, dest: NodeId) -> Vec<Vec<NodeId>> {
+    let mut rings: Vec<Vec<NodeId>> = Vec::new();
+    for (i, d) in bfs_distances(network.graph(), dest).into_iter().enumerate() {
+        if let Some(d) = d {
+            let d = d as usize;
+            if rings.len() <= d {
+                rings.resize_with(d + 1, Vec::new);
+            }
+            rings[d].push(NodeId::from_index(i));
+        }
+    }
+    rings
 }
 
 #[cfg(test)]
@@ -350,4 +375,90 @@ mod tests {
             .unwrap();
         assert!(max_hop > 1, "sources must spill past the 1-hop limit");
     }
+
+    #[test]
+    fn hop_rings_match_nodes_at_hops() {
+        // Every destination's rings, ring by ring, on Great Duck Island
+        // and on a 10-node line, whose rings run out at 9 hops — the
+        // rings `pick_dispersed_sources` extends outward into.
+        let line = Network::with_default_energy(m2m_netsim::Deployment::grid(10, 1, 10.0, 12.0));
+        for net in [gdi(), line] {
+            let n = net.node_count() as u32;
+            for dest in net.nodes() {
+                let rings = hop_rings(&net, dest);
+                for h in 0..=n + 1 {
+                    let ring = rings.get(h as usize).cloned().unwrap_or_default();
+                    assert_eq!(ring, net.nodes_at_hops(dest, h), "{dest} at {h} hops");
+                }
+            }
+        }
+    }
+
+    /// FNV-1a over every destination, source and weight bit of a spec.
+    fn spec_digest(spec: &AggregationSpec) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |x: u64| {
+            for b in x.to_le_bytes() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for (d, f) in spec.functions() {
+            eat(u64::from(d.0));
+            for s in f.sources() {
+                eat(u64::from(s.0));
+                eat(f.weight(s).expect("a source has a weight").to_bits());
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn generated_specs_are_pinned() {
+        // Digests of specs generated while hop rings came from an
+        // all-pairs hop matrix; the one-BFS rings must reproduce them.
+        let scaled = Network::with_default_energy(
+            m2m_netsim::Deployment::scaled_series(&[1_000], 7).remove(0),
+        );
+        let line = Network::with_default_energy(m2m_netsim::Deployment::grid(10, 1, 10.0, 12.0));
+        let spill = WorkloadConfig {
+            destination_count: 4,
+            sources_per_destination: 6,
+            selection: SourceSelection::Dispersion {
+                dispersion: 0.5,
+                max_hops: 1,
+            },
+            kind: crate::agg::AggregateKind::WeightedSum,
+            seed: 3,
+        };
+        let got: Vec<u64> = [1u64, 2, 3]
+            .iter()
+            .map(|&seed| {
+                spec_digest(&generate_workload(
+                    &gdi(),
+                    &WorkloadConfig::paper_default(20, 20, seed),
+                ))
+            })
+            .chain([1u64, 2, 3].iter().map(|&seed| {
+                spec_digest(&generate_workload(
+                    &scaled,
+                    &WorkloadConfig::paper_default(25, 20, seed),
+                ))
+            }))
+            .chain([spec_digest(&generate_workload(&line, &spill))])
+            .collect();
+        assert_eq!(got, PINNED_SPEC_DIGESTS);
+    }
+
+    /// Great Duck Island seeds 1–3, 1k scaled-series seeds 1–3, then the
+    /// outward spill on a 10-node line.
+    const PINNED_SPEC_DIGESTS: [u64; 7] = [
+        0x2f0a_3453_a51e_4955,
+        0xb2b7_fac7_fc63_5106,
+        0x5f87_115f_f08a_a1e9,
+        0x4754_02d1_628f_5f8f,
+        0x23a4_e39d_7b96_8f70,
+        0x8142_65ab_b788_2f7b,
+        0x5bf1_a0c8_4a09_b936,
+    ];
 }

@@ -46,14 +46,6 @@ pub fn bfs_order(graph: &Graph, root: NodeId) -> Vec<NodeId> {
     order
 }
 
-/// Hop distances from every node to every node (dense `n × n` matrix).
-///
-/// Runs one BFS per node: `O(n · (n + m))`, fine for the network sizes the
-/// paper evaluates (≤ a few hundred nodes).
-pub fn all_pairs_hops(graph: &Graph) -> Vec<HopDistances> {
-    graph.nodes().map(|v| bfs_distances(graph, v)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -109,7 +101,7 @@ mod tests {
     #[test]
     fn all_pairs_symmetry() {
         let g = cycle_graph(5);
-        let m = all_pairs_hops(&g);
+        let m: Vec<HopDistances> = g.nodes().map(|v| bfs_distances(&g, v)).collect();
         for (a, row) in m.iter().enumerate() {
             for (b, &val) in row.iter().enumerate() {
                 assert_eq!(val, m[b][a]);

@@ -6,32 +6,43 @@
 //! helpers operate on ad-hoc directed graphs given as arc lists over dense
 //! vertex indices.
 
-use std::collections::VecDeque;
-
 /// Returns a topological order of `0..n` under the arcs `from → to`, or
 /// `None` if the directed graph contains a cycle. (Kahn's algorithm;
-/// deterministic: ready vertices are consumed in ascending index order.)
+/// deterministic: the initially ready vertices are consumed in ascending
+/// index order, then each vertex becomes ready in the order its last
+/// incoming arc is consumed, out-arcs being scanned in `arcs` order.)
 pub fn topological_order(n: usize, arcs: &[(usize, usize)]) -> Option<Vec<usize>> {
+    // Out-lists as one CSR slab (a counting sort by tail that keeps each
+    // tail's arcs in input order), not one vector per vertex.
+    let mut start = vec![0usize; n + 1];
     let mut indegree = vec![0usize; n];
-    let mut out: Vec<Vec<usize>> = vec![Vec::new(); n];
     for &(a, b) in arcs {
         assert!(a < n && b < n, "arc endpoint out of range");
-        out[a].push(b);
+        start[a + 1] += 1;
         indegree[b] += 1;
     }
-    // A BinaryHeap would give ascending order too, but with the small
-    // vertex counts here a sorted initial frontier + queue is enough for
-    // determinism.
-    let mut ready: Vec<usize> = (0..n).filter(|&v| indegree[v] == 0).collect();
-    ready.sort_unstable();
-    let mut queue: VecDeque<usize> = ready.into();
-    let mut order = Vec::with_capacity(n);
-    while let Some(v) = queue.pop_front() {
-        order.push(v);
-        for &w in &out[v] {
+    for v in 0..n {
+        start[v + 1] += start[v];
+    }
+    let mut out = vec![0usize; arcs.len()];
+    for &(a, b) in arcs {
+        out[start[a]] = b;
+        start[a] += 1;
+    }
+    // `start[a]` now holds the end of `a`'s run, which is where the next
+    // vertex's run begins.
+    start.rotate_right(1);
+    start[0] = 0;
+    // The order doubles as the FIFO queue of ready vertices.
+    let mut order: Vec<usize> = Vec::with_capacity(n);
+    order.extend((0..n).filter(|&v| indegree[v] == 0));
+    let mut head = 0;
+    while let Some(&v) = order.get(head) {
+        head += 1;
+        for &w in &out[start[v]..start[v + 1]] {
             indegree[w] -= 1;
             if indegree[w] == 0 {
-                queue.push_back(w);
+                order.push(w);
             }
         }
     }

@@ -1,39 +1,25 @@
 //! The sensor network: deployment + radio graph + energy model.
+//!
+//! Building a network costs the radio graph and nothing more; there is
+//! no all-pairs hop matrix, whose O(n²) time and memory every build would
+//! pay. Hop queries run one BFS each, and a caller that needs many
+//! distances from one node runs [`m2m_graph::bfs::bfs_distances`] once.
 
-use m2m_graph::bfs::{all_pairs_hops, bfs_distances, HopDistances};
+use m2m_graph::bfs::bfs_distances;
 use m2m_graph::{Graph, NodeId};
 
 use crate::deployment::Deployment;
 use crate::energy::EnergyModel;
 
-/// Largest node count for which the all-pairs hop matrix is materialized
-/// eagerly. The matrix is O(n²) memory (≈ 800 MB at 10k nodes, fatally
-/// more at 100k); above this threshold hop queries fall back to a
-/// per-call BFS with identical results. Workload generation at scale uses
-/// uniform source selection, which never asks for hop distances.
-pub const HOP_MATRIX_MAX_NODES: usize = 2048;
-
 /// A simulated sensor network.
 ///
-/// Bundles the deployment geometry, the derived unit-disk radio graph, the
-/// energy model, and — for deployments up to [`HOP_MATRIX_MAX_NODES`]
-/// nodes — a cached all-pairs hop-distance matrix (used heavily by
-/// workload generation and routing).
+/// Bundles the deployment geometry, the derived unit-disk radio graph and
+/// the energy model.
 #[derive(Clone, Debug)]
 pub struct Network {
     deployment: Deployment,
     graph: Graph,
     energy: EnergyModel,
-    /// Row `v` holds BFS distances from `v`; empty above the threshold.
-    hops: Vec<HopDistances>,
-}
-
-fn hops_if_small(graph: &Graph) -> Vec<HopDistances> {
-    if graph.node_count() <= HOP_MATRIX_MAX_NODES {
-        all_pairs_hops(graph)
-    } else {
-        Vec::new()
-    }
 }
 
 impl Network {
@@ -41,12 +27,10 @@ impl Network {
     pub fn new(deployment: Deployment, energy: EnergyModel) -> Self {
         let _span = m2m_telemetry::span(m2m_telemetry::layer::NETWORK_BUILD);
         let graph = deployment.radio_graph();
-        let hops = hops_if_small(&graph);
         Network {
             deployment,
             graph,
             energy,
-            hops,
         }
     }
 
@@ -62,12 +46,10 @@ impl Network {
     pub fn from_graph(graph: Graph, energy: EnergyModel) -> Self {
         let positions = vec![crate::position::Position::new(0.0, 0.0); graph.node_count()];
         let deployment = Deployment::from_positions(positions, 0.0, 0.0, 1.0);
-        let hops = hops_if_small(&graph);
         Network {
             deployment,
             graph,
             energy,
-            hops,
         }
     }
 
@@ -106,34 +88,21 @@ impl Network {
         self.graph.neighbors(v)
     }
 
-    /// Hop distance between two nodes, `None` if disconnected.
-    ///
-    /// O(1) from the cached matrix up to [`HOP_MATRIX_MAX_NODES`] nodes;
-    /// one BFS per call above it.
+    /// Hop distance between two nodes, `None` if disconnected. One BFS
+    /// per call.
     pub fn hop_distance(&self, a: NodeId, b: NodeId) -> Option<u32> {
-        if !self.hops.is_empty() {
-            self.hops[a.index()][b.index()]
-        } else {
-            bfs_distances(&self.graph, a)[b.index()]
-        }
+        bfs_distances(&self.graph, a)[b.index()]
     }
 
-    /// Nodes at exactly `h` hops from `v`, ascending id order.
-    ///
-    /// Same matrix-or-BFS behavior as [`Self::hop_distance`].
+    /// Nodes at exactly `h` hops from `v`, ascending id order. One BFS per
+    /// call.
     pub fn nodes_at_hops(&self, v: NodeId, h: u32) -> Vec<NodeId> {
-        let collect = |row: &[Option<u32>]| {
-            row.iter()
-                .enumerate()
-                .filter(|&(_, d)| *d == Some(h))
-                .map(|(i, _)| NodeId::from_index(i))
-                .collect()
-        };
-        if !self.hops.is_empty() {
-            collect(&self.hops[v.index()])
-        } else {
-            collect(&bfs_distances(&self.graph, v))
-        }
+        bfs_distances(&self.graph, v)
+            .iter()
+            .enumerate()
+            .filter(|&(_, d)| *d == Some(h))
+            .map(|(i, _)| NodeId::from_index(i))
+            .collect()
     }
 }
 
@@ -170,13 +139,9 @@ mod tests {
     }
 
     #[test]
-    fn hop_queries_agree_across_the_matrix_threshold() {
-        // A 60×50 grid (3000 nodes) exceeds HOP_MATRIX_MAX_NODES, so it
-        // takes the per-call BFS path; a small grid with the same local
-        // structure takes the matrix path. Distances must agree with the
-        // geometry either way.
+    fn hop_queries_match_grid_geometry() {
+        // Distances on a large and a small grid follow the geometry.
         let big = Network::with_default_energy(Deployment::grid(60, 50, 10.0, 12.0));
-        assert!(big.node_count() > HOP_MATRIX_MAX_NODES);
         assert_eq!(big.hop_distance(NodeId(0), NodeId(59)), Some(59));
         assert_eq!(big.nodes_at_hops(NodeId(0), 1), vec![NodeId(1), NodeId(60)]);
         let small = Network::with_default_energy(Deployment::grid(4, 4, 10.0, 12.0));

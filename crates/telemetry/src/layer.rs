@@ -16,7 +16,7 @@ macro_rules! layers {
 }
 
 layers! {
-    /// `Network::new`: the radio graph and the hop matrix.
+    /// `Network::new`: the radio graph.
     NETWORK_BUILD = "network.build",
     /// `RoutingTables::build`: the multicast forest.
     ROUTING_BUILD = "routing.build",

@@ -10,7 +10,10 @@
 # unit tests (`faults::`, `sim::`) and their equivalence suites
 # (`fault_equivalence`, `sim_equivalence`) run a second time under
 # `--release`. Slot and retry arithmetic is exactly what debug builds
-# (overflow panics) and release builds (wrapping) treat differently.
+# (overflow panics) and release builds (wrapping) treat differently. The
+# message merge's and the TDMA slot assignment's oracle proptests
+# (`schedule::`, `slots::`) run there too: slot bitset and topological
+# position arithmetic is of the same kind.
 #
 # Telemetry gate: the smoke benchmark runs twice, with M2M_TRACE=0 and
 # M2M_TRACE=1. The two runs must print the same `smoke_digest=` line
@@ -83,8 +86,11 @@
 # container). It also prints `smoke_sim_digest=`, an FNV-1a over every
 # outcome of the epoch, which must be identical across two back-to-back
 # runs. The committed BENCH_sim.json is schema-checked alongside, and
-# the 1k-node epoch (~0.3 s) must reproduce the committed 1k digest bit
-# for bit — a cross-version pin on the simulator's lossy semantics.
+# the 1k- and 10k-node epochs (~6 s together) must reproduce the
+# committed 1k and 10k digests bit for bit — a cross-version pin on the
+# simulator's lossy semantics. The 10k point is the committed workload
+# whose one-shot message merge fails, so it also pins the merge's
+# ordered fallback end to end.
 #
 # Artifact gate: `bench_runtime --check` schema-checks the committed
 # BENCH_runtime.json (the JSON reader rejects repeated keys).
@@ -96,7 +102,7 @@ cargo test -q
 # The interpreted reference executor is feature-gated out of the default
 # build; keep its equivalence property in the gate explicitly.
 cargo test -q -p m2m-core --features test-oracle --test exec_equivalence
-cargo test --release -q -p m2m-core --lib -- faults:: sim::
+cargo test --release -q -p m2m-core --lib -- faults:: sim:: schedule:: slots::
 cargo test --release -q -p m2m-core --test fault_equivalence --test sim_equivalence
 cargo fmt --all -- --check
 cargo clippy --all-targets -- -D warnings
@@ -252,15 +258,15 @@ sim_digests() {
     awk '/"nodes":/ { gsub(/[^0-9]/, "", $2); n = $2 }
          /"digest":/ { gsub(/[",]/, "", $2); print n, $2 }' "$1"
 }
-./target/release/bench_sim --nodes 1000 "$tmpdir/sim1k.json" > /dev/null
-sim_pin=$(sim_digests BENCH_sim.json | grep '^1000 ')
-if [ -z "$sim_pin" ] || [ "$(sim_digests "$tmpdir/sim1k.json")" != "$sim_pin" ]; then
-    echo "verify: FAIL — 1k simulator digest differs from BENCH_sim.json" \
-         "($(sim_digests "$tmpdir/sim1k.json") vs ${sim_pin:-none})" >&2
+./target/release/bench_sim --nodes 1000,10000 "$tmpdir/sim.json" > /dev/null
+sim_pin=$(sim_digests BENCH_sim.json | grep -E '^(1000|10000) ')
+if [ "$(echo "$sim_pin" | grep -c .)" != 2 ] || [ "$(sim_digests "$tmpdir/sim.json")" != "$sim_pin" ]; then
+    echo "verify: FAIL — 1k/10k simulator digests differ from BENCH_sim.json" \
+         "($(sim_digests "$tmpdir/sim.json" | tr '\n' ' ')vs ${sim_pin:-none})" >&2
     exit 1
 fi
 
-echo "verify: simulator gate OK (epoch digest $sim_digest1, committed 1k digest reproduced)"
+echo "verify: simulator gate OK (epoch digest $sim_digest1, committed 1k and 10k digests reproduced)"
 
 ./target/release/bench_service --smoke > "$tmpdir/svc1.txt"
 ./target/release/bench_service --smoke > "$tmpdir/svc2.txt"
