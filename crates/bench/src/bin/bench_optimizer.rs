@@ -11,10 +11,16 @@
 //! artifact.
 //!
 //! Usage: `cargo run --release -p m2m-bench --bin bench_optimizer \
-//!         [--check <artifact.json>] [output.json] [samples] [--nodes 1000,10000,100000]`
+//!         [--smoke] [--check [artifact.json]] [output.json] [samples] \
+//!         [--nodes 1000,10000,100000]`
 //!
-//! `--check` validates an existing artifact (header, the thread-scaling
-//! builds and the memoized rebuild) without benchmarking.
+//! `--smoke` runs the thread sweep and the memoized rebuild with two
+//! samples each (both assert bit-identity with the serial plan) and
+//! prints the [`GATES`]: a digest of every per-edge solution, which
+//! `scripts/verify.sh` compares across an untraced and a traced process
+//! (see [`m2m_bench::harness`]). `--check` validates an existing
+//! artifact (header, the thread-scaling builds and the memoized rebuild)
+//! without benchmarking.
 //!
 //! `--nodes` sweeps the thread-scaling build phase over a comma list of
 //! deployment sizes (Figure 6's scaled series, default `250`), appending
@@ -23,7 +29,10 @@
 //! telemetry) always run on the first size, so the default artifact
 //! shape is unchanged. Large sweeps should lower `samples` accordingly.
 
-use m2m_bench::report::{bench_report, median_ns, telemetry_section, time_ns, JsonValue};
+use m2m_bench::harness::{print_gates, Digest, Gate, Kind};
+use m2m_bench::report::{
+    bench_report, median_ns, median_run, telemetry_section, time_ns, JsonValue,
+};
 use m2m_core::dynamics::{PlanMaintainer, WorkloadUpdate};
 use m2m_core::edge_opt::build_edge_problems;
 use m2m_core::memo::SolveCache;
@@ -33,6 +42,14 @@ use m2m_core::topo::Topology;
 use m2m_core::workload::{generate_workload, WorkloadConfig};
 use m2m_core::{m2m_log, telemetry};
 use m2m_netsim::{Deployment, Network, RoutingMode, RoutingTables};
+
+/// What `--smoke` prints for `scripts/verify.sh` to judge.
+const GATES: &[Gate] = &[
+    // The debug text of every per-edge solution of the first size's
+    // plan: neither the worker count (asserted in-run) nor tracing may
+    // move a byte.
+    Gate::new("plan_digest", Kind::Same),
+];
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
@@ -137,7 +154,7 @@ fn main() {
         return;
     }
     let out_path = cli.out_path;
-    let samples: usize = cli.count.unwrap_or(11);
+    let samples: usize = cli.count.unwrap_or(if cli.smoke { 2 } else { 11 });
     let mut sizes = cli.nodes;
     if sizes.is_empty() {
         sizes.push(250);
@@ -199,6 +216,12 @@ fn main() {
         cache.misses()
     );
 
+    if cli.smoke {
+        let plan = Digest::text(&format!("{:?}", reference.solutions()));
+        print_gates(GATES, &[("plan_digest", &plan)]);
+        return;
+    }
+
     // Instrumented replay, outside the timed phases: one cold build and
     // one memoized rebuild with every counter live, so the artifact
     // records how much work the numbers above actually represent.
@@ -213,16 +236,10 @@ fn main() {
     // topology interning + problem construction, how big the interned
     // slabs are, and how local a one-pair maintainer update stays
     // (dirty-edge counts from the Corollary-1 diff).
-    let mut intern_times: Vec<f64> = Vec::with_capacity(samples);
-    let mut last_edges = 0usize;
-    for _ in 0..samples {
-        intern_times.push(time_ns(|| {
-            let topo = Topology::snapshot(&spec, &routing);
-            last_edges = build_edge_problems(&topo).len();
-        }));
-    }
+    let (last_edges, intern_median) = median_run(samples, || {
+        build_edge_problems(&Topology::snapshot(&spec, &routing)).len()
+    });
     assert_eq!(last_edges, edge_count);
-    let intern_median = median_ns(&mut intern_times);
     let topo = reference.topology();
     let dest_paths: usize = topo.trees().iter().map(|t| t.dest_paths().len()).sum();
 

@@ -13,19 +13,24 @@
 //! digest iff they computed bit-identical outcomes.
 //!
 //! Usage: `cargo run --release -p m2m-bench --bin bench_resilience \
-//!         [--smoke] [--check <artifact.json>] [output.json] [rounds]`
+//!         [--smoke] [--check [artifact.json]] [output.json] [rounds]`
 //!
-//! `--smoke` runs a reduced batch and exits non-zero on any equivalence
-//! or determinism violation — the regression gate wired into
-//! `scripts/verify.sh`. `--check` parses an existing artifact and
-//! asserts the schema it gates on (version 2 with a `scenarios` array),
-//! so the committed JSON can never drift unparseable.
+//! `--smoke` runs a reduced 16-round batch and prints one digest per
+//! scenario, the [`GATES`]; any equivalence or determinism violation
+//! fails the run itself. `--check` validates an artifact (version 2 with
+//! a `scenarios` array) and re-runs every scenario at the artifact's
+//! round count ([`PIN`]): each must reproduce its committed digest, so a
+//! change to lossy semantics fails there instead of passing as a
+//! same-build comparison. `scripts/verify.sh` judges both; see
+//! [`m2m_bench::harness`].
 
 use std::collections::BTreeMap;
+use std::fmt::Display;
 
-use m2m_bench::report::{bench_report, median_ns, time_ns, JsonValue};
+use m2m_bench::harness::{print_gates, Digest, Gate, Kind, Pin};
+use m2m_bench::report::{bench_report, median_run, JsonValue};
 use m2m_core::exec::{CompiledSchedule, ExecState};
-use m2m_core::faults::{FaultOutcome, FaultyExec, RetryPolicy, SALT_STRIDE};
+use m2m_core::faults::{FaultyExec, RetryPolicy, SALT_STRIDE};
 use m2m_core::plan::GlobalPlan;
 use m2m_core::telemetry::Level;
 use m2m_core::workload::{generate_workload, WorkloadConfig};
@@ -34,6 +39,24 @@ use m2m_graph::NodeId;
 use m2m_netsim::failure::{DeliveryModel, FailureTrace};
 use m2m_netsim::quality::LinkQuality;
 use m2m_netsim::{Deployment, Network, RoutingMode, RoutingTables};
+
+/// What `--smoke` prints for `scripts/verify.sh` to judge: one digest
+/// per scenario, which tracing may not move.
+const GATES: &[Gate] = &[
+    Gate::new("bernoulli_p0.0", Kind::Same),
+    Gate::new("bernoulli_p0.1", Kind::Same),
+    Gate::new("bernoulli_p0.2", Kind::Same),
+    Gate::new("bernoulli_p0.3", Kind::Same),
+    Gate::new("etx_per_link", Kind::Same),
+    Gate::new("trace_outage", Kind::Same),
+];
+/// `--check` re-runs every scenario row.
+const PIN: Pin = Pin {
+    rows: "scenarios",
+    key: "scenario",
+    values: &[],
+    digest: "digest",
+};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 const BASE_SALT: u64 = 0xbe9c_ff5a;
@@ -46,44 +69,8 @@ fn reading(source: NodeId, round: usize) -> f64 {
     (s * 0.41 + r * 1.07).sin() * 50.0 + s * 0.01
 }
 
-/// FNV-1a over every field of every outcome: results (presence and
-/// bits), coverage sets, cost, slots, retransmissions, drops.
-fn digest_outcomes(outcomes: &[FaultOutcome]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut fold = |bits: u64| {
-        h ^= bits;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    for out in outcomes {
-        for r in &out.results {
-            match r {
-                Some(v) => fold(v.to_bits()),
-                None => fold(u64::MAX),
-            }
-        }
-        for c in &out.coverage {
-            fold(u64::from(c.destination.0));
-            fold(c.covered as u64);
-            fold(c.demanded as u64);
-            for &m in &c.missing {
-                fold(u64::from(m.0));
-            }
-        }
-        fold(out.cost.tx_uj.to_bits());
-        fold(out.cost.rx_uj.to_bits());
-        fold(out.cost.messages as u64);
-        fold(out.cost.units as u64);
-        fold(out.cost.payload_bytes);
-        fold(u64::from(out.slots_used));
-        fold(out.retransmissions as u64);
-        fold(out.dropped_messages as u64);
-        fold(u64::from(out.delivered));
-    }
-    h
-}
-
 /// Runs one scenario batch, asserts thread-count invariance, and returns
-/// the aggregate row for the artifact plus the digest.
+/// the aggregate row for the artifact, digest included.
 fn scenario_row(
     name: &str,
     faulty: &FaultyExec,
@@ -91,24 +78,19 @@ fn scenario_row(
     model: &DeliveryModel,
     policy: &RetryPolicy,
     samples: usize,
-) -> (JsonValue, u64) {
+) -> JsonValue {
     let serial = faulty.run_rounds(batch, model, policy, BASE_SALT, 1);
     for &threads in &THREAD_COUNTS[1..] {
         let parallel = faulty.run_rounds(batch, model, policy, BASE_SALT, threads);
         assert_eq!(parallel, serial, "{name}: divergence at {threads} threads");
     }
-    let digest = digest_outcomes(&serial);
+    let digest = Digest::outcomes(&serial);
 
-    let mut times: Vec<f64> = Vec::with_capacity(samples);
-    for _ in 0..samples {
-        times.push(
-            time_ns(|| {
-                let replay = faulty.run_rounds(batch, model, policy, BASE_SALT, 2);
-                assert_eq!(digest_outcomes(&replay), digest, "{name}: replay diverged");
-            }) / batch.len() as f64,
-        );
-    }
-    let med = median_ns(&mut times);
+    let (_, batch_ns) = median_run(samples, || {
+        let replay = faulty.run_rounds(batch, model, policy, BASE_SALT, 2);
+        assert_eq!(Digest::outcomes(&replay), digest, "{name}: replay diverged");
+    });
+    let med = batch_ns / batch.len() as f64;
 
     let rounds = serial.len() as f64;
     let delivered = serial.iter().filter(|o| o.delivered).count() as f64 / rounds;
@@ -130,9 +112,9 @@ fn scenario_row(
     m2m_log!(
         Level::Info,
         "{name}: delivered {delivered:.2}, coverage {coverage:.3}, {retx} retx, \
-         {dropped} dropped, {energy_mj:.2} mJ/round, digest 0x{digest:016x}"
+         {dropped} dropped, {energy_mj:.2} mJ/round, digest {digest}"
     );
-    let row = JsonValue::object()
+    JsonValue::object()
         .with("scenario", name)
         .with("rounds", serial.len())
         .with("delivered_fraction", JsonValue::float(delivered, 4))
@@ -142,33 +124,39 @@ fn scenario_row(
         .with("mean_energy_mj_per_round", JsonValue::float(energy_mj, 4))
         .with("mean_slots_per_round", JsonValue::float(slots, 2))
         .with("median_ns_per_round", JsonValue::float(med, 0))
-        .with("digest", format!("0x{digest:016x}"));
-    (row, digest)
+        .with("digest", digest.to_string())
 }
 
-/// `--check`: parse an artifact and assert the schema the gate relies on.
-fn check_artifact(path: &str) {
+/// `--check`: the artifact's schema, returning the parsed document.
+fn check_artifact(path: &str) -> JsonValue {
     let value = m2m_bench::report::check_header(path, "resilience");
-    let scenarios = m2m_bench::report::require_rows(
+    m2m_bench::report::require_rows(
         path,
         &value,
         "scenarios",
         &["scenario", "delivered_fraction", "mean_coverage", "digest"],
     );
-    println!("check_ok={path} scenarios={}", scenarios.len());
+    value
 }
 
 fn main() {
     telemetry::init_logging(Level::Info);
     let cli = m2m_bench::report::BenchCli::parse("BENCH_resilience.json");
     let smoke = cli.smoke;
-    if let Some(path) = &cli.check {
-        check_artifact(path);
-        return;
-    }
-    let out_path = cli.out_path;
-    let rounds: usize = cli.count.unwrap_or(if smoke { 16 } else { 64 });
-    let samples = if smoke { 3 } else { 7 };
+    // `--check` re-runs the committed artifact's batch, timed once.
+    let committed = cli.check.as_deref().map(|p| (p, check_artifact(p)));
+    let rounds = match &committed {
+        Some((_, doc)) => doc
+            .get("rounds")
+            .and_then(JsonValue::as_u64)
+            .expect("rounds") as usize,
+        None => cli.count.unwrap_or(if smoke { 16 } else { 64 }),
+    };
+    let samples = match (&committed, smoke) {
+        (Some(_), _) => 1,
+        (None, true) => 3,
+        (None, false) => 7,
+    };
 
     let network = Network::with_default_energy(Deployment::great_duck_island(7));
     let n = network.node_count();
@@ -230,56 +218,44 @@ fn main() {
         .collect();
 
     let mut scenario_rows = Vec::new();
-    let mut digests = Vec::new();
-
+    let mut scenario = |name: &str, model: &DeliveryModel| {
+        scenario_rows.push(scenario_row(name, &faulty, &batch, model, &policy, samples));
+    };
     // Uniform Bernoulli sweep.
     for p in [0.0, 0.1, 0.2, 0.3] {
         let model = DeliveryModel::uniform(p, 11);
-        let (row, digest) = scenario_row(
-            &format!("bernoulli_p{p:.1}"),
-            &faulty,
-            &batch,
-            &model,
-            &policy,
-            samples,
-        );
-        scenario_rows.push(row);
-        digests.push(digest);
+        scenario(&format!("bernoulli_p{p:.1}"), &model);
     }
-
     // Per-link losses derived from distance-based ETX quality.
     let quality = LinkQuality::distance_based(&network, 0.3, 7);
-    let model = DeliveryModel::from_quality(&quality, 13);
-    let (row, digest) = scenario_row("etx_per_link", &faulty, &batch, &model, &policy, samples);
-    scenario_rows.push(row);
-    digests.push(digest);
-
+    scenario("etx_per_link", &DeliveryModel::from_quality(&quality, 13));
     // Injected outage: the first scheduled message's link is down for
     // every tick (trace windows live in the salted tick space the
     // executor draws from, so a persistent window is the reproducible
     // scenario), exercising drop and coverage accounting.
     let outage = compiled.schedule().messages[0].edge;
     let trace = FailureTrace::new().down(outage.0, outage.1, 0, u64::MAX);
-    let model = DeliveryModel::trace(trace);
-    let (row, digest) = scenario_row("trace_outage", &faulty, &batch, &model, &policy, samples);
-    scenario_rows.push(row);
-    digests.push(digest);
+    scenario("trace_outage", &DeliveryModel::trace(trace));
+    let digests: Vec<(&str, &str)> = scenario_rows
+        .iter()
+        .map(|row| {
+            let field = |key| row.get(key).and_then(JsonValue::as_str).expect(key);
+            (field("scenario"), field("digest"))
+        })
+        .collect();
 
+    if let Some((path, doc)) = committed {
+        let pinned = PIN.check(path, &doc, |row| {
+            let name = row.get("scenario").and_then(JsonValue::as_str);
+            let rerun = digests.iter().find(|(n, _)| Some(*n) == name);
+            rerun.map_or_else(String::new, |(_, d)| d.to_string())
+        });
+        println!("check_ok={path} scenarios={pinned}");
+        return;
+    }
     if smoke {
-        // Machine-readable lines for scripts/verify.sh: one digest per
-        // scenario, stable across reruns and thread counts.
-        for (row, digest) in scenario_rows.iter().zip(&digests) {
-            let name = row
-                .get("scenario")
-                .and_then(JsonValue::as_str)
-                .expect("scenario rows are named");
-            println!("smoke_digest_{name}=0x{digest:016x}");
-        }
-        m2m_log!(
-            Level::Info,
-            "smoke: {} scenarios, all thread-count invariant — OK",
-            scenario_rows.len()
-        );
+        let values: Vec<(&str, &dyn Display)> = digests.iter().map(|(n, d)| (*n, d as _)).collect();
+        print_gates(GATES, &values);
         return;
     }
 
@@ -303,6 +279,6 @@ fn main() {
             JsonValue::Array(THREAD_COUNTS.iter().map(|&t| JsonValue::from(t)).collect())
         })
         .with("scenarios", JsonValue::Array(scenario_rows));
-    m2m_bench::report::write_report(&out_path, &report);
+    m2m_bench::report::write_report(&cli.out_path, &report);
     m2m_bench::report::export_telemetry();
 }

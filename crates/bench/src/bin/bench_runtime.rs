@@ -18,7 +18,7 @@
 //! ([`m2m_core::exec::run_epochs_slab`]) across several thread counts.
 //!
 //! Usage: `cargo run --release -p m2m-bench --bin bench_runtime \
-//!         [--smoke] [--check <artifact.json>] [--nodes N] [output.json] [samples]`
+//!         [--smoke] [--check [artifact.json]] [--nodes N] [output.json] [samples]`
 //!
 //! `--check` validates an existing artifact (header, the naive /
 //! compiled / batched sections, the lane-width and epoch sweeps)
@@ -27,28 +27,27 @@
 //! `--nodes N` sizes the scaled-series deployment (default 250, the
 //! Figure 6 point; EXPERIMENTS.md tabulates 50/250/1000).
 //!
-//! `--smoke` runs a handful of samples and exits non-zero if the
-//! compiled path is not at least as fast as the naive one — the cheap
-//! regression gate wired into `scripts/verify.sh`. Smoke mode also
-//! prints machine-readable `smoke_*` lines on stdout: a digest folding
-//! every epoch result and round cost (so the verify gate can assert that
-//! a traced run computes bit-identical numbers to an untraced one); the
+//! `--smoke` runs a handful of samples, asserts that a traced epoch
+//! computes the untraced bits, and prints the [`GATES`] that
+//! `scripts/verify.sh` judges (see [`m2m_bench::harness`]): `digest`
+//! folds every epoch result and round cost; `disabled_ratio` is the
 //! instrumentation's disabled path (a layer span, a counter and an obs
-//! check with both flags off) timed against the [`m2m_bench::gauge`]
-//! reference loop read just before each probe, as
-//! `smoke_disabled_ratio=` (host-speed independent, so verify.sh can
-//! compare it across a `M2M_TRACE=0` and a `M2M_TRACE=1` process); and
-//! `smoke_batched_speedup=` — the lane-batched path's rounds/sec over
-//! the *same-run* naive baseline, a machine-independent ratio verify.sh
-//! holds a floor against.
+//! check with both flags off) over the [`m2m_bench::gauge`] reference
+//! loop, host-speed independent, so an untraced and a traced process
+//! must agree on it; `batched_ratio` is the lane-batched round over the
+//! same gauge, under a fixed ceiling. The naive interpreter is the
+//! bit-identity reference but no timing yardstick: it rebuilds the
+//! schedule every round, so it speeds up with every cold-path change.
 
 use std::collections::BTreeMap;
 use std::hint::black_box;
 use std::time::Instant;
 
+use m2m_bench::gauge::gauged;
+use m2m_bench::harness::{print_gates, Digest, Gate, Kind};
 use m2m_bench::report::{
-    bench_report, check_header, median_ns, require_fields, require_rows, telemetry_section,
-    time_ns, JsonValue,
+    bench_report, check_header, median_ns, median_run, require_fields, require_rows,
+    telemetry_section, time_ns, JsonValue,
 };
 use m2m_core::exec::{
     run_epochs_slab, CompiledSchedule, EpochDriver, EpochSlab, ExecState, DEFAULT_LANE_WIDTH,
@@ -63,11 +62,26 @@ use m2m_core::{dynamics::WorkloadUpdate, m2m_log, telemetry};
 use m2m_graph::NodeId;
 use m2m_netsim::{Deployment, Network, RoutingMode, RoutingTables};
 
+/// What `--smoke` prints for `scripts/verify.sh` to judge. Only the
+/// drift compares two wall-clock readings, so only it gets 3 attempts.
+const GATES: &[Gate] = &[
+    Gate::new("digest", Kind::Same),
+    Gate::new("disabled_ratio", Kind::Near(2.0)).retried(3),
+    Gate::new("batched_ratio", Kind::Max(BATCHED_RATIO_CEILING)),
+];
+/// Clean smoke runs on the 2-vCPU reference host read 890-1,248 quiet
+/// and up to 1,612 under load; a planted 3x slowdown of `round_window`
+/// reads 2,418 or more (EXPERIMENTS.md, "One bench harness"). The gauge
+/// does not follow every host state the fold feels.
+const BATCHED_RATIO_CEILING: f64 = 2_000.0;
+
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
-/// Gauge/probe pairs behind `smoke_disabled_ratio` (~0.3 s in all).
+/// Gauge/probe pairs behind `disabled_ratio` (~0.3 s in all).
 const DRIFT_PAIRS: usize = 40_000;
 /// Disabled-path iterations per probe.
 const DISABLED_ITERS: u64 = 2_000;
+/// Gauge/probe pairs behind `batched_ratio`; a probe is one smoke batch.
+const BATCHED_PAIRS: usize = 400;
 
 /// Deterministic synthetic reading for `(source, round)` — no RNG so the
 /// benchmark is reproducible byte-for-byte across runs and machines.
@@ -80,22 +94,18 @@ fn reading(source: NodeId, round: usize) -> f64 {
 /// FNV-1a over the bit patterns of every round's results and cost
 /// fields, so two runs agree on the digest iff they computed
 /// bit-identical outcomes.
-fn digest_slab(slab: &EpochSlab) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut fold = |bits: u64| {
-        h ^= bits;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
+fn digest_slab(slab: &EpochSlab) -> Digest {
+    let mut h = Digest::default();
     let cost = slab.cost();
     for r in 0..slab.rounds() {
         for &x in slab.round(r) {
-            fold(x.to_bits());
+            h.fold(x.to_bits());
         }
-        fold(cost.tx_uj.to_bits());
-        fold(cost.rx_uj.to_bits());
-        fold(cost.messages as u64);
-        fold(cost.units as u64);
-        fold(cost.payload_bytes);
+        h.fold(cost.tx_uj.to_bits());
+        h.fold(cost.rx_uj.to_bits());
+        h.fold(cost.messages as u64);
+        h.fold(cost.units as u64);
+        h.fold(cost.payload_bytes);
     }
     h
 }
@@ -231,11 +241,7 @@ fn main() {
             compiled.run_round(state);
         }
     };
-    let mut compiled_times: Vec<f64> = Vec::with_capacity(samples);
-    for _ in 0..samples {
-        compiled_times.push(time_ns(|| run_batch(&mut state)) / compiled_batch as f64);
-    }
-    let compiled_ns = median_ns(&mut compiled_times);
+    let compiled_ns = median_run(samples, || run_batch(&mut state)).1 / compiled_batch as f64;
     let compiled_rps = 1e9 / compiled_ns;
     let speedup = naive_ns / compiled_ns;
     m2m_log!(
@@ -266,15 +272,10 @@ fn main() {
             got, expected_bits,
             "lane width {width} diverged from scalar"
         );
-        let mut times: Vec<f64> = Vec::with_capacity(samples);
-        for _ in 0..samples {
-            times.push(
-                time_ns(|| {
-                    compiled.run_rounds_batched(&batch, &mut lane_state, &mut out);
-                }) / compiled_batch as f64,
-            );
-        }
-        let med = median_ns(&mut times);
+        let med = median_run(samples, || {
+            compiled.run_rounds_batched(&batch, &mut lane_state, &mut out);
+        })
+        .1 / compiled_batch as f64;
         if width == DEFAULT_LANE_WIDTH {
             batched_default_ns = med;
         }
@@ -342,17 +343,6 @@ fn main() {
     }
 
     if smoke {
-        assert!(
-            compiled_ns <= naive_ns,
-            "regression: compiled path ({compiled_ns:.0} ns/round) slower than naive \
-             execute_round ({naive_ns:.0} ns/round)"
-        );
-        assert!(
-            batched_default_ns <= naive_ns,
-            "regression: batched path ({batched_default_ns:.0} ns/round) slower than naive \
-             execute_round ({naive_ns:.0} ns/round)"
-        );
-
         // Tracing on must compute the exact same numbers as tracing off.
         let was_enabled = telemetry::enabled();
         telemetry::set_enabled(false);
@@ -365,30 +355,31 @@ fn main() {
 
         // The disabled path, gauged: its fastest probe over the fastest
         // reading of the reference loop, read just before each probe.
-        // The flag is the same code in every process, so the ratio may
-        // not move with M2M_TRACE.
-        let drift = m2m_bench::gauge::gauged(DRIFT_PAIRS, disabled_path_ns);
+        let drift = gauged(DRIFT_PAIRS, disabled_path_ns);
         telemetry::set_enabled(was_enabled);
-        // Machine-readable lines for scripts/verify.sh. The digest folds
-        // every epoch result and cost computed above under the ambient
-        // M2M_TRACE state, so runs with different trace settings must
-        // print the same digest.
-        println!("smoke_digest=0x{:016x}", digest_slab(&serial));
-        println!("smoke_disabled_ns={:.3}", drift.probe_ns);
-        println!("smoke_gauge_ns={:.3}", drift.gauge_ns);
-        println!("smoke_disabled_ratio={:.4}", drift.ratio);
-        // Same-run ratio of the lane-batched hot path over the naive
-        // interpreter — machine-independent, so verify.sh can hold an
-        // absolute floor against it on any hardware.
-        println!("smoke_batched_speedup={batched_speedup:.1}");
+        // The lane-batched round, gauged the same way.
+        let mut lane_state = ExecState::batched(&compiled, DEFAULT_LANE_WIDTH);
+        let mut out = vec![0.0; compiled_batch * dests];
+        let batched = gauged(BATCHED_PAIRS, || {
+            time_ns(|| {
+                compiled.run_rounds_batched(&batch, &mut lane_state, &mut out);
+            }) / compiled_batch as f64
+        });
         m2m_log!(
             Level::Info,
             "smoke: compiled path is {speedup:.1}x the naive path (batched W={DEFAULT_LANE_WIDTH}: \
-             {batched_speedup:.1}x), disabled path {:.2} ns ({:.3}x the gauge) — OK",
+             {batched_speedup:.1}x); disabled path {:.2} ns, batched round {:.0} ns",
             drift.probe_ns,
-            drift.ratio
+            batched.probe_ns,
         );
-        m2m_bench::report::export_telemetry();
+        print_gates(
+            GATES,
+            &[
+                ("digest", &digest_slab(&serial)),
+                ("disabled_ratio", &drift.ratio),
+                ("batched_ratio", &batched.ratio),
+            ],
+        );
         return;
     }
 

@@ -10,29 +10,43 @@
 //! count is pinned at 250 destinations so the sweep isolates graph-size
 //! scaling in the per-source routing stage (and completes in minutes).
 //!
-//! Usage: `bench_scale [--smoke] [--check <artifact.json>] [--nodes N1,N2,...] [out.json]`
+//! Usage: `bench_scale [--smoke] [--check [artifact.json]] [--nodes N1,N2,...] [out.json]`
 //!
-//! `--check` validates an existing artifact (header and every size row's
-//! stage timings and forest digest) without benchmarking.
-//!
-//! `--smoke` runs the 1k-node point once and prints machine-readable
-//! `smoke_*` lines for scripts/verify.sh:
-//!
-//! * `smoke_builds_per_sec=` — serial spec→plan front-end builds per
-//!   second (routing + intern + problems + solve), gated against the
-//!   `M2M_BUILD_FLOOR` regression floor by the verify script;
-//! * `smoke_forest_digest=` — FNV-1a over the routing forest's directed
-//!   edge set, which must be identical across back-to-back runs (and is
-//!   cross-checked in-process against the per-tree edge union).
+//! `--smoke` runs the 1k-node point once and prints the [`GATES`]:
+//! the routing forest's digest (FNV-1a over its directed edge set, which
+//! is cross-checked in-process against the per-tree edge union) and the
+//! serial spec→plan front-end builds per second (routing + intern +
+//! problems + solve). `--check` validates an artifact (header and every
+//! size row's stage timings and forest digest) and re-routes the
+//! [`PIN`]ned 1k row, which must reproduce its committed digest — the
+//! same digest `--smoke` prints. `scripts/verify.sh` judges both; see
+//! [`m2m_bench::harness`].
 
-use m2m_bench::report::{bench_report, median_ns, time_ns, JsonValue};
+use m2m_bench::harness::{print_gates, Digest, Gate, Kind, Pin};
+use m2m_bench::report::{bench_report, median_run, JsonValue};
 use m2m_core::edge_opt::{build_edge_problems, solve_edge_slab};
 use m2m_core::plan::GlobalPlan;
+use m2m_core::spec::AggregationSpec;
 use m2m_core::telemetry::Level;
 use m2m_core::topo::Topology;
 use m2m_core::workload::{generate_workload, SourceSelection, WorkloadConfig};
 use m2m_core::{m2m_log, telemetry};
 use m2m_netsim::{Deployment, Network, RoutingMode, RoutingTables};
+
+/// What `--smoke` prints for `scripts/verify.sh` to judge.
+const GATES: &[Gate] = &[
+    // Arena reuse may never perturb routing structure, traced or not.
+    Gate::new("forest_digest", Kind::Same),
+    Gate::new("builds_per_sec", Kind::Min(2.0)),
+];
+/// The row `--check` re-routes: the 1k point, the size `--smoke` runs.
+const PIN: Pin = Pin {
+    rows: "sizes",
+    key: "nodes",
+    values: &[SMOKE_NODES as u64],
+    digest: "forest_digest",
+};
+const SMOKE_NODES: usize = 1_000;
 
 /// Workload seed shared by every size point (deployment and demand).
 const SEED: u64 = 7;
@@ -59,17 +73,25 @@ fn samples_for(n: usize) -> usize {
 }
 
 /// FNV-1a over the directed edge set, the forest's structural digest.
-fn digest_edges(edges: &[(m2m_graph::NodeId, m2m_graph::NodeId)]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut fold = |bits: u64| {
-        h ^= bits;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    for &(a, b) in edges {
-        fold(u64::from(a.0));
-        fold(u64::from(b.0));
+fn forest_digest(routing: &RoutingTables) -> Digest {
+    let mut h = Digest::default();
+    for &(a, b) in routing.directed_edges() {
+        h.fold(u64::from(a.0));
+        h.fold(u64::from(b.0));
     }
     h
+}
+
+/// The `n`-node point's deployment and uniform-source workload.
+fn workload(n: usize) -> (Network, AggregationSpec) {
+    let deployment = Deployment::scaled_series(&[n], SEED).remove(0);
+    let network = Network::with_default_energy(deployment);
+    let cfg = WorkloadConfig {
+        selection: SourceSelection::Uniform,
+        ..WorkloadConfig::paper_default(destinations_for(n), 20, SEED)
+    };
+    let spec = generate_workload(&network, &cfg);
+    (network, spec)
 }
 
 struct SizePoint {
@@ -84,18 +106,12 @@ struct SizePoint {
     frontend_ns: f64,
     routing_slab_bytes: usize,
     topo_slab_bytes: usize,
-    digest: u64,
+    digest: Digest,
 }
 
 fn run_size(n: usize, samples: usize) -> SizePoint {
-    let deployment = Deployment::scaled_series(&[n], SEED).remove(0);
-    let network = Network::with_default_energy(deployment);
+    let (network, spec) = workload(n);
     let dests = destinations_for(n);
-    let cfg = WorkloadConfig {
-        selection: SourceSelection::Uniform,
-        ..WorkloadConfig::paper_default(dests, 20, SEED)
-    };
-    let spec = generate_workload(&network, &cfg);
     let demands = spec.source_to_destinations();
     m2m_log!(
         Level::Info,
@@ -105,19 +121,9 @@ fn run_size(n: usize, samples: usize) -> SizePoint {
         network.graph().edge_count()
     );
 
-    let mut routing_times = Vec::with_capacity(samples);
-    let mut routing = None;
-    for _ in 0..samples {
-        routing_times.push(time_ns(|| {
-            routing = Some(RoutingTables::build(
-                &network,
-                &demands,
-                RoutingMode::ShortestPathTrees,
-            ));
-        }));
-    }
-    let routing = routing.expect("routing built");
-    let routing_ns = median_ns(&mut routing_times);
+    let (routing, routing_ns) = median_run(samples, || {
+        RoutingTables::build(&network, &demands, RoutingMode::ShortestPathTrees)
+    });
 
     // The cached directed edge set must agree with the per-tree union —
     // the forest and its tree views describe one structure.
@@ -132,38 +138,12 @@ fn run_size(n: usize, samples: usize) -> SizePoint {
         routing.directed_edges(),
         "directed-edge cache diverged from the per-tree union"
     );
-    let digest = digest_edges(routing.directed_edges());
+    let digest = forest_digest(&routing);
 
-    let mut intern_times = Vec::with_capacity(samples);
-    let mut topo = None;
-    for _ in 0..samples {
-        intern_times.push(time_ns(|| {
-            topo = Some(Topology::snapshot(&spec, &routing));
-        }));
-    }
-    let topo = topo.expect("snapshot taken");
-    let intern_ns = median_ns(&mut intern_times);
-
-    let mut problem_times = Vec::with_capacity(samples);
-    let mut problems = None;
-    for _ in 0..samples {
-        problem_times.push(time_ns(|| {
-            problems = Some(build_edge_problems(&topo));
-        }));
-    }
-    let problems = problems.expect("problems built");
-    let problems_ns = median_ns(&mut problem_times);
-
-    let mut solve_times = Vec::with_capacity(samples);
-    let mut solutions = None;
-    for _ in 0..samples {
-        solve_times.push(time_ns(|| {
-            solutions = Some(solve_edge_slab(&problems, &spec, 1));
-        }));
-    }
-    let solutions = solutions.expect("solved");
+    let (topo, intern_ns) = median_run(samples, || Topology::snapshot(&spec, &routing));
+    let (problems, problems_ns) = median_run(samples, || build_edge_problems(&topo));
+    let (solutions, solve_ns) = median_run(samples, || solve_edge_slab(&problems, &spec, 1));
     assert_eq!(solutions.len(), problems.len());
-    let solve_ns = median_ns(&mut solve_times);
 
     // Cross-check: the staged pipeline above must agree with the real
     // plan builder (which adds the repair sweep on top).
@@ -199,7 +179,8 @@ fn run_size(n: usize, samples: usize) -> SizePoint {
     }
 }
 
-/// `--check`: parse an artifact and assert the schema its readers rely on.
+/// `--check`: assert the schema the artifact's readers rely on, then
+/// re-route the pinned row.
 fn check_artifact(path: &str) {
     let value = m2m_bench::report::check_header(path, "plan_frontend_scale");
     let sizes = m2m_bench::report::require_rows(
@@ -216,7 +197,17 @@ fn check_artifact(path: &str) {
             "forest_digest",
         ],
     );
-    println!("check_ok={path} sizes={}", sizes.len());
+    let pinned = PIN.check(path, &value, |row| {
+        let n = row.get("nodes").and_then(JsonValue::as_u64).expect("nodes");
+        let (network, spec) = workload(n as usize);
+        let routing = RoutingTables::build(
+            &network,
+            &spec.source_to_destinations(),
+            RoutingMode::ShortestPathTrees,
+        );
+        forest_digest(&routing).to_string()
+    });
+    println!("check_ok={path} sizes={} pinned={pinned}", sizes.len());
 }
 
 fn main() {
@@ -233,7 +224,7 @@ fn main() {
         nodes = vec![1_000, 10_000, 100_000];
     }
     if smoke {
-        nodes = vec![1_000];
+        nodes = vec![SMOKE_NODES];
     }
 
     let mut rows = Vec::new();
@@ -253,18 +244,18 @@ fn main() {
                 .with("frontend_ns", JsonValue::float(point.frontend_ns, 0))
                 .with("routing_slab_bytes", point.routing_slab_bytes)
                 .with("topo_slab_bytes", point.topo_slab_bytes)
-                .with("forest_digest", format!("0x{:016x}", point.digest)),
+                .with("forest_digest", point.digest.to_string()),
         );
         smoke_point = Some(point);
     }
 
     if smoke {
         let point = smoke_point.expect("smoke point ran");
-        println!(
-            "smoke_builds_per_sec={:.2}",
-            1e9 / point.frontend_ns.max(1.0)
+        let rate = 1e9 / point.frontend_ns.max(1.0);
+        print_gates(
+            GATES,
+            &[("forest_digest", &point.digest), ("builds_per_sec", &rate)],
         );
-        println!("smoke_forest_digest=0x{:016x}", point.digest);
         return;
     }
 

@@ -21,23 +21,19 @@
 //!   stream replays bit-for-bit from its resumed cursor.
 //!
 //! Usage: `cargo run --release -p m2m-bench --bin bench_service -- \
-//!         [--smoke] [--check <artifact.json>] [--nodes N] \
+//!         [--smoke] [--check [artifact.json]] [--nodes N] \
 //!         [output.json] [tenants]`
 //!
-//! `--smoke` admits a reduced fleet and prints the machine-readable
-//! lines `scripts/verify.sh` gates on:
-//!
-//! * `smoke_svc_admits_per_sec=` — admission throughput, gated against
-//!   the `M2M_SVC_FLOOR` regression floor;
-//! * `smoke_svc_digest=` — FNV-1a over the final checkpoint text, which
-//!   must be identical across back-to-back runs.
-//!
-//! `--check` parses an existing artifact and asserts the schema the
-//! gate relies on, including the committed marginal-cost bound.
+//! `--smoke` admits a reduced 64-tenant fleet and prints the [`GATES`]:
+//! the final checkpoint's digest and the admission throughput.
+//! `scripts/verify.sh` judges them; see [`m2m_bench::harness`].
+//! `--check` validates an existing artifact, including the committed
+//! marginal-cost bound.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use m2m_bench::harness::{print_gates, Digest, Gate, Kind};
 use m2m_bench::report::{
     bench_report, check_header, require_fields, require_rows, time_ns, BenchCli, JsonValue,
 };
@@ -51,6 +47,13 @@ use m2m_core::{m2m_log, telemetry};
 use m2m_graph::NodeId;
 use m2m_netsim::failure::DeliveryModel;
 use m2m_netsim::{Deployment, Network, RoutingMode};
+
+/// What `--smoke` prints for `scripts/verify.sh` to judge.
+const GATES: &[Gate] = &[
+    // The admitted specs, plan slabs and salt cursors, byte for byte.
+    Gate::new("digest", Kind::Same),
+    Gate::new("admits_per_sec", Kind::Min(5.0)),
+];
 
 /// Deployment/workload seed shared by every run.
 const SEED: u64 = 7;
@@ -80,17 +83,6 @@ fn readings(net: &Network) -> BTreeMap<NodeId, f64> {
             (v, x.sin() * 35.0 + f64::from(v.0) * 0.01)
         })
         .collect()
-}
-
-/// FNV-1a over the checkpoint text: equal digests iff the admitted
-/// specs, plan slabs, and salt cursors are byte-identical.
-fn digest_text(text: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in text.as_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 struct AdmitPoint {
@@ -220,7 +212,7 @@ fn main() {
         svc.run(lossy, &vals).expect("lossy tenant runs");
     }
     let text = svc.checkpoint();
-    let digest = digest_text(&text);
+    let digest = Digest::text(&text);
     let mut restored =
         PlanService::restore(Arc::clone(&net), Config::default(), &text).expect("restores");
     assert_eq!(
@@ -229,7 +221,7 @@ fn main() {
         "restore must be served entirely from the persisted slabs"
     );
     assert_eq!(
-        digest_text(&restored.checkpoint()),
+        Digest::text(&restored.checkpoint()),
         digest,
         "checkpoint must round-trip byte-identically"
     );
@@ -244,7 +236,7 @@ fn main() {
     }
     m2m_log!(
         Level::Info,
-        "checkpoint: {} bytes, digest 0x{digest:016x}, restore solve-free, replay exact",
+        "checkpoint: {} bytes, digest {digest}, restore solve-free, replay exact",
         text.len()
     );
 
@@ -269,14 +261,10 @@ fn main() {
         );
     }
 
-    println!("smoke_svc_admits_per_sec={admits_per_sec:.2}");
-    println!("smoke_svc_digest=0x{digest:016x}");
-    println!("smoke_svc_marginal_64_pct={:.3}", marginal_64 * 100.0);
     if cli.smoke {
-        m2m_log!(
-            Level::Info,
-            "smoke: {tenant_count} tenants, 64th at {:.2}% of the 1st — OK",
-            marginal_64 * 100.0
+        print_gates(
+            GATES,
+            &[("digest", &digest), ("admits_per_sec", &admits_per_sec)],
         );
         return;
     }
@@ -330,7 +318,7 @@ fn main() {
             "checkpoint",
             JsonValue::object()
                 .with("bytes", text.len())
-                .with("digest", format!("0x{digest:016x}"))
+                .with("digest", digest.to_string())
                 .with("restore_fresh_solves", 0usize)
                 .with("replay", "bit-identical"),
         );

@@ -20,24 +20,23 @@
 //! plan's solutions, recording its protocol rounds and message count.
 //!
 //! Usage: `cargo run --release -p m2m-bench --bin bench_sim \
-//!         [--smoke] [--check <artifact.json>] [--nodes N1,N2,...]
+//!         [--smoke] [--check [artifact.json]] [--nodes N1,N2,...]
 //!         [output.json] [rounds]`
 //!
-//! `--smoke` runs the 1k-node point and prints machine-readable lines
-//! for `scripts/verify.sh`:
-//!
-//! * `smoke_sim_events_per_sec=` — lossy-epoch event throughput, gated
-//!   against the `M2M_SIM_FLOOR` regression floor by the verify script;
-//! * `smoke_sim_digest=` — FNV-1a over every outcome of the epoch,
-//!   which must be identical across back-to-back runs (and is replayed
-//!   in-process through a warm state before being printed).
-//!
-//! `--check` parses an existing artifact and asserts the schema the
-//! gate relies on, including the `coverage_*` columns and that every
-//! size recorded `dvc_agrees`.
+//! `--smoke` runs a 12-round epoch at the 1k-node point and prints the
+//! [`GATES`]: the epoch's digest (FNV-1a over every outcome, replayed
+//! in-process through a warm state before it is printed) and its event
+//! throughput. `--check` validates an artifact (the `coverage_*`
+//! columns, and that every size recorded `dvc_agrees`) and re-runs the
+//! [`PIN`]ned 1k and 10k rows (~6 s), which must reproduce their
+//! committed digests: a change to lossy semantics fails there, and the
+//! 10k workload's cyclic message graph takes the merge's greedy
+//! fallback end to end. `scripts/verify.sh` judges both; see
+//! [`m2m_bench::harness`].
 
 use std::collections::BTreeMap;
 
+use m2m_bench::harness::{print_gates, Digest, Gate, Kind, Pin};
 use m2m_bench::report::{bench_report, time_ns, JsonValue};
 use m2m_bench::stats::quantile;
 use m2m_core::dvc::solve_distributed;
@@ -51,6 +50,20 @@ use m2m_core::{m2m_log, telemetry};
 use m2m_graph::NodeId;
 use m2m_netsim::failure::DeliveryModel;
 use m2m_netsim::{Deployment, Network, RoutingMode, RoutingTables};
+
+/// What `--smoke` prints for `scripts/verify.sh` to judge.
+const GATES: &[Gate] = &[
+    // Tracing may not move a bit of a simulated outcome.
+    Gate::new("digest", Kind::Same),
+    Gate::new("events_per_sec", Kind::Min(100_000.0)),
+];
+/// The rows `--check` re-runs at their committed round counts.
+const PIN: Pin = Pin {
+    rows: "sizes",
+    key: "nodes",
+    values: &[1_000, 10_000],
+    digest: "digest",
+};
 
 /// Workload seed shared by every size point (deployment and demand).
 const SEED: u64 = 7;
@@ -88,35 +101,28 @@ fn reading(source: NodeId, round: usize) -> f64 {
 
 /// FNV-1a over every field of every simulated outcome: result bits,
 /// coverage, cost, event/tick counts, queue pressure.
-fn digest_outcomes(outcomes: &[SimOutcome]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut fold = |bits: u64| {
-        h ^= bits;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
+fn digest_outcomes(outcomes: &[SimOutcome]) -> Digest {
+    let mut h = Digest::default();
     for out in outcomes {
         for r in &out.outcome.results {
-            match r {
-                Some(v) => fold(v.to_bits()),
-                None => fold(u64::MAX),
-            }
+            h.fold(r.map_or(u64::MAX, f64::to_bits));
         }
         for c in &out.outcome.coverage {
-            fold(u64::from(c.destination.0));
-            fold(c.covered as u64);
-            fold(c.demanded as u64);
+            h.fold(u64::from(c.destination.0));
+            h.fold(c.covered as u64);
+            h.fold(c.demanded as u64);
         }
-        fold(out.outcome.cost.tx_uj.to_bits());
-        fold(out.outcome.cost.rx_uj.to_bits());
-        fold(out.outcome.cost.messages as u64);
-        fold(out.outcome.retransmissions as u64);
-        fold(out.events);
-        fold(out.ticks);
-        fold(u64::from(out.peak_queue_depth));
-        fold(out.queue_overflows);
+        h.fold(out.outcome.cost.tx_uj.to_bits());
+        h.fold(out.outcome.cost.rx_uj.to_bits());
+        h.fold(out.outcome.cost.messages as u64);
+        h.fold(out.outcome.retransmissions as u64);
+        h.fold(out.events);
+        h.fold(out.ticks);
+        h.fold(u64::from(out.peak_queue_depth));
+        h.fold(out.queue_overflows);
         for &(node, pushes) in &out.overflow_nodes {
-            fold(u64::from(node.0));
-            fold(u64::from(pushes));
+            h.fold(u64::from(node.0));
+            h.fold(u64::from(pushes));
         }
     }
     h
@@ -136,7 +142,7 @@ struct SizePoint {
     retransmissions: usize,
     peak_queue_depth: u32,
     queue_overflows: u64,
-    digest: u64,
+    digest: Digest,
     dvc_rounds: u64,
     dvc_messages: u64,
     dvc_patches: usize,
@@ -256,7 +262,7 @@ fn run_size(n: usize, rounds: usize) -> SizePoint {
         Level::Info,
         "n={n}: {rounds} lossy rounds, {events} events ({events_per_sec:.0}/s), \
          coverage mean {:.4} / p01 {:.4}, {retransmissions} retx, \
-         peak queue {peak_queue_depth}, dvc {} rounds / {} messages, digest 0x{digest:016x}",
+         peak queue {peak_queue_depth}, dvc {} rounds / {} messages, digest {digest}",
         coverage[0],
         coverage[2],
         dvc.rounds,
@@ -284,7 +290,8 @@ fn run_size(n: usize, rounds: usize) -> SizePoint {
     }
 }
 
-/// `--check`: parse an artifact and assert the schema the gate relies on.
+/// `--check`: assert the schema the artifact's readers rely on, then
+/// re-run the pinned rows.
 fn check_artifact(path: &str) {
     let value = m2m_bench::report::check_header(path, "sim_runtime");
     let sizes = m2m_bench::report::require_rows(
@@ -309,7 +316,11 @@ fn check_artifact(path: &str) {
             "{path}: a size point recorded a diverged distributed solve"
         );
     }
-    println!("check_ok={path} sizes={}", sizes.len());
+    let pinned = PIN.check(path, &value, |row| {
+        let field = |key| row.get(key).and_then(JsonValue::as_u64).expect(key) as usize;
+        run_size(field("nodes"), field("rounds")).digest.to_string()
+    });
+    println!("check_ok={path} sizes={} pinned={pinned}", sizes.len());
 }
 
 fn main() {
@@ -351,7 +362,7 @@ fn main() {
                 .with("retransmissions", point.retransmissions)
                 .with("peak_queue_depth", u64::from(point.peak_queue_depth))
                 .with("queue_overflows", point.queue_overflows)
-                .with("digest", format!("0x{:016x}", point.digest))
+                .with("digest", point.digest.to_string())
                 .with("dvc_rounds", point.dvc_rounds)
                 .with("dvc_messages", point.dvc_messages)
                 .with("dvc_patches", point.dvc_patches)
@@ -361,9 +372,11 @@ fn main() {
     }
 
     if smoke {
-        let point = smoke_point.expect("smoke point ran");
-        println!("smoke_sim_events_per_sec={:.2}", point.events_per_sec);
-        println!("smoke_sim_digest=0x{:016x}", point.digest);
+        let p = smoke_point.expect("smoke point ran");
+        print_gates(
+            GATES,
+            &[("digest", &p.digest), ("events_per_sec", &p.events_per_sec)],
+        );
         return;
     }
 

@@ -15,6 +15,7 @@
 
 pub mod figures;
 pub mod gauge;
+pub mod harness;
 pub mod report;
 pub mod stats;
 pub mod svg;

@@ -1,16 +1,11 @@
-//! Shared emission for the committed `BENCH_*.json` artifacts.
-//!
-//! The benchmark binaries (`bench_optimizer`, `bench_runtime`,
-//! `bench_resilience`, `bench_scale`, `m2m_obs`) used to hand-format
-//! their JSON with `format!` strings and hand-roll their argument
-//! parsing, which drifted apart field by field. They now build a
-//! [`JsonValue`] tree through this module: one schema version, one
-//! header shape (including the captured `M2M_*` environment), one CLI
-//! parser ([`BenchCli`]), one artifact pre-flight ([`check_header`]),
-//! and one writer. The schema is versioned so additive sections (like
-//! the `"telemetry"` counters introduced in version 2, or the `"env"`
-//! capture) never silently change the meaning of an artifact a
-//! downstream diff — `scripts/bench_compare.sh` — is watching.
+//! Shared emission for the committed `BENCH_*.json` artifacts: one
+//! schema version, one header shape (including the captured `M2M_*`
+//! environment), one CLI parser ([`BenchCli`]), one artifact pre-flight
+//! ([`check_header`]), one writer, and the timing helpers. The schema is
+//! versioned so additive sections (like the `"telemetry"` counters
+//! introduced in version 2, or the `"env"` capture) never silently
+//! change the meaning of an artifact a downstream diff —
+//! `scripts/bench_compare.sh` — is watching.
 
 use std::time::Instant;
 
@@ -62,10 +57,11 @@ pub fn env_section() -> JsonValue {
 /// [output.json] [count]`.
 #[derive(Clone, Debug)]
 pub struct BenchCli {
-    /// Reduced run wired into `scripts/verify.sh` gates.
+    /// Reduced run that prints the bin's gates ([`crate::harness`]).
     pub smoke: bool,
-    /// Validate an existing artifact instead of benchmarking
-    /// (defaults to the binary's output path when the value is omitted).
+    /// Validate an existing artifact (and re-run the rows the bin pins)
+    /// instead of benchmarking; defaults to the binary's output path when
+    /// the value is omitted.
     pub check: Option<String>,
     /// `--nodes`: deployment size(s), comma separated.
     pub nodes: Vec<usize>,
@@ -252,6 +248,23 @@ pub fn median_ns(samples: &mut [f64]) -> f64 {
     assert!(!samples.is_empty(), "median of no samples");
     samples.sort_by(|a, b| a.total_cmp(b));
     samples[samples.len() / 2]
+}
+
+/// Runs `f` `samples` times; returns its last result and the median of
+/// its wall times in ns (dropping a result is not timed).
+///
+/// # Panics
+/// Panics if `samples == 0`.
+pub fn median_run<T>(samples: usize, mut f: impl FnMut() -> T) -> (T, f64) {
+    let mut times = Vec::with_capacity(samples);
+    let mut last = None;
+    for _ in 0..samples {
+        let t0 = Instant::now();
+        let out = f();
+        times.push(t0.elapsed().as_secs_f64() * 1e9);
+        last = Some(out);
+    }
+    (last.expect("at least one sample"), median_ns(&mut times))
 }
 
 /// Times `f` once, returning nanoseconds.

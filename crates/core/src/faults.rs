@@ -1065,25 +1065,6 @@ impl FaultyExec {
         self.run(&dense, model, policy, round_salt, scratch)
     }
 
-    /// The slot scan only — no readings, no dataflow. Returns the
-    /// legacy resilience view of the round: makespan, retransmissions,
-    /// cost, and whether everything was delivered. This is what
-    /// [`crate::resilience`] is built on.
-    pub fn run_delivery_only(
-        &self,
-        model: &DeliveryModel,
-        policy: &RetryPolicy,
-        round_salt: u64,
-        scratch: &mut FaultScratch,
-    ) -> (u32, usize, usize, RoundCost, bool) {
-        let links = self.link_losses(model);
-        let (slots_used, retransmissions, dropped) =
-            self.scan_delivery(&links, policy, round_salt, scratch);
-        let cost = self.accumulate_cost(scratch);
-        let delivered = scratch.delivered.iter().all(|&d| d);
-        (slots_used, retransmissions, dropped, cost, delivered)
-    }
-
     /// Runs one round per entry of `rounds` (dense reading vectors)
     /// across up to `threads` workers, salting round `i` with
     /// `base_salt + i * SALT_STRIDE`. Links are resolved once for the

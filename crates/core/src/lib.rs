@@ -80,8 +80,8 @@
 //! * [`memo`] — cross-build solve memoization ([`memo::SolveCache`]),
 //!   Corollary 1 applied across independent plan builds;
 //! * [`milestones`] — milestone routing over virtual edges (§3);
-//! * [`resilience`] — slotted execution under transient link failures,
-//!   plus critical-link (bridge) analysis (§3);
+//! * [`resilience`] — critical-link (bridge) analysis: the links §3's
+//!   failure handling cannot route around;
 //! * [`multi`] — the "multiple functions per destination" lift (§2.1);
 //! * [`campaign`] — multi-round suppression campaigns with an audited
 //!   precision/energy trade-off (§3's "up to desired precision");

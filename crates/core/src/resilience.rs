@@ -1,26 +1,17 @@
-//! Slotted execution under transient link failures (§3, "Handling
-//! Failures").
+//! Critical-link analysis for §3, "Handling Failures".
 //!
 //! The paper's fully specified routes require "reliable message delivery
-//! on every hop (using acknowledgments and retransmissions)". This module
-//! is the legacy *delivery-level* view of that simulation: makespan,
-//! retransmission count, and energy for one round under a seeded
-//! [`DeliveryModel`], with unlimited retries up to a slot budget. It is a
-//! thin façade over the fault engine ([`crate::faults::FaultyExec`]) —
-//! the same compiled executor that also computes degraded results and
-//! per-destination coverage; here only the delivery ledger is reported.
-//! The outcome quantifies the §3 motivation for milestones: the round's
-//! makespan and energy grow with the failure rate when every hop is
-//! pinned.
+//! on every hop (using acknowledgments and retransmissions)"; milestone
+//! routing relaxes that only where a detour exists. This module finds
+//! the links with no detour and the plan traffic that crosses them. The
+//! rounds themselves run under loss in [`crate::faults::FaultyExec`],
+//! whose makespan, retransmissions and energy grow with the failure
+//! rate when every hop is pinned — the §3 motivation for milestones.
 
 use m2m_graph::bridges::bridges;
 use m2m_graph::NodeId;
-use m2m_netsim::failure::DeliveryModel;
 use m2m_netsim::Network;
 
-use crate::exec::CompiledSchedule;
-use crate::faults::{FaultyExec, RetryPolicy};
-use crate::metrics::RoundCost;
 use crate::schedule::Schedule;
 
 /// Radio links the communication layer cannot route around: the bridges
@@ -48,93 +39,15 @@ pub fn messages_on_critical_links(network: &Network, schedule: &Schedule) -> Vec
         .collect()
 }
 
-/// Result of one failure-prone round.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ResilienceOutcome {
-    /// Slots actually used (≥ the failure-free makespan).
-    pub slots_used: u32,
-    /// Failed transmission attempts.
-    pub retransmissions: usize,
-    /// Energy including retransmissions (failed attempts pay transmit
-    /// energy; receive energy is paid only on successful delivery).
-    pub cost: RoundCost,
-    /// False if `max_slots` elapsed before every message was delivered.
-    pub delivered: bool,
-}
-
-/// Executes one round of `compiled` under `failures`, with `round_salt`
-/// decorrelating this round's failures from other rounds'.
-///
-/// A message becomes *ready* once every message it waits for has been
-/// delivered; it is attempted in every slot from `max(its assigned slot,
-/// readiness)` until its link is up. Retries never give up on a message
-/// (the paper's acknowledge-and-retransmit hop contract), but the round
-/// as a whole is abandoned after `max_slots`.
-///
-/// One-shot convenience over [`FaultyExec`]; multi-round callers should
-/// build the engine once and call [`FaultyExec::run_delivery_only`] per
-/// round.
-pub fn execute_with_failures(
-    network: &Network,
-    compiled: &CompiledSchedule,
-    failures: &DeliveryModel,
-    round_salt: u64,
-    max_slots: u32,
-) -> ResilienceOutcome {
-    let engine = FaultyExec::new(network, compiled);
-    let mut scratch = engine.scratch();
-    let policy = RetryPolicy::unlimited(max_slots);
-    let (slots_used, retransmissions, _dropped, cost, delivered) =
-        engine.run_delivery_only(failures, &policy, round_salt, &mut scratch);
-    ResilienceOutcome {
-        slots_used,
-        retransmissions,
-        cost,
-        delivered,
-    }
-}
-
-/// Averages [`execute_with_failures`] over `rounds` independent rounds.
-/// Returns `(mean slots, mean retransmissions, mean energy µJ, delivery
-/// rate)`. The fault engine is built once and reused for every round.
-pub fn average_over_rounds(
-    network: &Network,
-    compiled: &CompiledSchedule,
-    failures: &DeliveryModel,
-    rounds: u32,
-    max_slots: u32,
-) -> (f64, f64, f64, f64) {
-    let engine = FaultyExec::new(network, compiled);
-    let mut scratch = engine.scratch();
-    let policy = RetryPolicy::unlimited(max_slots);
-    let mut slot_sum = 0.0;
-    let mut retx_sum = 0.0;
-    let mut energy_sum = 0.0;
-    let mut delivered_rounds = 0u32;
-    for r in 0..rounds {
-        let salt = u64::from(r).wrapping_mul(crate::faults::SALT_STRIDE);
-        let (slots_used, retransmissions, _dropped, cost, delivered) =
-            engine.run_delivery_only(failures, &policy, salt, &mut scratch);
-        slot_sum += f64::from(slots_used);
-        retx_sum += retransmissions as f64;
-        energy_sum += cost.total_uj();
-        delivered_rounds += u32::from(delivered);
-    }
-    let n = f64::from(rounds);
-    (
-        slot_sum / n,
-        retx_sum / n,
-        energy_sum / n,
-        f64::from(delivered_rounds) / n,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::CompiledSchedule;
+    use crate::faults::{FaultOutcome, FaultyExec, RetryPolicy};
     use crate::plan::GlobalPlan;
     use crate::slots::assign_slots;
     use crate::workload::{generate_workload, WorkloadConfig};
+    use m2m_netsim::failure::DeliveryModel;
     use m2m_netsim::{Deployment, RoutingMode, RoutingTables};
 
     fn setup() -> (Network, CompiledSchedule) {
@@ -150,10 +63,25 @@ mod tests {
         (net, compiled)
     }
 
+    /// One round of `compiled` under `model` with unlimited retries, on
+    /// a fresh engine and scratch.
+    fn one_round(
+        net: &Network,
+        compiled: &CompiledSchedule,
+        model: &DeliveryModel,
+        salt: u64,
+        max_slots: u32,
+    ) -> FaultOutcome {
+        let engine = FaultyExec::new(net, compiled);
+        let readings = vec![1.0; compiled.sources().len()];
+        let policy = RetryPolicy::unlimited(max_slots);
+        engine.run(&readings, model, &policy, salt, &mut engine.scratch())
+    }
+
     #[test]
     fn reliable_links_match_the_static_schedule() {
         let (net, compiled) = setup();
-        let out = execute_with_failures(&net, &compiled, &DeliveryModel::reliable(), 0, 10_000);
+        let out = one_round(&net, &compiled, &DeliveryModel::reliable(), 0, 10_000);
         assert!(out.delivered);
         assert_eq!(out.retransmissions, 0);
         let slots = assign_slots(&net, compiled.schedule());
@@ -168,50 +96,31 @@ mod tests {
         let (net, compiled) = setup();
         let engine = FaultyExec::new(&net, &compiled);
         let mut scratch = engine.scratch();
+        let readings = vec![1.0; compiled.sources().len()];
         let policy = RetryPolicy::unlimited(10_000);
         let flaky = DeliveryModel::uniform(0.3, 5);
         for salt in [0u64, 7, 99] {
-            let fresh = execute_with_failures(&net, &compiled, &flaky, salt, 10_000);
-            let (slots_used, retransmissions, _, cost, delivered) =
-                engine.run_delivery_only(&flaky, &policy, salt, &mut scratch);
-            let reused = ResilienceOutcome {
-                slots_used,
-                retransmissions,
-                cost,
-                delivered,
-            };
+            let fresh = one_round(&net, &compiled, &flaky, salt, 10_000);
+            let reused = engine.run(&readings, &flaky, &policy, salt, &mut scratch);
             assert_eq!(fresh, reused, "salt={salt}");
         }
     }
 
     #[test]
-    fn failures_cost_retransmissions_and_slots() {
-        let (net, compiled) = setup();
-        let flaky = DeliveryModel::uniform(0.3, 5);
-        let out = execute_with_failures(&net, &compiled, &flaky, 1, 10_000);
-        assert!(out.delivered);
-        assert!(out.retransmissions > 0);
-        let slots = assign_slots(&net, compiled.schedule());
-        assert!(out.slots_used >= slots.slot_count);
-        let baseline = compiled.schedule().round_cost(net.energy());
-        assert!(
-            out.cost.tx_uj > baseline.tx_uj,
-            "failed attempts burn tx energy"
-        );
-        assert!(
-            (out.cost.rx_uj - baseline.rx_uj).abs() < 1e-6,
-            "rx only on delivery"
-        );
-    }
-
-    #[test]
     fn energy_grows_with_failure_rate() {
         let (net, compiled) = setup();
+        let engine = FaultyExec::new(&net, &compiled);
+        let batch = vec![vec![1.0; compiled.sources().len()]; 10];
+        let policy = RetryPolicy::unlimited(10_000);
         let mut previous = 0.0;
         for p in [0.0, 0.2, 0.4] {
             let model = DeliveryModel::uniform(p, 9);
-            let (_, _, energy, delivery) = average_over_rounds(&net, &compiled, &model, 10, 10_000);
-            assert_eq!(delivery, 1.0, "p={p} must still deliver eventually");
+            let outcomes = engine.run_rounds(&batch, &model, &policy, 0, 1);
+            assert!(
+                outcomes.iter().all(|o| o.delivered),
+                "p={p} must still deliver eventually"
+            );
+            let energy = outcomes.iter().map(|o| o.cost.total_uj()).sum::<f64>() / 10.0;
             assert!(energy >= previous, "energy must grow with p (p={p})");
             previous = energy;
         }
@@ -261,7 +170,7 @@ mod tests {
     fn slot_budget_can_be_exhausted() {
         let (net, compiled) = setup();
         let hopeless = DeliveryModel::uniform(1.0, 2);
-        let out = execute_with_failures(&net, &compiled, &hopeless, 3, 50);
+        let out = one_round(&net, &compiled, &hopeless, 3, 50);
         assert!(!out.delivered);
         assert_eq!(out.cost.messages, 0);
         assert!(out.retransmissions > 0);
