@@ -8,7 +8,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use m2m_core::memo::SolveCache;
+use m2m_core::memo::SharedSolveCache;
 use m2m_core::plan::GlobalPlan;
 use m2m_core::workload::{generate_workload, WorkloadConfig};
 use m2m_graph::bipartite::BipartiteGraph;
@@ -88,7 +88,7 @@ fn bench_parallel_build(c: &mut Criterion) {
         });
     }
     // Corollary-1 memo: every rebuild after the first is all cache hits.
-    let mut cache = SolveCache::new();
+    let mut cache = SharedSolveCache::new();
     let _warm = GlobalPlan::build_cached(&network, &spec, &routing, &mut cache);
     group.bench_function("memoized_rebuild", |b| {
         b.iter(|| {

@@ -5,7 +5,7 @@
 //! every parallel build is bit-identical to the serial one, and writes
 //! the medians to `BENCH_optimizer.json` so regressions are diffable in
 //! CI and across machines. Also measures the Corollary-1 memoized
-//! rebuild ([`m2m_core::memo::SolveCache`]) and, after the timed phases,
+//! rebuild ([`m2m_core::memo::SharedSolveCache`]) and, after the timed phases,
 //! replays the workload with tracing enabled to embed a telemetry
 //! counter snapshot (solves, max-flow work, memo hit rate) into the
 //! artifact.
@@ -35,7 +35,7 @@ use m2m_bench::report::{
 };
 use m2m_core::dynamics::{PlanMaintainer, WorkloadUpdate};
 use m2m_core::edge_opt::build_edge_problems;
-use m2m_core::memo::SolveCache;
+use m2m_core::memo::SharedSolveCache;
 use m2m_core::plan::GlobalPlan;
 use m2m_core::telemetry::Level;
 use m2m_core::topo::Topology;
@@ -194,7 +194,7 @@ fn main() {
     let edge_count = reference.problems().len();
 
     // Memoized rebuild: first build fills the cache, rebuilds are hits.
-    let mut cache = SolveCache::new();
+    let mut cache = SharedSolveCache::new();
     let warm_plan = GlobalPlan::build_cached(&network, &spec, &routing, &mut cache);
     assert_eq!(warm_plan.solutions(), reference.solutions());
     let mut warm_times: Vec<f64> = Vec::with_capacity(samples);
@@ -226,7 +226,7 @@ fn main() {
     // one memoized rebuild with every counter live, so the artifact
     // records how much work the numbers above actually represent.
     let telemetry = telemetry_section(|| {
-        let mut cache = SolveCache::new();
+        let mut cache = SharedSolveCache::new();
         let cold = GlobalPlan::build_cached(&network, &spec, &routing, &mut cache);
         let warm = GlobalPlan::build_cached(&network, &spec, &routing, &mut cache);
         assert_eq!(cold.solutions(), warm.solutions());

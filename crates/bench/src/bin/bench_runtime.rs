@@ -53,7 +53,7 @@ use m2m_core::exec::{
     run_epochs_slab, CompiledSchedule, EpochDriver, EpochSlab, ExecState, DEFAULT_LANE_WIDTH,
     SUPPORTED_LANE_WIDTHS,
 };
-use m2m_core::memo::SolveCache;
+use m2m_core::memo::SharedSolveCache;
 use m2m_core::plan::GlobalPlan;
 use m2m_core::runtime::execute_round;
 use m2m_core::telemetry::Level;
@@ -388,7 +388,7 @@ fn main() {
     // recompile through the epoch driver, so the artifact records the
     // optimizer/executor work behind the timings above.
     let telemetry_json = telemetry_section(|| {
-        let mut cache = SolveCache::new();
+        let mut cache = SharedSolveCache::new();
         let cold = GlobalPlan::build_cached(&network, &spec, &routing, &mut cache);
         let warm = GlobalPlan::build_cached(&network, &spec, &routing, &mut cache);
         assert_eq!(cold.solutions(), warm.solutions());

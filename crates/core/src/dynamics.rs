@@ -6,9 +6,10 @@
 //! retired — only the edges whose `(S_e, D_e, ∼_e)` inputs actually
 //! changed need re-optimization, and only their incident nodes need new
 //! state disseminated. [`PlanMaintainer`] implements exactly this: it
-//! diffs the per-edge problems before and after the update, reuses
-//! solutions for unchanged problems verbatim, re-solves the rest, and
-//! reports how local the update was.
+//! diffs each edge's solve key (its problem plus the record sizes of the
+//! destinations it names, defined in [`crate::memo`]) before and after
+//! the update, reuses the solutions whose key is unchanged verbatim,
+//! re-solves the rest, and reports how local the update was.
 
 use std::sync::Arc;
 
@@ -19,10 +20,11 @@ use crate::agg::AggregateFunction;
 use crate::edge_opt::{
     build_edge_problems, solve_edge_batch, solve_edge_slab, EdgeProblem, EdgeSolution,
 };
+use crate::memo::same_key;
 use crate::parallel;
 use crate::plan::GlobalPlan;
 use crate::spec::AggregationSpec;
-use crate::topo::{BitSet, Topology};
+use crate::topo::Topology;
 
 /// A change to the aggregation workload.
 #[derive(Clone, Debug)]
@@ -60,7 +62,7 @@ pub enum WorkloadUpdate {
 /// How local an update turned out to be.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct UpdateStats {
-    /// Edges whose single-edge problem changed and were re-solved.
+    /// Edges whose solve key changed (or that are new) and were re-solved.
     pub edges_reoptimized: usize,
     /// Edges whose solution was kept verbatim (Corollary 1).
     pub edges_reused: usize,
@@ -227,6 +229,7 @@ impl PlanMaintainer {
     /// Panics on malformed updates (unknown destination, removing a
     /// function's last source).
     pub fn apply(&mut self, update: WorkloadUpdate) -> UpdateStats {
+        let solved_under = self.spec.clone();
         match update {
             WorkloadUpdate::AddSource {
                 destination,
@@ -260,7 +263,12 @@ impl PlanMaintainer {
                 );
             }
         }
-        self.reoptimize()
+        let new_routing = RoutingTables::build(
+            &self.network,
+            &self.spec.source_to_destinations(),
+            self.mode,
+        );
+        self.install(new_routing, Some(&solved_under))
     }
 
     /// Installs externally supplied routing tables (e.g. ETX-weighted
@@ -269,68 +277,51 @@ impl PlanMaintainer {
     /// changed significantly"), re-solving only the edges whose
     /// single-edge inputs changed.
     pub fn apply_route_change(&mut self, new_routing: RoutingTables) -> UpdateStats {
-        self.install(new_routing)
-    }
-
-    /// Re-routes with the maintainer's own mode, diffs per-edge problems
-    /// against the previous state, and re-solves only the changed ones.
-    fn reoptimize(&mut self) -> UpdateStats {
-        let new_routing = RoutingTables::build(
-            &self.network,
-            &self.spec.source_to_destinations(),
-            self.mode,
-        );
-        self.install(new_routing)
+        self.install(new_routing, None)
     }
 
     /// Shared Corollary 1 machinery: diff, reuse, re-solve, reassemble.
-    /// The re-solve set — the edges whose problems actually changed — is
-    /// fanned out across worker threads; Theorem 1 makes the solves
-    /// independent and ordered collection keeps the plan bit-identical to
-    /// a serial re-solve.
-    fn install(&mut self, new_routing: RoutingTables) -> UpdateStats {
+    /// `solved_under` is the spec the current slab was solved under, when
+    /// it is not today's (`None` after a route change, which leaves every
+    /// record size alone). An edge keeps its old solution only when
+    /// [`same_key`] says its solve key is unchanged; the old snapshot's
+    /// O(1) edge lookup finds the old slot. The re-solve set is fanned
+    /// out across worker threads; Theorem 1 makes the solves independent
+    /// and ordered collection keeps the plan bit-identical to a serial
+    /// re-solve.
+    fn install(
+        &mut self,
+        new_routing: RoutingTables,
+        solved_under: Option<&AggregationSpec>,
+    ) -> UpdateStats {
         let _span = crate::telemetry::span(crate::telemetry::layer::DYNAMICS_ROUTE_CHANGE);
         let new_topo = Arc::new(Topology::snapshot(&self.spec, &new_routing));
         let new_problems = build_edge_problems(&new_topo);
+        let old_spec = solved_under.unwrap_or(&self.spec);
 
-        // Dirty-edge bitset over the *new* slab: an edge is dirty when
-        // its problem is brand new or changed; everything else reuses its
-        // solution verbatim (Corollary 1). The old snapshot's O(1) edge
-        // lookup does the diff — no map re-keying.
+        // Per new slot: the old slot whose solution it keeps, if any.
         let mut stats = UpdateStats::default();
-        let mut dirty = BitSet::with_capacity(new_problems.len());
-        for (idx, problem) in new_problems.iter().enumerate() {
-            match self.topo.edge_idx(problem.edge) {
-                Some(old) if self.problems[old.index()] == *problem => {
-                    stats.edges_reused += 1;
-                }
-                existing => {
-                    stats.edges_reoptimized += 1;
-                    if existing.is_none() {
-                        stats.edges_added_or_removed += 1;
-                    }
-                    dirty.insert(idx);
-                }
+        let mut kept: Vec<Option<usize>> = Vec::with_capacity(new_problems.len());
+        let mut to_solve: Vec<&EdgeProblem> = Vec::new();
+        for problem in &new_problems {
+            let old = self.topo.edge_idx(problem.edge).map(|e| e.index());
+            let keep = old.filter(|&o| same_key(&self.problems[o], old_spec, problem, &self.spec));
+            if keep.is_some() {
+                stats.edges_reused += 1;
+            } else {
+                stats.edges_reoptimized += 1;
+                stats.edges_added_or_removed += usize::from(old.is_none());
+                to_solve.push(problem);
             }
+            kept.push(keep);
         }
-        let to_solve: Vec<&EdgeProblem> = new_problems
+        let mut fresh =
+            solve_edge_batch(&to_solve, &self.spec, parallel::max_threads()).into_iter();
+        let new_solutions: Vec<EdgeSolution> = kept
             .iter()
-            .enumerate()
-            .filter(|&(idx, _)| dirty.contains(idx))
-            .map(|(_, p)| p)
-            .collect();
-        let solved = solve_edge_batch(&to_solve, &self.spec, parallel::max_threads());
-        let mut fresh = solved.into_iter();
-        let new_solutions: Vec<EdgeSolution> = new_problems
-            .iter()
-            .enumerate()
-            .map(|(idx, problem)| {
-                if dirty.contains(idx) {
-                    fresh.next().expect("one solve per dirty edge")
-                } else {
-                    let old = self.topo.edge_idx(problem.edge).expect("reused edge");
-                    self.base_solutions[old.index()].clone()
-                }
+            .map(|keep| match *keep {
+                Some(old) => self.base_solutions[old].clone(),
+                None => fresh.next().expect("one solve per re-solved edge"),
             })
             .collect();
         stats.edges_added_or_removed += self

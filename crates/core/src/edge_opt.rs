@@ -76,10 +76,11 @@ pub struct AggGroup {
 /// The inputs to one single-edge optimization: `(S_e, D_e, ∼_e)` with
 /// destinations refined into continuation groups.
 ///
-/// Equality compares the full problem inputs; Corollary 1 keys on it —
-/// an edge whose problem is unchanged keeps its solution verbatim, both
-/// across incremental updates ([`crate::dynamics`]) and across whole plan
-/// builds ([`crate::memo::SolveCache`], which hashes the problem).
+/// Equality compares the full problem inputs. With the record sizes of
+/// the destinations the groups name, a problem is a solve's key
+/// ([`crate::memo`]): an edge whose key is unchanged keeps its solution
+/// verbatim, both across incremental updates ([`crate::dynamics`]) and
+/// across plan builds and tenants ([`crate::memo::SharedSolveCache`]).
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct EdgeProblem {
     /// The directed edge `i → j`.

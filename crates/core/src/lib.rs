@@ -54,8 +54,9 @@
 //!   [`spec::AggregationSpec`]s share one deployment, interned routing
 //!   substrates, and a cross-tenant [`memo::SharedSolveCache`], with
 //!   checkpoint/restore and the [`sharing`] multi-query index;
-//! * [`node_machine`] — the *distributed* counterpart: event-driven node
-//!   automata programmed solely by their §3 tables;
+//! * `node_machine` — the *distributed* counterpart: event-driven node
+//!   automata programmed solely by their §3 tables, a test-only oracle
+//!   behind the `test-oracle` feature like `runtime`;
 //! * [`sim`] — the discrete-event distributed runtime: every node a
 //!   component on a shared event clock with bounded per-link queues and
 //!   a binary-heap event wheel, drawing losses from the same seeded
@@ -77,8 +78,10 @@
 //! * [`parallel`] — the scoped worker pool fanning per-edge solves across
 //!   threads with deterministic, order-preserving collection (Theorem 1
 //!   makes the fan-out safe);
-//! * [`memo`] — cross-build solve memoization ([`memo::SolveCache`]),
-//!   Corollary 1 applied across independent plan builds;
+//! * [`memo`] — Corollary 1's reuse rule (a solve's key: its problem plus
+//!   the record sizes it names), which the incremental maintainer tests
+//!   per edge and [`memo::SharedSolveCache`] memoizes solves under,
+//!   across plan builds and service tenants;
 //! * [`milestones`] — milestone routing over virtual edges (§3);
 //! * [`resilience`] — critical-link (bridge) analysis: the links §3's
 //!   failure handling cannot route around;
@@ -148,6 +151,7 @@ pub mod memo;
 pub mod metrics;
 pub mod milestones;
 pub mod multi;
+#[cfg(any(test, feature = "test-oracle"))]
 pub mod node_machine;
 pub mod obs;
 pub mod parallel;
@@ -186,7 +190,7 @@ pub mod prelude {
     pub use crate::faults::{
         ChurnController, DegradationTracker, DestCoverage, FaultOutcome, FaultyExec, RetryPolicy,
     };
-    pub use crate::memo::{SharedSolveCache, SolveCache};
+    pub use crate::memo::SharedSolveCache;
     pub use crate::metrics::RoundCost;
     pub use crate::obs::{FlightRecorder, RoundPoint};
     pub use crate::plan::GlobalPlan;

@@ -37,7 +37,7 @@ use m2m_netsim::{Network, RoutingTables};
 use crate::edge_opt::{
     build_edge_problems, solve_edge_slab, AggGroup, DirectedEdge, EdgeProblem, EdgeSolution,
 };
-use crate::memo::SolveCache;
+use crate::memo::SharedSolveCache;
 use crate::parallel;
 use crate::spec::AggregationSpec;
 use crate::topo::Topology;
@@ -101,16 +101,17 @@ impl GlobalPlan {
         })
     }
 
-    /// [`GlobalPlan::build`] through a [`SolveCache`]: edges whose
-    /// single-edge problem was already solved in an earlier build (same
-    /// spec record sizes) reuse that solution verbatim — Corollary 1
-    /// applied *across* plan builds. Misses are fanned out in parallel.
-    /// The resulting plan is bit-identical to [`GlobalPlan::build`].
+    /// [`GlobalPlan::build`] through a [`SharedSolveCache`]: edges whose
+    /// solve key (problem plus record sizes, see [`crate::memo`]) an
+    /// earlier build already solved reuse that solution verbatim —
+    /// Corollary 1 applied *across* plan builds. Misses are fanned out in
+    /// parallel. The resulting plan is bit-identical to
+    /// [`GlobalPlan::build`].
     pub fn build_cached(
         network: &Network,
         spec: &AggregationSpec,
         routing: &RoutingTables,
-        cache: &mut SolveCache,
+        cache: &mut SharedSolveCache,
     ) -> Self {
         debug_assert_radio_links(network, routing);
         Self::build_solving(spec, routing, |problems| {
@@ -128,7 +129,7 @@ impl GlobalPlan {
         let topo = Arc::new(Topology::snapshot(spec, routing));
         let problems = build_edge_problems(&topo);
         let solutions = solve(&problems);
-        let plan = Self::assemble(spec, topo, problems, solutions, true);
+        let plan = Self::from_solutions(spec, topo, problems, solutions);
         if crate::telemetry::enabled() {
             crate::telemetry::counter(crate::telemetry::names::PLAN_BUILDS, 1);
             crate::telemetry::counter(crate::telemetry::names::PLAN_REPAIRS, plan.repairs as u64);
@@ -136,38 +137,21 @@ impl GlobalPlan {
         plan
     }
 
-    /// Builds a plan from externally supplied edge solutions in
-    /// [`crate::topo::EdgeIdx`] order (used by the baseline algorithms
-    /// and the incremental maintainer). The availability sweep still runs
-    /// so every plan handed out is executable.
+    /// Builds a plan from per-edge solutions in [`crate::topo::EdgeIdx`]
+    /// order, running the §2.3 availability sweep over them so every plan
+    /// handed out is executable. Every build path funnels through here:
+    /// the builds above, the baseline algorithms and the incremental
+    /// maintainer.
     pub fn from_solutions(
         spec: &AggregationSpec,
         topo: Arc<Topology>,
         problems: Vec<EdgeProblem>,
-        solutions: Vec<EdgeSolution>,
-    ) -> Self {
-        Self::assemble(spec, topo, problems, solutions, true)
-    }
-
-    /// The one true constructor: every public build path funnels through
-    /// here, parameterized by whether the §2.3 repair sweep runs.
-    /// Skipping the sweep is only sound when the solutions are already
-    /// known to be availability-consistent.
-    fn assemble(
-        spec: &AggregationSpec,
-        topo: Arc<Topology>,
-        problems: Vec<EdgeProblem>,
         mut solutions: Vec<EdgeSolution>,
-        run_repair_sweep: bool,
     ) -> Self {
         let _span = crate::telemetry::span(crate::telemetry::layer::PLAN_ASSEMBLE);
         debug_assert_eq!(problems.len(), topo.edge_count());
         debug_assert_eq!(solutions.len(), topo.edge_count());
-        let repairs = if run_repair_sweep {
-            repair_availability(spec, &topo, &problems, &mut solutions)
-        } else {
-            0
-        };
+        let repairs = repair_availability(spec, &topo, &problems, &mut solutions);
         GlobalPlan {
             topo,
             problems,
@@ -634,10 +618,9 @@ mod tests {
     }
 
     #[test]
-    fn assemble_without_sweep_skips_repairs() {
+    fn from_solutions_repairs_an_availability_violation() {
         // Same corruption as above: upstream aggregates, downstream wants
-        // raw. `from_solutions` (sweep on) must repair; the private
-        // constructor with the sweep off must hand the slabs back as-is.
+        // raw. `from_solutions` must patch it.
         let net = Network::with_default_energy(Deployment::grid(4, 1, 10.0, 12.0));
         let mut spec = AggregationSpec::new();
         spec.add_function(
@@ -664,19 +647,9 @@ mod tests {
             &spec,
             Arc::clone(plan.topology()),
             plan.problems().to_vec(),
-            corrupted.clone(),
+            corrupted,
         );
         assert!(swept.repair_count() > 0, "sweep must patch the violation");
-
-        let unswept = GlobalPlan::assemble(
-            &spec,
-            Arc::clone(plan.topology()),
-            plan.problems().to_vec(),
-            corrupted.clone(),
-            false,
-        );
-        assert_eq!(unswept.repair_count(), 0);
-        assert_eq!(unswept.solutions(), &corrupted[..], "slabs pass through");
     }
 
     #[test]

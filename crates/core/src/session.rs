@@ -553,23 +553,34 @@ impl Session {
     }
 
     /// Executes one round under the session's [`Runtime`] and returns
-    /// the unified [`RoundReport`]. Lossy and sim rounds advance the
-    /// replayable salt stream and feed the degradation tracker; compiled
-    /// rounds are pure and leave the cursor untouched.
+    /// the unified [`RoundReport`]. A lossy or sim round is a one-row
+    /// [`Session::run_rounds`] batch: it advances the replayable salt
+    /// stream and feeds the degradation tracker; compiled rounds are pure
+    /// and leave the cursor untouched.
     ///
     /// # Panics
     /// Panics if a source reading is missing.
     pub fn run(&mut self, readings: &BTreeMap<NodeId, f64>) -> RoundReport {
-        let destinations: Vec<NodeId> = self.driver.compiled().destinations().collect();
+        let compiled = self.driver.compiled();
         match self.runtime {
             Runtime::Compiled => {
-                let compiled = self.driver.compiled();
                 let mut state = ExecState::for_schedule(compiled);
                 let cost = compiled.run_round_on(readings, &mut state);
-                RoundReport::compiled(destinations, state.results(), cost)
+                RoundReport::compiled(compiled.destinations().collect(), state.results(), cost)
             }
-            Runtime::Lossy => RoundReport::from_fault(destinations, self.lossy_round(readings)),
-            Runtime::Sim => RoundReport::from_sim(destinations, self.sim_round(readings)),
+            Runtime::Lossy | Runtime::Sim => {
+                let row: Vec<f64> = compiled
+                    .sources()
+                    .ids()
+                    .iter()
+                    .map(|s| {
+                        *readings
+                            .get(s)
+                            .unwrap_or_else(|| panic!("no reading for source {s}"))
+                    })
+                    .collect();
+                self.run_rounds(&[row]).pop().expect("one report per row")
+            }
         }
     }
 
@@ -617,22 +628,6 @@ impl Session {
         )
     }
 
-    fn lossy_round(&mut self, readings: &BTreeMap<NodeId, f64>) -> FaultOutcome {
-        self.ensure_faults();
-        let policy = self.config.retry_policy();
-        let round = self.rounds_run;
-        let salt = self.base_salt.wrapping_add(round.wrapping_mul(SALT_STRIDE));
-        self.rounds_run += 1;
-        let faults = self.faults.as_ref().expect("ensured above");
-        let mut scratch = faults.scratch();
-        let out = faults.run_on(readings, &self.delivery, &policy, salt, &mut scratch);
-        self.tracker.observe(&out);
-        if let Some(rec) = &mut self.recorder {
-            rec.record_round(round, &out);
-        }
-        out
-    }
-
     fn lossy_rounds(&mut self, rounds: &[Vec<f64>]) -> Vec<FaultOutcome> {
         self.ensure_faults();
         let policy = self.config.retry_policy();
@@ -656,23 +651,6 @@ impl Session {
             }
         }
         outcomes
-    }
-
-    fn sim_round(&mut self, readings: &BTreeMap<NodeId, f64>) -> SimOutcome {
-        self.ensure_sim();
-        let policy = self.config.retry_policy();
-        let round = self.rounds_run;
-        let salt = self.base_salt.wrapping_add(round.wrapping_mul(SALT_STRIDE));
-        self.rounds_run += 1;
-        let delivery = &self.delivery;
-        let (sim, st) = self.sim.as_mut().expect("ensured above");
-        let out = sim.run_on(readings, delivery, &policy, salt, st);
-        self.tracker.observe(&out.outcome);
-        if let Some(rec) = &mut self.recorder {
-            rec.record_round(round, &out.outcome);
-            rec.record_sim_round(round, &out);
-        }
-        out
     }
 
     fn sim_rounds(&mut self, rounds: &[Vec<f64>]) -> Vec<SimOutcome> {

@@ -55,12 +55,10 @@ pub mod names {
     /// Dinic augmenting paths, summed over solves.
     pub const MAXFLOW_AUGMENTING_PATHS: &str = "maxflow.augmenting_paths";
 
-    /// [`crate::memo::SolveCache`] lookups served from the cache.
+    /// [`crate::memo::SharedSolveCache`] lookups served from the cache.
     pub const MEMO_HITS: &str = "memo.hits";
-    /// [`crate::memo::SolveCache`] lookups that required a fresh solve.
+    /// [`crate::memo::SharedSolveCache`] lookups that required a fresh solve.
     pub const MEMO_MISSES: &str = "memo.misses";
-    /// Whole-cache invalidations (a remembered record size changed).
-    pub const MEMO_INVALIDATIONS: &str = "memo.invalidations";
 
     /// Global plan assemblies ([`crate::plan::GlobalPlan`]).
     pub const PLAN_BUILDS: &str = "plan.builds";

@@ -15,10 +15,13 @@
 //! source 5 1 0.75
 //! ```
 //!
-//! Lines: `deployment W H RANGE`, `node ID X Y` (ordered, dense ids),
-//! `function DEST KIND`, `source DEST SRC WEIGHT` (after its function).
-//! Blank lines and `#` comments are ignored.
+//! Lines: `deployment W H RANGE` (a positive, finite radio range),
+//! `node ID X Y` (ordered, dense ids), `function DEST KIND` (one per
+//! destination), `source DEST SRC WEIGHT` (after its function). Blank
+//! lines and `#` comments are ignored. Malformed input is an `Err` naming
+//! the line, never a panic.
 
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use m2m_graph::NodeId;
@@ -51,11 +54,10 @@ pub fn to_text(deployment: &Deployment, spec: &AggregationSpec) -> String {
 
 /// Parses the text format back into a deployment and workload.
 pub fn from_text(text: &str) -> Result<(Deployment, AggregationSpec), String> {
-    /// A function under construction while parsing.
-    type PendingFunction = (NodeId, AggregateKind, Vec<(NodeId, f64)>);
     let mut dims: Option<(f64, f64, f64)> = None;
     let mut positions: Vec<Position> = Vec::new();
-    let mut functions: Vec<PendingFunction> = Vec::new();
+    // Functions under construction, by destination.
+    let mut functions: BTreeMap<NodeId, (AggregateKind, Vec<(NodeId, f64)>)> = BTreeMap::new();
 
     for (lineno, raw) in text.lines().enumerate() {
         let line = raw.trim();
@@ -74,7 +76,13 @@ pub fn from_text(text: &str) -> Result<(Deployment, AggregationSpec), String> {
                         .parse()
                         .map_err(|e| ctx(&format!("bad number: {e}")))
                 };
-                dims = Some((f()?, f()?, f()?));
+                let (w, h, range) = (f()?, f()?, f()?);
+                if !(range.is_finite() && range > 0.0) {
+                    return Err(ctx(&format!(
+                        "radio range must be positive and finite, got {range}"
+                    )));
+                }
+                dims = Some((w, h, range));
             }
             "node" => {
                 let id: usize = parts
@@ -107,7 +115,9 @@ pub fn from_text(text: &str) -> Result<(Deployment, AggregationSpec), String> {
                     .next()
                     .ok_or_else(|| ctx("function needs DEST KIND"))
                     .and_then(|k| parse_kind(k).ok_or_else(|| ctx(&format!("unknown kind {k}"))))?;
-                functions.push((NodeId(d), kind, Vec::new()));
+                if functions.insert(NodeId(d), (kind, Vec::new())).is_some() {
+                    return Err(ctx(&format!("function {d} is already defined")));
+                }
             }
             "source" => {
                 let d: u32 = parts
@@ -125,12 +135,11 @@ pub fn from_text(text: &str) -> Result<(Deployment, AggregationSpec), String> {
                     .ok_or_else(|| ctx("source needs DEST SRC WEIGHT"))?
                     .parse()
                     .map_err(|e| ctx(&format!("bad weight: {e}")))?;
-                let entry = functions
-                    .iter_mut()
-                    .rev()
-                    .find(|(dest, _, _)| *dest == NodeId(d))
-                    .ok_or_else(|| ctx(&format!("source before function for {d}")))?;
-                entry.2.push((NodeId(s), w));
+                functions
+                    .get_mut(&NodeId(d))
+                    .ok_or_else(|| ctx(&format!("source before function for {d}")))?
+                    .1
+                    .push((NodeId(s), w));
             }
             other => return Err(ctx(&format!("unknown keyword {other}"))),
         }
@@ -145,7 +154,7 @@ pub fn from_text(text: &str) -> Result<(Deployment, AggregationSpec), String> {
     }
     let deployment = Deployment::from_positions(positions, w, h, range);
     let mut spec = AggregationSpec::new();
-    for (d, kind, sources) in functions {
+    for (d, (kind, sources)) in functions {
         if sources.is_empty() {
             return Err(format!("function {d} has no sources"));
         }
@@ -260,6 +269,81 @@ mod tests {
         assert!(from_text(oob).unwrap_err().contains("out of range"));
         let trailing = "deployment 1 1 1 9\n";
         assert!(from_text(trailing).unwrap_err().contains("trailing"));
+    }
+
+    #[test]
+    fn bad_radio_range_is_an_error_naming_the_line() {
+        for range in ["0", "-5", "NaN", "inf"] {
+            let text = format!("# m2m v1\ndeployment 10 10 {range}\nnode 0 1 1\n");
+            let err = from_text(&text).unwrap_err();
+            assert!(
+                err.starts_with("line 2:") && err.contains("radio range"),
+                "{range}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn second_function_for_a_destination_is_an_error() {
+        let text = "deployment 10 10 5\nnode 0 1 1\nnode 1 2 2\nnode 2 3 3\n\
+                    function 0 min\nsource 0 1 1.0\nfunction 0 max\nsource 0 2 1.0\n";
+        let err = from_text(text).unwrap_err();
+        assert!(
+            err.starts_with("line 7:") && err.contains("already defined"),
+            "{err}"
+        );
+    }
+
+    /// Tokens that break numbers, ids, kinds and keywords.
+    const REPLACEMENTS: [&str; 14] = [
+        "0",
+        "-1",
+        "1e308",
+        "NaN",
+        "inf",
+        "-inf",
+        "4294967296",
+        "x",
+        "deployment",
+        "node",
+        "function",
+        "source",
+        "min",
+        "#",
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// Every truncation of a serialized scenario, and every copy of it
+        /// with one token replaced, parses or fails with an `Err`; none
+        /// panics.
+        #[test]
+        fn damaged_scenarios_parse_or_fail_without_panicking(
+            seed in 0u64..1_000,
+            nodes in 6usize..14,
+        ) {
+            let deployment = Deployment::connected_uniform(nodes, 60.0, 60.0, 40.0, seed);
+            let net = Network::with_default_energy(deployment.clone());
+            let spec = generate_workload(&net, &WorkloadConfig::paper_default(2, 3, seed));
+            let text = to_text(&deployment, &spec);
+            let lines: Vec<Vec<&str>> =
+                text.lines().map(|l| l.split_whitespace().collect()).collect();
+            let mut damaged: Vec<String> = (0..text.len()).map(|cut| text[..cut].into()).collect();
+            for (i, line) in lines.iter().enumerate() {
+                for j in 0..line.len() {
+                    for token in REPLACEMENTS {
+                        let mut copy = lines.clone();
+                        copy[i][j] = token;
+                        damaged.push(copy.iter().map(|l| l.join(" ") + "\n").collect());
+                    }
+                }
+            }
+            for text in &damaged {
+                let outcome = std::panic::catch_unwind(|| from_text(text).map(|_| ()));
+                proptest::prop_assert!(outcome.is_ok(), "panicked on:\n{}", text);
+            }
+        }
     }
 
     #[test]

@@ -378,55 +378,6 @@ impl Topology {
     }
 }
 
-/// A growable fixed-stride bitset for dirty tracking over dense indices
-/// ([`EdgeIdx`] in the maintainer, destination ids in the memo).
-#[derive(Clone, Debug, Default)]
-pub struct BitSet {
-    words: Vec<u64>,
-}
-
-impl BitSet {
-    /// An empty bitset pre-sized for indices `0..len`.
-    pub fn with_capacity(len: usize) -> BitSet {
-        BitSet {
-            words: vec![0; len.div_ceil(64)],
-        }
-    }
-
-    /// Sets bit `i` (growing as needed); returns `true` if newly set.
-    pub fn insert(&mut self, i: usize) -> bool {
-        let (word, bit) = (i / 64, 1u64 << (i % 64));
-        if word >= self.words.len() {
-            self.words.resize(word + 1, 0);
-        }
-        let fresh = self.words[word] & bit == 0;
-        self.words[word] |= bit;
-        fresh
-    }
-
-    /// Whether bit `i` is set.
-    pub fn contains(&self, i: usize) -> bool {
-        self.words
-            .get(i / 64)
-            .is_some_and(|w| w & (1u64 << (i % 64)) != 0)
-    }
-
-    /// Number of set bits.
-    pub fn count(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// Whether any bit is set.
-    pub fn any(&self) -> bool {
-        self.words.iter().any(|&w| w != 0)
-    }
-
-    /// Clears every bit, keeping capacity.
-    pub fn clear(&mut self) {
-        self.words.fill(0);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -549,22 +500,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn bitset_insert_contains_count() {
-        let mut bits = BitSet::with_capacity(10);
-        assert!(!bits.any());
-        assert!(bits.insert(3));
-        assert!(!bits.insert(3));
-        assert!(bits.insert(130)); // beyond initial capacity: grows
-        assert!(bits.contains(3));
-        assert!(bits.contains(130));
-        assert!(!bits.contains(64));
-        assert_eq!(bits.count(), 2);
-        assert!(bits.any());
-        bits.clear();
-        assert_eq!(bits.count(), 0);
-        assert!(!bits.contains(3));
     }
 }

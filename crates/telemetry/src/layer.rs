@@ -28,7 +28,7 @@ layers! {
     EDGE_OPT_PROBLEMS = "edge_opt.problems",
     /// `solve_edge_slab` / `solve_edge_batch`: the per-edge solve fan-out.
     EDGE_OPT_SOLVE = "edge_opt.solve",
-    /// `SolveCache::solve_all` / `SharedSolveCache::solve_all`.
+    /// `SharedSolveCache::solve_all`.
     MEMO_SOLVE_ALL = "memo.solve_all",
     /// Global plan assembly and its availability repair sweep.
     PLAN_ASSEMBLE = "plan.assemble",

@@ -192,6 +192,7 @@ fn uniform_source_selection_end_to_end() {
     }
 }
 
+#[cfg(feature = "test-oracle")]
 #[test]
 fn distributed_automata_agree_with_central_runtime() {
     // The event-driven node machines (driven solely by the §3 tables)

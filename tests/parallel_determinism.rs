@@ -6,7 +6,7 @@
 //! same total cost, same repair count — at any thread count, over any
 //! deployment and workload. The memoized build path must coincide too.
 
-use m2m_core::memo::SolveCache;
+use m2m_core::memo::SharedSolveCache;
 use m2m_core::plan::GlobalPlan;
 use m2m_core::workload::{generate_workload, WorkloadConfig};
 use m2m_netsim::{Deployment, Network, RoutingMode, RoutingTables};
@@ -49,7 +49,7 @@ proptest! {
         }
 
         // The memoized path coincides as well — cold, then fully warm.
-        let mut cache = SolveCache::new();
+        let mut cache = SharedSolveCache::new();
         let cold = GlobalPlan::build_cached(&net, &spec, &routing, &mut cache);
         prop_assert_eq!(cold.solutions(), serial.solutions());
         prop_assert_eq!(cold.repair_count(), serial.repair_count());

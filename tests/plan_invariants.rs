@@ -203,6 +203,7 @@ proptest! {
 
     /// The distributed node automata reproduce the central runtime's
     /// results on arbitrary workloads (the §3 tables are load-bearing).
+    #[cfg(feature = "test-oracle")]
     #[test]
     fn distributed_runtime_matches_central(cfg in workload_strategy()) {
         use m2m_core::exec::{CompiledSchedule, ExecState};

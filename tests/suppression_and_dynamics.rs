@@ -116,6 +116,27 @@ fn incremental_updates_match_scratch_builds() {
             .map(|s| (s, 1.0))
             .collect::<Vec<_>>(),
     );
+    // Replace another destination's function by one over the same sources
+    // whose partial records are larger: the problems stay the same, but
+    // every solve naming it is priced differently (Corollary 1's inputs
+    // include the record sizes).
+    let (kept, kept_fn) = {
+        let (v, f) = maintainer
+            .spec()
+            .functions()
+            .find(|&(v, _)| v != d)
+            .unwrap();
+        (v, f.clone())
+    };
+    let wider = m2m_core::agg::AggregateFunction::new(
+        m2m_core::agg::AggregateKind::WeightedVariance,
+        kept_fn.sources().map(|s| (s, kept_fn.weight(s).unwrap())),
+    );
+    assert_ne!(
+        wider.partial_record_bytes(),
+        kept_fn.partial_record_bytes(),
+        "the replacement must change the record size"
+    );
     let updates = vec![
         WorkloadUpdate::AddSource {
             destination: d,
@@ -131,10 +152,19 @@ fn incremental_updates_match_scratch_builds() {
             function: fresh_fn,
         },
         WorkloadUpdate::RemoveDestination { destination: fresh },
+        WorkloadUpdate::AddDestination {
+            destination: kept,
+            function: wider,
+        },
     ];
     for update in updates {
         let stats = maintainer.apply(update);
         let scratch = GlobalPlan::build(&net, maintainer.spec(), maintainer.routing());
+        assert_eq!(
+            maintainer.plan().solutions(),
+            scratch.solutions(),
+            "incremental and scratch solution slabs must agree"
+        );
         assert_eq!(
             maintainer.plan().total_payload_bytes(),
             scratch.total_payload_bytes(),
