@@ -161,15 +161,23 @@ fn main() {
         let mut ledger = NodeEnergyLedger::new(network.node_count());
         let cost = schedule.charge_round(network.energy(), &mut ledger);
         let slots = assign_slots(&network, &schedule);
-        let life = project_lifetime(&ledger, battery_uj);
+        // A plan that moves no message spends no energy: no node dies.
+        let life = if ledger.hotspot().1 > 0.0 {
+            format!(
+                "{:.0}",
+                project_lifetime(&ledger, battery_uj).rounds_until_first_death
+            )
+        } else {
+            "unbounded".to_string()
+        };
         println!(
-            "{:<12} {:>10.1} {:>9} {:>6} {:>6} {:>17.0}",
+            "{:<12} {:>10.1} {:>9} {:>6} {:>6} {:>17}",
             alg.name(),
             cost.total_mj(),
             cost.messages,
             cost.units,
             slots.slot_count,
-            life.rounds_until_first_death
+            life
         );
         if alg == Algorithm::Optimal {
             println!("             plan: {}", plan.summary());

@@ -17,8 +17,13 @@
 //!   `FromUnit { unit }` pointing at an already-computed record;
 //! * per-destination final evaluations are laid out in ascending
 //!   destination order (the `BTreeMap` iteration order of the reference);
-//! * the round's [`RoundCost`] is precomputed (it only depends on the
-//!   message structure, not the readings).
+//! * each message's execution facts — unit count, per-attempt transmit
+//!   and receive energy, and its endpoints' slots in the per-node
+//!   observability planes — are recorded once, and the round's
+//!   [`RoundCost`] and one reliable round's per-node profile are folded
+//!   from them (both depend only on the message structure, not the
+//!   readings). The loss-aware clocks ([`crate::faults`], [`crate::sim`])
+//!   read the same facts per attempt.
 //!
 //! The op stream itself is stored as a **structure of arrays**
 //! ([`OpStream`]: tag, argument, and weight slabs instead of an
@@ -215,6 +220,20 @@ pub(crate) struct DestStep {
     pub(crate) op_count: u32,
 }
 
+/// One message's lowered execution facts, in schedule message order.
+/// Its edge and payload bytes stay on the [`Schedule`].
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct MessageFacts {
+    pub(crate) unit_count: u32,
+    /// Slots of the message's tail / head in the obs profile's node
+    /// universe, so a per-node plane update is two array stores.
+    pub(crate) tail_slot: u32,
+    pub(crate) head_slot: u32,
+    /// Energy of one transmission attempt / one reception.
+    pub(crate) tx_uj: f64,
+    pub(crate) rx_uj: f64,
+}
+
 /// A schedule lowered to flat dense-index arrays, executable with zero
 /// heap allocation per round. Built once per plan; see the module docs.
 #[derive(Clone, Debug)]
@@ -224,12 +243,15 @@ pub struct CompiledSchedule {
     pub(crate) record_steps: Vec<RecordStep>,
     pub(crate) dest_steps: Vec<DestStep>,
     pub(crate) unit_count: usize,
+    pub(crate) message_facts: Arc<[MessageFacts]>,
     round_cost: RoundCost,
     schedule: Arc<Schedule>,
     /// One reliable round's per-node observability profile (tx/rx counts
     /// and energies). The reliable path is readings-independent, so the
     /// hot loop only *counts* rounds; flushing multiplies this template.
-    obs_profile: Arc<m2m_telemetry::timeseries::NodePlanes>,
+    /// Its sorted node ids are the plane universe of every executor over
+    /// this schedule.
+    pub(crate) obs_profile: Arc<m2m_telemetry::timeseries::NodePlanes>,
 }
 
 impl CompiledSchedule {
@@ -327,33 +349,43 @@ impl CompiledSchedule {
             });
         }
 
-        let round_cost = schedule.round_cost(energy);
-
-        // Per-node profile of one reliable round, for the observability
-        // planes: every message pays tx at its tail and rx at its head —
-        // the same arithmetic as `Schedule::round_cost`, per node.
-        let mut obs_ids: Vec<u64> = schedule
+        // Per message: its facts, then the round cost and one reliable
+        // round's per-node profile folded from them in message order —
+        // every message pays tx at its tail and rx at its head, the
+        // arithmetic of `Schedule::round_cost`, per node.
+        let mut obs_profile = m2m_telemetry::timeseries::NodePlanes::for_ids(
+            schedule
+                .messages
+                .iter()
+                .flat_map(|m| [u64::from(m.edge.0 .0), u64::from(m.edge.1 .0)])
+                .collect(),
+        );
+        let plane_slot = |n: NodeId| -> u32 {
+            obs_profile
+                .slot(u64::from(n.0))
+                .expect("endpoint in profile universe") as u32
+        };
+        let message_facts: Arc<[MessageFacts]> = schedule
             .messages
             .iter()
-            .flat_map(|m| [u64::from(m.edge.0 .0), u64::from(m.edge.1 .0)])
+            .enumerate()
+            .map(|(m, msg)| MessageFacts {
+                unit_count: msg.units.len() as u32,
+                tail_slot: plane_slot(msg.edge.0),
+                head_slot: plane_slot(msg.edge.1),
+                tx_uj: energy.tx_cost_uj(schedule.message_bytes[m]),
+                rx_uj: energy.rx_cost_uj(schedule.message_bytes[m]),
+            })
             .collect();
-        obs_ids.sort_unstable();
-        obs_ids.dedup();
-        let mut obs_profile = m2m_telemetry::timeseries::NodePlanes::for_ids(obs_ids);
-        for msg in &schedule.messages {
-            let body: u32 = msg
-                .units
-                .iter()
-                .map(|&u| schedule.units[u].size_bytes)
-                .sum();
-            let tail = obs_profile
-                .slot(u64::from(msg.edge.0 .0))
-                .expect("endpoint in profile universe");
-            let head = obs_profile
-                .slot(u64::from(msg.edge.1 .0))
-                .expect("endpoint in profile universe");
-            obs_profile.record_tx(tail, 1, energy.tx_cost_uj(body));
-            obs_profile.record_rx(head, 1, energy.rx_cost_uj(body));
+        let mut round_cost = RoundCost::default();
+        for (m, msg) in message_facts.iter().enumerate() {
+            round_cost.tx_uj += msg.tx_uj;
+            round_cost.rx_uj += msg.rx_uj;
+            round_cost.messages += 1;
+            round_cost.units += msg.unit_count as usize;
+            round_cost.payload_bytes += u64::from(schedule.message_bytes[m]);
+            obs_profile.record_tx(msg.tail_slot as usize, 1, msg.tx_uj);
+            obs_profile.record_rx(msg.head_slot as usize, 1, msg.rx_uj);
         }
         obs_profile.add_rounds(1);
 
@@ -363,6 +395,7 @@ impl CompiledSchedule {
             record_steps,
             dest_steps,
             unit_count: schedule.units.len(),
+            message_facts,
             round_cost,
             schedule: Arc::new(schedule),
             obs_profile: Arc::new(obs_profile),
@@ -375,6 +408,20 @@ impl CompiledSchedule {
     #[inline]
     pub fn sources(&self) -> &NodeIndex {
         &self.sources
+    }
+
+    /// `readings` (keyed by node id) as a dense vector in source slot
+    /// order.
+    ///
+    /// # Panics
+    /// Panics if a source reading is missing.
+    pub(crate) fn dense_readings(&self, readings: &BTreeMap<NodeId, f64>) -> Vec<f64> {
+        let reading = |s| {
+            *readings
+                .get(s)
+                .unwrap_or_else(|| panic!("no reading for source {s}"))
+        };
+        self.sources.ids().iter().map(reading).collect()
     }
 
     /// Destinations in result order (ascending id).

@@ -13,7 +13,7 @@
 //!   under a [`RetryPolicy`] with every attempt charged through the Mica2
 //!   energy model. That slot scan only decides the round's *delivery
 //!   vector* (per message: delivered, dropped, attempts);
-//!   `FaultyExec::settle` then replays the compiled op stream over
+//!   `Settler::settle` then replays the compiled op stream over
 //!   whatever actually arrived, producing per-destination results,
 //!   coverage fractions, and missing-source sets ([`FaultOutcome`]).
 //!   The event-driven runtime in [`crate::sim`] decides delivery on a
@@ -21,12 +21,14 @@
 //!   folds whichever units reached it, so the answer depends on which
 //!   messages got through, not when.
 //!
-//!   The slot scan visits only *ready* messages. `FaultyExec::new`
-//!   builds two CSRs over the message graph — successors (with each
-//!   message's pending-predecessor count) and messages by assigned slot
-//!   — and a round keeps a ready bitset fed by slot arrivals, by
-//!   successors whose last predecessor resolved, and by a backoff queue.
-//!   Each slot walks the bitset in ascending message order, re-reading
+//!   Both clocks share one `Settler` (the compiled schedule plus the op
+//!   gates, raw relay chains and demanded sets `settle` needs) and read
+//!   the message graph and per-message facts from the schedule and its
+//!   lowering; `FaultyExec` adds only its TDMA slots, indexed by slot.
+//!   The slot scan visits only *ready* messages: a round keeps a ready
+//!   bitset fed by slot arrivals, by successors whose last predecessor
+//!   resolved, and by a backoff queue. Each slot walks the bitset in
+//!   ascending message order, re-reading
 //!   the current word after every attempt: a message readied in slot
 //!   `t` goes in `t` if it lies ahead of the message that readied it and
 //!   in `t + 1` otherwise, which is the order of a full rescan of every
@@ -62,7 +64,7 @@ use m2m_netsim::{DeliveryModel, LinkLoss, Network};
 use m2m_telemetry::timeseries::record_planes;
 
 use crate::agg::PartialRecord;
-use crate::exec::{fold_ops, CompiledSchedule, Op};
+use crate::exec::{fold_ops, CompiledSchedule, MessageFacts, Op};
 use crate::metrics::RoundCost;
 use crate::parallel;
 use crate::schedule::{Contribution, UnitContent};
@@ -106,23 +108,6 @@ impl Default for RetryPolicy {
     fn default() -> Self {
         RetryPolicy::bounded(8, 0, 10_000)
     }
-}
-
-/// One message's precomputed execution facts. Shared with
-/// [`crate::sim`], whose event-driven runtime replays the same static
-/// message graph under a different clock.
-#[derive(Clone, Debug)]
-pub(crate) struct MessageFacts {
-    pub(crate) edge: (NodeId, NodeId),
-    pub(crate) unit_count: usize,
-    pub(crate) body: u32,
-    /// Energy of one transmission attempt / one successful reception.
-    pub(crate) tx_uj: f64,
-    pub(crate) rx_uj: f64,
-    /// Dense slots of `edge.0` / `edge.1` in [`FaultyExec::plane_ids`],
-    /// precomputed so the per-node plane update is two array stores.
-    pub(crate) tail_slot: u32,
-    pub(crate) head_slot: u32,
 }
 
 /// One link's failure summary for one round: `failures` transmission
@@ -216,15 +201,15 @@ impl FaultOutcome {
 pub struct FaultScratch {
     /// The round's delivery vector, per message: delivered, abandoned
     /// after exhausting its retry budget, and transmission attempts.
-    /// Whichever clock ran the round fills these; `FaultyExec::settle`
+    /// Whichever clock ran the round fills these; `Settler::settle`
     /// turns them into the answer.
     pub(crate) delivered: Vec<bool>,
     pub(crate) dropped: Vec<bool>,
     pub(crate) attempts: Vec<u32>,
-    /// Slot-scan state: unresolved predecessors left per message, the
-    /// ready bitset, and failed messages waiting out their backoff as
-    /// `(retry slot, message)` in slot order.
-    pending: Vec<u32>,
+    /// Unresolved predecessors left per message (either clock), then the
+    /// slot scan's ready bitset and failed messages waiting out their
+    /// backoff as `(retry slot, message)` in slot order.
+    pub(crate) pending: Vec<u32>,
     ready: Vec<u64>,
     backoff: VecDeque<(u32, u32)>,
     records: Vec<Option<PartialRecord>>,
@@ -252,7 +237,8 @@ impl Drop for FaultScratch {
 #[derive(Clone, Debug, Default)]
 struct PlaneTally {
     messages: Arc<[MessageFacts]>,
-    plane_ids: Arc<[u64]>,
+    /// The compiled obs profile, whose sorted ids are the plane universe.
+    universe: Arc<m2m_telemetry::timeseries::NodePlanes>,
     /// Per message: deliveries outside the full rounds, failed attempts,
     /// rounds dropped.
     delivered: Vec<u32>,
@@ -295,13 +281,13 @@ impl PlaneTally {
     /// Flushes the tallies into the process-wide per-node planes — every
     /// attempt pays tx at the tail, delivery pays rx at the head,
     /// failures count as retries at the tail, abandonment as a drop at
-    /// the tail; the same arithmetic as [`FaultyExec::accumulate_cost`]
-    /// and the global counters, so plane totals reconcile exactly.
+    /// the tail; the same arithmetic as `Settler::accumulate_cost` and
+    /// the global counters, so plane totals reconcile exactly.
     fn flush(&mut self) {
         if self.rounds == 0 {
             return;
         }
-        record_planes(&self.plane_ids, |planes| {
+        record_planes(self.universe.ids(), |planes| {
             for (m, msg) in self.messages.iter().enumerate() {
                 let delivered = u64::from(self.delivered[m]) + u64::from(self.full_rounds);
                 let failures = self.failures[m];
@@ -328,30 +314,14 @@ impl PlaneTally {
     }
 }
 
-/// The loss-aware executor: a [`CompiledSchedule`] paired with its TDMA
-/// slot assignment, message-level dependency graph, and an *op gate*
-/// table mapping every compiled op to the message unit whose delivery it
-/// depends on. Built once per plan; see the module docs for the two-phase
-/// round (delivery simulation, then `FaultyExec::settle`).
+/// What both loss-aware clocks share: the compiled schedule, and the
+/// tables `Settler::settle` turns a delivery vector into a
+/// [`FaultOutcome`] with — an *op gate* per compiled op (the message unit
+/// whose delivery the op's datum depends on), raw relay chains, and each
+/// destination's demanded sources. Built once per compiled schedule.
 #[derive(Clone, Debug)]
-pub struct FaultyExec {
+pub(crate) struct Settler {
     compiled: CompiledSchedule,
-    slots: SlotSchedule,
-    messages: Arc<[MessageFacts]>,
-    /// Successor CSR of the message graph: the messages waiting on
-    /// message `m` are `succ_pool[succ_start[m]..succ_start[m + 1]]`,
-    /// ascending.
-    succ_start: Vec<u32>,
-    succ_pool: Vec<u32>,
-    /// Per message: its predecessor count, the pending count every round
-    /// starts from.
-    init_pending: Vec<u32>,
-    /// Messages by assigned slot (CSR, ascending within a slot): slot
-    /// `t`'s are `slot_pool[slot_start[t]..slot_start[t + 1]]`.
-    slot_start: Vec<u32>,
-    slot_pool: Vec<u32>,
-    /// Unit index → message index.
-    message_of: Vec<u32>,
     /// Aligned 1:1 with the compiled op stream: the unit that must be
     /// delivered for the op's datum to be present at its consumption
     /// point, or `u32::MAX` for locally available data.
@@ -363,9 +333,6 @@ pub struct FaultyExec {
     /// received — whereas a record unit usefully re-forms from whatever
     /// survived, so it gates on its own hop alone.
     raw_parent: Vec<u32>,
-    /// Sorted node-id universe of the per-node observability planes:
-    /// every message endpoint, as `u64` ids.
-    plane_ids: Arc<[u64]>,
     /// Bitset words per coverage row.
     words: usize,
     /// Per-destination demanded-source bitsets (row-major, `words` each).
@@ -374,101 +341,25 @@ pub struct FaultyExec {
     demanded: Vec<usize>,
 }
 
-/// [`FaultyExec::raw_parent`] marker: the unit is not a raw relay (record
+/// [`Settler::raw_parent`] marker: the unit is not a raw relay (record
 /// units gate on their own hop only).
 pub(crate) const NOT_RAW: u32 = u32::MAX;
-/// [`FaultyExec::raw_parent`] marker: the raw unit leaves the source node
+/// [`Settler::raw_parent`] marker: the raw unit leaves the source node
 /// itself — the head of its relay chain.
 pub(crate) const RAW_ORIGIN: u32 = u32::MAX - 1;
 
-impl FaultyExec {
-    /// Lowers `compiled` for fault-tolerant execution: assigns TDMA slots,
-    /// derives message dependencies and per-attempt energies, and builds
-    /// the op gate table by replaying the compiler's lowering walk against
-    /// the schedule's contribution lists.
+impl Settler {
+    /// Builds the settle tables for `compiled`: the op gates, by
+    /// replaying the compiler's lowering walk against the schedule's
+    /// contribution lists, and the demanded sets, by one full-delivery
+    /// fold.
     ///
     /// # Panics
     /// Panics if the schedule violates the structural invariants the gate
     /// construction relies on (it cannot, for a schedule produced by
     /// [`crate::schedule::build_schedule`]).
-    pub fn new(network: &Network, compiled: &CompiledSchedule) -> Self {
-        let _span = crate::telemetry::span(crate::telemetry::layer::FAULTS_LOWER);
-        crate::telemetry::counter(names::FAULTS_BUILDS, 1);
-        let schedule = compiled.schedule().clone();
-        let slots = assign_slots(network, &schedule);
-        let energy = network.energy();
-        let message_count = schedule.messages.len();
-
-        // Message-level dependency lists (as in the slot assigner).
-        let mut message_of = vec![u32::MAX; schedule.units.len()];
-        for (m, msg) in schedule.messages.iter().enumerate() {
-            for &u in &msg.units {
-                message_of[u] = m as u32;
-            }
-        }
-        let mut preds: Vec<Vec<u32>> = vec![Vec::new(); message_count];
-        for &(u, v) in &schedule.unit_arcs {
-            let (a, b) = (message_of[u], message_of[v]);
-            if a != b && !preds[b as usize].contains(&a) {
-                preds[b as usize].push(a);
-            }
-        }
-        // Plane universe: every message endpoint, sorted, so the hot-loop
-        // update is a precomputed slot rather than a lookup.
-        let mut plane_ids: Vec<u64> = schedule
-            .messages
-            .iter()
-            .flat_map(|m| [u64::from(m.edge.0 .0), u64::from(m.edge.1 .0)])
-            .collect();
-        plane_ids.sort_unstable();
-        plane_ids.dedup();
-        let plane_slot = |n: NodeId| -> u32 {
-            plane_ids
-                .binary_search(&u64::from(n.0))
-                .expect("endpoint in plane universe") as u32
-        };
-
-        let messages: Arc<[MessageFacts]> = schedule
-            .messages
-            .iter()
-            .map(|msg| {
-                let body: u32 = msg
-                    .units
-                    .iter()
-                    .map(|&u| schedule.units[u].size_bytes)
-                    .sum();
-                MessageFacts {
-                    edge: msg.edge,
-                    unit_count: msg.units.len(),
-                    body,
-                    tx_uj: energy.tx_cost_uj(body),
-                    rx_uj: energy.rx_cost_uj(body),
-                    tail_slot: plane_slot(msg.edge.0),
-                    head_slot: plane_slot(msg.edge.1),
-                }
-            })
-            .collect();
-        // The slot scan's two static indexes: who waits on whom
-        // (successors ascending, so the event wheel in `crate::sim` wakes
-        // them in message order too), and who is assigned which slot.
-        let init_pending: Vec<u32> = preds.iter().map(|p| p.len() as u32).collect();
-        let (succ_start, succ_pool) = csr(
-            message_count,
-            preds
-                .iter()
-                .enumerate()
-                .flat_map(|(m, ps)| ps.iter().map(move |&p| (p as usize, m as u32))),
-        );
-        let slot_rows = slots.slots.iter().max().map_or(0, |&t| t as usize + 1);
-        let (slot_start, slot_pool) = csr(
-            slot_rows,
-            slots
-                .slots
-                .iter()
-                .enumerate()
-                .map(|(m, &t)| (t as usize, m as u32)),
-        );
-
+    pub(crate) fn new(compiled: &CompiledSchedule) -> Self {
+        let schedule = compiled.schedule();
         // The raw unit delivering source `s` into node `v` is unique: a
         // multicast tree has one path from `s` through `v`.
         let mut raw_into: BTreeMap<(NodeId, NodeId), u32> = BTreeMap::new();
@@ -548,19 +439,10 @@ impl FaultyExec {
         }
 
         let words = compiled.sources.len().div_ceil(64).max(1);
-        let mut this = FaultyExec {
+        let mut this = Settler {
             compiled: compiled.clone(),
-            slots,
-            messages,
-            succ_start,
-            succ_pool,
-            init_pending,
-            slot_start,
-            slot_pool,
-            message_of,
             op_gate,
             raw_parent,
-            plane_ids: plane_ids.into(),
             words,
             demanded_bits: Vec::new(),
             demanded: Vec::new(),
@@ -577,31 +459,18 @@ impl FaultyExec {
             .map(|row| row.iter().map(|w| w.count_ones() as usize).sum())
             .collect();
         this.demanded_bits = std::mem::take(&mut scratch.cover);
-        crate::m2m_log!(
-            crate::telemetry::Level::Debug,
-            "fault exec compiled: {} messages, {} ops gated, {} slot makespan",
-            this.messages.len(),
-            this.op_gate.len(),
-            this.slots.slot_count
-        );
         this
     }
 
-    /// The compiled schedule this executor runs.
+    /// The compiled schedule both clocks run.
     #[inline]
-    pub fn compiled(&self) -> &CompiledSchedule {
+    pub(crate) fn compiled(&self) -> &CompiledSchedule {
         &self.compiled
     }
 
-    /// The TDMA slot assignment the delivery simulation follows.
-    #[inline]
-    pub fn slot_schedule(&self) -> &SlotSchedule {
-        &self.slots
-    }
-
-    /// Allocates a scratch arena sized for this executor.
-    pub fn scratch(&self) -> FaultScratch {
-        let messages = self.messages.len();
+    /// Allocates a scratch arena sized for this schedule.
+    pub(crate) fn scratch(&self) -> FaultScratch {
+        let messages = self.compiled.message_facts.len();
         FaultScratch {
             delivered: vec![false; messages],
             dropped: vec![false; messages],
@@ -614,162 +483,28 @@ impl FaultyExec {
             cover: vec![0; self.compiled.dest_steps.len() * self.words],
             tmp_cover: vec![0; self.words],
             tally: PlaneTally {
-                messages: Arc::clone(&self.messages),
-                plane_ids: Arc::clone(&self.plane_ids),
+                messages: Arc::clone(&self.compiled.message_facts),
+                universe: Arc::clone(&self.compiled.obs_profile),
                 ..PlaneTally::default()
             },
         }
-    }
-
-    /// Resolves every message's link under `model` once: the per-message
-    /// [`LinkLoss`] oracles a slot scan asks instead of the model.
-    fn link_losses<'m>(&self, model: &'m DeliveryModel) -> Vec<LinkLoss<'m>> {
-        self.messages
-            .iter()
-            .map(|msg| model.link(msg.edge.0, msg.edge.1))
-            .collect()
-    }
-
-    /// Phase A: the TDMA slot scan. A message is attempted once per
-    /// eligible slot — at or after its assigned slot, past its backoff,
-    /// with every predecessor *resolved* (delivered or dropped) — until it
-    /// is delivered, exhausts `policy.max_attempts`, or the slot budget
-    /// ends; an attempt of message `m` in slot `t` asks `links[m]` at tick
-    /// `round_salt + t`. Returns `(slots_used, retransmissions, dropped)`
-    /// and fills the delivery vector in `scratch`.
-    ///
-    /// Only *ready* messages are visited: a bitset of the eligible ones,
-    /// fed by the messages assigned to each slot, by the successors of
-    /// each resolved message once their last predecessor resolves, and by
-    /// the backoff queue. Each slot walks the bitset in ascending message
-    /// order and re-reads the current word after every attempt, so a
-    /// message readied in slot `t` goes in `t` if it lies ahead of the
-    /// message that readied it and in `t + 1` otherwise — exactly the
-    /// order of a full ascending rescan of every message every slot,
-    /// which the test module keeps as the reference.
-    fn scan_delivery(
-        &self,
-        links: &[LinkLoss<'_>],
-        policy: &RetryPolicy,
-        round_salt: u64,
-        scratch: &mut FaultScratch,
-    ) -> (u32, usize, usize) {
-        let FaultScratch {
-            delivered,
-            dropped,
-            attempts,
-            pending,
-            ready,
-            backoff,
-            ..
-        } = scratch;
-        delivered.fill(false);
-        dropped.fill(false);
-        attempts.fill(0);
-        pending.copy_from_slice(&self.init_pending);
-        ready.fill(0);
-        backoff.clear();
-        let assigned_slots = self.slot_start.len() - 1;
-        let mut slots_used = 0u32;
-        let mut retransmissions = 0usize;
-        let mut dropped_count = 0usize;
-        let mut remaining = self.messages.len();
-        let mut slot = 0u32;
-        while slot < policy.max_slots && remaining > 0 {
-            // Messages assigned this slot join once every predecessor has
-            // resolved; the rest join when their last one resolves.
-            if (slot as usize) < assigned_slots {
-                let t = slot as usize;
-                let row = self.slot_start[t] as usize..self.slot_start[t + 1] as usize;
-                for &m in &self.slot_pool[row] {
-                    if pending[m as usize] == 0 {
-                        ready[m as usize / 64] |= 1 << (m % 64);
-                    }
-                }
-            }
-            while let Some(&(at, m)) = backoff.front() {
-                if at > slot {
-                    break;
-                }
-                backoff.pop_front();
-                ready[m as usize / 64] |= 1 << (m % 64);
-            }
-            let tick = round_salt.wrapping_add(u64::from(slot));
-            let mut progressed = false;
-            for w in 0..ready.len() {
-                let mut passed = 0u64;
-                loop {
-                    let live = ready[w] & !passed;
-                    if live == 0 {
-                        break;
-                    }
-                    let bit = live.trailing_zeros();
-                    passed |= u64::MAX >> (63 - bit);
-                    let m = w * 64 + bit as usize;
-                    attempts[m] += 1;
-                    let lost = links[m].is_down(tick);
-                    retransmissions += usize::from(lost);
-                    if lost && (policy.max_attempts == 0 || attempts[m] < policy.max_attempts) {
-                        // Retry: next slot (still ready), or after the
-                        // backoff. Saturating: a retry slot past
-                        // `u32::MAX` lies beyond every budget.
-                        if policy.backoff_slots > 0 {
-                            ready[w] &= !(1 << bit);
-                            let at = slot.saturating_add(1).saturating_add(policy.backoff_slots);
-                            if at < policy.max_slots {
-                                backoff.push_back((at, m as u32));
-                            }
-                        }
-                        continue;
-                    }
-                    // Resolved: delivered, or dropped on its last attempt.
-                    ready[w] &= !(1 << bit);
-                    remaining -= 1;
-                    if lost {
-                        dropped[m] = true;
-                        dropped_count += 1;
-                    } else {
-                        delivered[m] = true;
-                        progressed = true;
-                    }
-                    for &s in self.successors_of(m) {
-                        let s = s as usize;
-                        pending[s] -= 1;
-                        if pending[s] == 0 && self.slots.slots[s] <= slot {
-                            ready[s / 64] |= 1 << (s % 64);
-                        }
-                    }
-                }
-            }
-            // Even slots with only failed attempts advance the clock.
-            if progressed || remaining > 0 {
-                slots_used = slot + 1;
-            }
-            slot += 1;
-            // Nothing ready and no arrivals left: skip to the next retry
-            // (or the budget); every skipped slot ends with work left.
-            if remaining > 0 && slot as usize >= assigned_slots && ready.iter().all(|&w| w == 0) {
-                slot = backoff.front().map_or(policy.max_slots, |&(at, _)| at);
-                slots_used = slot;
-            }
-        }
-        (slots_used, retransmissions, dropped_count)
     }
 
     /// The round's cost, accumulated in message order — the same order
     /// (and hence the same float sum) as [`crate::schedule::Schedule::round_cost`],
     /// so a lossless round's cost is bit-identical to the static one.
     fn accumulate_cost(&self, scratch: &FaultScratch) -> RoundCost {
+        let bytes = &self.compiled.schedule().message_bytes;
         let mut cost = RoundCost::default();
-        for (m, msg) in self.messages.iter().enumerate() {
+        for (m, (msg, &body)) in self.compiled.message_facts.iter().zip(bytes).enumerate() {
             if scratch.attempts[m] > 0 {
                 cost.tx_uj += msg.tx_uj * f64::from(scratch.attempts[m]);
             }
             if scratch.delivered[m] {
                 cost.rx_uj += msg.rx_uj;
                 cost.messages += 1;
-                cost.units += msg.unit_count;
-                cost.payload_bytes += u64::from(msg.body);
+                cost.units += msg.unit_count as usize;
+                cost.payload_bytes += u64::from(body);
             }
         }
         cost
@@ -779,14 +514,15 @@ impl FaultyExec {
     /// its carrying unit's message was delivered — and, for a raw datum,
     /// every upstream hop of its relay chain too (a node cannot forward a
     /// raw value it never received; record units re-form at each hop, so
-    /// they gate on their own hop alone).
-    fn gate_open(&self, gate: u32, delivered: &[bool]) -> bool {
+    /// they gate on their own hop alone). `message_of` is the schedule's
+    /// unit→message slab, read once per op run by the caller.
+    fn gate_open(&self, gate: u32, message_of: &[u32], delivered: &[bool]) -> bool {
         if gate == u32::MAX {
             return true;
         }
         let mut unit = gate;
         loop {
-            if !delivered[self.message_of[unit as usize] as usize] {
+            if !delivered[message_of[unit as usize] as usize] {
                 return false;
             }
             match self.raw_parent[unit as usize] {
@@ -809,11 +545,12 @@ impl FaultyExec {
         scratch: &mut FaultScratch,
     ) -> Option<PartialRecord> {
         let words = self.words;
+        let message_of = &self.compiled.schedule().message_of;
         scratch.tmp_cover.fill(0);
         let base = first_op as usize;
         let mut acc: Option<PartialRecord> = None;
         for k in base..base + op_count as usize {
-            if !self.gate_open(self.op_gate[k], &scratch.delivered) {
+            if !self.gate_open(self.op_gate[k], message_of, &scratch.delivered) {
                 continue;
             }
             let part = match self.compiled.ops.get(k) {
@@ -894,7 +631,7 @@ impl FaultyExec {
         // identical with observability on or off; empty when lossless).
         let mut link_events: Vec<LinkEvent> = Vec::new();
         if retransmissions > 0 || dropped > 0 {
-            for (m, msg) in self.messages.iter().enumerate() {
+            for (m, msg) in self.compiled.schedule().messages.iter().enumerate() {
                 let attempts = scratch.attempts[m];
                 let failures = attempts - u32::from(scratch.delivered[m]);
                 if failures > 0 {
@@ -990,9 +727,202 @@ impl FaultyExec {
             link_events,
         }
     }
+}
+
+/// The loss-aware executor: the shared settle tables (`Settler`) of a
+/// [`CompiledSchedule`] plus its TDMA slot assignment. Built once per
+/// plan; see the module docs for the two-phase round (delivery
+/// simulation, then `Settler::settle`).
+#[derive(Clone, Debug)]
+pub struct FaultyExec {
+    settler: Settler,
+    slots: SlotSchedule,
+    /// Messages in assigned-slot order, ascending within a slot.
+    by_slot: Vec<u32>,
+}
+
+impl FaultyExec {
+    /// Lowers `compiled` for fault-tolerant execution: builds the shared
+    /// settle tables, assigns TDMA slots, and indexes messages by slot.
+    ///
+    /// # Panics
+    /// Panics if the schedule violates the structural invariants the gate
+    /// construction relies on (it cannot, for a schedule produced by
+    /// [`crate::schedule::build_schedule`]).
+    pub fn new(network: &Network, compiled: &CompiledSchedule) -> Self {
+        let _span = crate::telemetry::span(crate::telemetry::layer::FAULTS_LOWER);
+        crate::telemetry::counter(names::FAULTS_BUILDS, 1);
+        let settler = Settler::new(compiled);
+        let slots = assign_slots(network, compiled.schedule());
+        let mut by_slot: Vec<u32> = (0..slots.slots.len() as u32).collect();
+        by_slot.sort_by_key(|&m| slots.slots[m as usize]); // stable
+        crate::m2m_log!(
+            crate::telemetry::Level::Debug,
+            "fault exec compiled: {} messages, {} ops gated, {} slot makespan",
+            slots.slots.len(),
+            settler.op_gate.len(),
+            slots.slot_count
+        );
+        FaultyExec {
+            settler,
+            slots,
+            by_slot,
+        }
+    }
+
+    /// The compiled schedule this executor runs.
+    #[inline]
+    pub fn compiled(&self) -> &CompiledSchedule {
+        &self.settler.compiled
+    }
+
+    /// The TDMA slot assignment the delivery simulation follows.
+    #[inline]
+    pub fn slot_schedule(&self) -> &SlotSchedule {
+        &self.slots
+    }
+
+    /// Allocates a scratch arena sized for this executor.
+    pub fn scratch(&self) -> FaultScratch {
+        self.settler.scratch()
+    }
+
+    /// Resolves every message's link under `model` once: the per-message
+    /// [`LinkLoss`] oracles a slot scan asks instead of the model.
+    fn link_losses<'m>(&self, model: &'m DeliveryModel) -> Vec<LinkLoss<'m>> {
+        self.compiled()
+            .schedule()
+            .messages
+            .iter()
+            .map(|msg| model.link(msg.edge.0, msg.edge.1))
+            .collect()
+    }
+
+    /// Phase A: the TDMA slot scan. A message is attempted once per
+    /// eligible slot — at or after its assigned slot, past its backoff,
+    /// with every predecessor *resolved* (delivered or dropped) — until it
+    /// is delivered, exhausts `policy.max_attempts`, or the slot budget
+    /// ends; an attempt of message `m` in slot `t` asks `links[m]` at tick
+    /// `round_salt + t`. Returns `(slots_used, retransmissions, dropped)`
+    /// and fills the delivery vector in `scratch`.
+    ///
+    /// Only *ready* messages are visited: a bitset of the eligible ones,
+    /// fed by the messages assigned to each slot, by the successors of
+    /// each resolved message once their last predecessor resolves, and by
+    /// the backoff queue. Each slot walks the bitset in ascending message
+    /// order and re-reads the current word after every attempt, so a
+    /// message readied in slot `t` goes in `t` if it lies ahead of the
+    /// message that readied it and in `t + 1` otherwise — exactly the
+    /// order of a full ascending rescan of every message every slot,
+    /// which the test module keeps as the reference.
+    fn scan_delivery(
+        &self,
+        links: &[LinkLoss<'_>],
+        policy: &RetryPolicy,
+        round_salt: u64,
+        scratch: &mut FaultScratch,
+    ) -> (u32, usize, usize) {
+        let FaultScratch {
+            delivered,
+            dropped,
+            attempts,
+            pending,
+            ready,
+            backoff,
+            ..
+        } = scratch;
+        delivered.fill(false);
+        dropped.fill(false);
+        attempts.fill(0);
+        let schedule = self.compiled().schedule();
+        pending.copy_from_slice(&schedule.pred_count);
+        ready.fill(0);
+        backoff.clear();
+        let mut arrivals = self.by_slot.iter().map(|&m| m as usize).peekable();
+        let mut slots_used = 0u32;
+        let mut retransmissions = 0usize;
+        let mut dropped_count = 0usize;
+        let mut remaining = schedule.messages.len();
+        let mut slot = 0u32;
+        while slot < policy.max_slots && remaining > 0 {
+            // Messages assigned this slot join once every predecessor has
+            // resolved; the rest join when their last one resolves.
+            while let Some(m) = arrivals.next_if(|&m| self.slots.slots[m] == slot) {
+                if pending[m] == 0 {
+                    ready[m / 64] |= 1 << (m % 64);
+                }
+            }
+            while let Some(&(at, m)) = backoff.front() {
+                if at > slot {
+                    break;
+                }
+                backoff.pop_front();
+                ready[m as usize / 64] |= 1 << (m % 64);
+            }
+            let tick = round_salt.wrapping_add(u64::from(slot));
+            let mut progressed = false;
+            for w in 0..ready.len() {
+                let mut passed = 0u64;
+                loop {
+                    let live = ready[w] & !passed;
+                    if live == 0 {
+                        break;
+                    }
+                    let bit = live.trailing_zeros();
+                    passed |= u64::MAX >> (63 - bit);
+                    let m = w * 64 + bit as usize;
+                    attempts[m] += 1;
+                    let lost = links[m].is_down(tick);
+                    retransmissions += usize::from(lost);
+                    if lost && (policy.max_attempts == 0 || attempts[m] < policy.max_attempts) {
+                        // Retry: next slot (still ready), or after the
+                        // backoff. Saturating: a retry slot past
+                        // `u32::MAX` lies beyond every budget.
+                        if policy.backoff_slots > 0 {
+                            ready[w] &= !(1 << bit);
+                            let at = slot.saturating_add(1).saturating_add(policy.backoff_slots);
+                            if at < policy.max_slots {
+                                backoff.push_back((at, m as u32));
+                            }
+                        }
+                        continue;
+                    }
+                    // Resolved: delivered, or dropped on its last attempt.
+                    ready[w] &= !(1 << bit);
+                    remaining -= 1;
+                    if lost {
+                        dropped[m] = true;
+                        dropped_count += 1;
+                    } else {
+                        delivered[m] = true;
+                        progressed = true;
+                    }
+                    for &s in schedule.successors(m) {
+                        let s = s as usize;
+                        pending[s] -= 1;
+                        if pending[s] == 0 && self.slots.slots[s] <= slot {
+                            ready[s / 64] |= 1 << (s % 64);
+                        }
+                    }
+                }
+            }
+            // Even slots with only failed attempts advance the clock.
+            if progressed || remaining > 0 {
+                slots_used = slot + 1;
+            }
+            slot += 1;
+            // Nothing ready and no arrivals left: skip to the next retry
+            // (or the budget); every skipped slot ends with work left.
+            if remaining > 0 && arrivals.peek().is_none() && ready.iter().all(|&w| w == 0) {
+                slot = backoff.front().map_or(policy.max_slots, |&(at, _)| at);
+                slots_used = slot;
+            }
+        }
+        (slots_used, retransmissions, dropped_count)
+    }
 
     /// Runs one fault-tolerant round: the TDMA slot scan under `model`
-    /// and `policy`, then `FaultyExec::settle` over `readings` (dense, in
+    /// and `policy`, then `Settler::settle` over `readings` (dense, in
     /// [`CompiledSchedule::sources`] slot order). `round_salt`
     /// decorrelates this round's losses from other rounds'.
     ///
@@ -1025,17 +955,18 @@ impl FaultyExec {
         crate::telemetry::counter(names::FAULTS_ROUNDS, 1);
         assert_eq!(
             readings.len(),
-            self.compiled.sources.len(),
+            self.compiled().sources.len(),
             "reading vector length must match the interned source count"
         );
         assert_eq!(
             scratch.delivered.len(),
-            self.messages.len(),
+            self.compiled().message_facts.len(),
             "scratch/executor mismatch"
         );
         let (slots_used, retransmissions, dropped) =
             self.scan_delivery(links, policy, round_salt, scratch);
-        self.settle(readings, scratch, slots_used, retransmissions, dropped)
+        self.settler
+            .settle(readings, scratch, slots_used, retransmissions, dropped)
     }
 
     /// Like [`FaultyExec::run`] but taking readings keyed by node id (the
@@ -1051,17 +982,7 @@ impl FaultyExec {
         round_salt: u64,
         scratch: &mut FaultScratch,
     ) -> FaultOutcome {
-        let dense: Vec<f64> = self
-            .compiled
-            .sources
-            .ids()
-            .iter()
-            .map(|s| {
-                *readings
-                    .get(s)
-                    .unwrap_or_else(|| panic!("no reading for source {s}"))
-            })
-            .collect();
+        let dense = self.compiled().dense_readings(readings);
         self.run(&dense, model, policy, round_salt, scratch)
     }
 
@@ -1090,66 +1011,11 @@ impl FaultyExec {
             },
         )
     }
-
-    // ------------------------------------------------------------------
-    // Crate-internal views of the static tables the event-driven runtime
-    // in [`crate::sim`] runs its clock over: the message graph and the
-    // per-node component universe.
-    // ------------------------------------------------------------------
-
-    /// Per-message execution facts, in schedule message order.
-    #[inline]
-    pub(crate) fn message_facts(&self) -> &[MessageFacts] {
-        &self.messages
-    }
-
-    /// Messages waiting on message `m`, ascending.
-    #[inline]
-    pub(crate) fn successors_of(&self, m: usize) -> &[u32] {
-        let (lo, hi) = (self.succ_start[m], self.succ_start[m + 1]);
-        &self.succ_pool[lo as usize..hi as usize]
-    }
-
-    /// Per message: its predecessor count (the pending count a round
-    /// starts from).
-    #[inline]
-    pub(crate) fn initial_pending(&self) -> &[u32] {
-        &self.init_pending
-    }
-
-    /// Sorted per-node plane universe (message endpoints as `u64` ids).
-    #[inline]
-    pub(crate) fn plane_universe(&self) -> &[u64] {
-        &self.plane_ids
-    }
 }
 
 /// Per-round salt stride: a prime far larger than any slot budget, so no
 /// two rounds share a `(link, tick)` coordinate.
 pub const SALT_STRIDE: u64 = 1_000_003;
-
-/// Groups `(row, value)` pairs into a CSR over `rows` rows, keeping each
-/// row's values in iteration order: row `r` is
-/// `pool[start[r]..start[r + 1]]`.
-fn csr<I>(rows: usize, pairs: I) -> (Vec<u32>, Vec<u32>)
-where
-    I: Iterator<Item = (usize, u32)> + Clone,
-{
-    let mut start = vec![0u32; rows + 1];
-    for (r, _) in pairs.clone() {
-        start[r + 1] += 1;
-    }
-    for r in 0..rows {
-        start[r + 1] += start[r];
-    }
-    let mut pool = vec![0u32; start[rows] as usize];
-    let mut cursor = start.clone();
-    for (r, v) in pairs {
-        pool[cursor[r] as usize] = v;
-        cursor[r] += 1;
-    }
-    (start, pool)
-}
 
 /// Per-destination staleness: how many consecutive rounds each
 /// destination has ended with partial coverage. Complements the per-round
@@ -1539,10 +1405,11 @@ mod tests {
         policy: &RetryPolicy,
         round_salt: u64,
     ) -> (Vec<bool>, Vec<bool>, Vec<u32>, (u32, usize, usize)) {
-        let message_count = faulty.messages.len();
+        let schedule = faulty.compiled().schedule();
+        let message_count = schedule.messages.len();
         let mut preds: Vec<Vec<usize>> = vec![Vec::new(); message_count];
         for p in 0..message_count {
-            for &s in faulty.successors_of(p) {
+            for &s in schedule.successors(p) {
                 preds[s as usize].push(p);
             }
         }
@@ -1571,7 +1438,7 @@ mod tests {
                     continue;
                 }
                 attempts[m] += 1;
-                let (a, b) = faulty.messages[m].edge;
+                let (a, b) = schedule.messages[m].edge;
                 if model.is_down(a, b, round_salt.wrapping_add(u64::from(slot))) {
                     retransmissions += 1;
                     if policy.max_attempts > 0 && attempts[m] >= policy.max_attempts {
@@ -1607,7 +1474,7 @@ mod tests {
     /// links forced to p = 1 and p = 0 and some left out of the map.
     fn per_link_model(net: &Network, faulty: &FaultyExec, p: f64, seed: u64) -> DeliveryModel {
         let mut quality = LinkQuality::distance_based(net, p, seed);
-        for (m, msg) in faulty.messages.iter().enumerate() {
+        for (m, msg) in faulty.compiled().schedule().messages.iter().enumerate() {
             match pick(seed, m) % 8 {
                 0 => quality.set_loss(msg.edge.0, msg.edge.1, 1.0),
                 1 => quality.set_loss(msg.edge.0, msg.edge.1, 0.0),
@@ -1615,6 +1482,8 @@ mod tests {
             }
         }
         let absent: Vec<(NodeId, NodeId)> = faulty
+            .compiled()
+            .schedule()
             .messages
             .iter()
             .enumerate()
@@ -1635,7 +1504,7 @@ mod tests {
     fn trace_model(faulty: &FaultyExec, salts: &[u64], seed: u64) -> DeliveryModel {
         let span = u64::from(faulty.slot_schedule().slot_count.max(2));
         let mut trace = FailureTrace::new();
-        for (m, msg) in faulty.messages.iter().enumerate() {
+        for (m, msg) in faulty.compiled().schedule().messages.iter().enumerate() {
             let h = pick(seed, m);
             let (a, b) = msg.edge;
             match h % 16 {

@@ -22,6 +22,13 @@
 //! searches bounded by a dynamic topological order (Pearce & Kelly). Both
 //! paths make the decisions of the original quadratic loop, which the
 //! tests keep as an oracle.
+//!
+//! The merge also fixes the *message graph*, which the schedule records
+//! once: each unit's message, each message's payload bytes, and the
+//! wait-for relation between messages, deduplicated (successors ascending,
+//! plus predecessor counts). The slot assigner, the compiled lowering and
+//! both loss-aware clocks read it from here instead of re-deriving it
+//! from the unit arcs.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -94,9 +101,80 @@ pub struct Schedule {
     /// Messages per edge, computed once from `messages` at construction
     /// (the schedule is immutable, so this never changes).
     pub per_edge_messages: BTreeMap<DirectedEdge, usize>,
+    // The message graph, derived once from `messages` at construction.
+    /// The message carrying each unit.
+    pub(crate) message_of: Vec<u32>,
+    /// Each message's payload bytes: the sum of its units' sizes.
+    pub(crate) message_bytes: Vec<u32>,
+    /// The deduplicated message wait-for relation: a successor CSR
+    /// (see [`Schedule::successors`]) and each message's number of
+    /// distinct predecessors.
+    succ_start: Vec<u32>,
+    succ: Vec<u32>,
+    pub(crate) pred_count: Vec<u32>,
 }
 
 impl Schedule {
+    /// Assembles a schedule around its merged messages, deriving what
+    /// depends on them alone: the per-edge counts and the message graph.
+    fn new(
+        units: Vec<Unit>,
+        unit_arcs: Vec<(usize, usize)>,
+        contributions: Vec<Vec<Contribution>>,
+        destination_inputs: BTreeMap<NodeId, Vec<Contribution>>,
+        topo_order: Vec<usize>,
+        messages: Vec<Message>,
+    ) -> Self {
+        let mut per_edge_messages: BTreeMap<DirectedEdge, usize> = BTreeMap::new();
+        let mut message_of = vec![0u32; units.len()];
+        let mut message_bytes = Vec::with_capacity(messages.len());
+        for (m, msg) in messages.iter().enumerate() {
+            *per_edge_messages.entry(msg.edge).or_insert(0) += 1;
+            for &u in &msg.units {
+                message_of[u] = m as u32;
+            }
+            message_bytes.push(msg.units.iter().map(|&u| units[u].size_bytes).sum());
+        }
+        let mut arcs: Vec<(u32, u32)> = unit_arcs
+            .iter()
+            .map(|&(u, v)| (message_of[u], message_of[v]))
+            .filter(|&(a, b)| a != b)
+            .collect();
+        arcs.sort_unstable();
+        arcs.dedup();
+        // Sorted arcs are the successor lists, tail by tail.
+        let mut succ_start = vec![0u32; messages.len() + 1];
+        let mut pred_count = vec![0u32; messages.len()];
+        for &(a, b) in &arcs {
+            succ_start[a as usize + 1] += 1;
+            pred_count[b as usize] += 1;
+        }
+        for m in 0..messages.len() {
+            succ_start[m + 1] += succ_start[m];
+        }
+        let succ = arcs.iter().map(|&(_, b)| b).collect();
+        Schedule {
+            units,
+            unit_arcs,
+            contributions,
+            destination_inputs,
+            topo_order,
+            messages,
+            per_edge_messages,
+            message_of,
+            message_bytes,
+            succ_start,
+            succ,
+            pred_count,
+        }
+    }
+
+    /// The messages waiting on message `m`, ascending and distinct.
+    #[inline]
+    pub(crate) fn successors(&self, m: usize) -> &[u32] {
+        &self.succ[self.succ_start[m] as usize..self.succ_start[m + 1] as usize]
+    }
+
     /// Number of messages per edge, keyed by edge. The paper's greedy
     /// merger achieves one per edge in all its experiments. Computed once
     /// at construction; this accessor is free.
@@ -112,8 +190,7 @@ impl Schedule {
     /// Energy and traffic totals for transmitting this schedule once.
     pub fn round_cost(&self, energy: &EnergyModel) -> RoundCost {
         let mut cost = RoundCost::default();
-        for m in &self.messages {
-            let body: u32 = m.units.iter().map(|&u| self.units[u].size_bytes).sum();
+        for (m, &body) in self.messages.iter().zip(&self.message_bytes) {
             cost.tx_uj += energy.tx_cost_uj(body);
             cost.rx_uj += energy.rx_cost_uj(body);
             cost.messages += 1;
@@ -128,8 +205,7 @@ impl Schedule {
     /// per-node view §1's load-balancing argument needs.
     pub fn charge_round(&self, energy: &EnergyModel, ledger: &mut NodeEnergyLedger) -> RoundCost {
         let mut cost = RoundCost::default();
-        for m in &self.messages {
-            let body: u32 = m.units.iter().map(|&u| self.units[u].size_bytes).sum();
+        for (m, &body) in self.messages.iter().zip(&self.message_bytes) {
             let tx = energy.tx_cost_uj(body);
             let rx = energy.rx_cost_uj(body);
             ledger.charge_tx(m.edge.0, tx);
@@ -337,26 +413,20 @@ pub fn build_schedule(spec: &AggregationSpec, plan: &GlobalPlan) -> Result<Sched
     // common case (all units on the edge in one message); if that creates
     // a cycle at the message level, fall back to incremental merging.
     let messages = merge_messages(&units, &unit_arcs);
-    let mut per_edge_messages: BTreeMap<DirectedEdge, usize> = BTreeMap::new();
-    for m in &messages {
-        *per_edge_messages.entry(m.edge).or_insert(0) += 1;
-    }
-
-    Ok(Schedule {
+    Ok(Schedule::new(
         units,
         unit_arcs,
-        contributions: contributions
+        contributions
             .into_iter()
             .map(|set| set.into_iter().collect())
             .collect(),
-        destination_inputs: dest_inputs
+        dest_inputs
             .into_iter()
             .map(|(d, set)| (d, set.into_iter().collect()))
             .collect(),
         topo_order,
         messages,
-        per_edge_messages,
-    })
+    ))
 }
 
 /// Greedily merges units into messages without creating wait-for cycles
@@ -831,19 +901,15 @@ pub(crate) fn synthetic_schedule(
     let (units, unit_arcs) = synthetic_units(seed, edge_pool, max_units_per_edge, density);
     let topo_order = topological_order(units.len(), &unit_arcs).expect("ranked arcs are acyclic");
     let messages = merge_messages(&units, &unit_arcs);
-    let mut per_edge_messages: BTreeMap<DirectedEdge, usize> = BTreeMap::new();
-    for m in &messages {
-        *per_edge_messages.entry(m.edge).or_insert(0) += 1;
-    }
-    Schedule {
-        contributions: vec![Vec::new(); units.len()],
+    let contributions = vec![Vec::new(); units.len()];
+    Schedule::new(
         units,
         unit_arcs,
-        destination_inputs: BTreeMap::new(),
+        contributions,
+        BTreeMap::new(),
         topo_order,
         messages,
-        per_edge_messages,
-    }
+    )
 }
 
 #[cfg(test)]
@@ -1084,6 +1150,49 @@ mod tests {
         (0..edges).map(|e| (NodeId(e), NodeId(e + 1))).collect()
     }
 
+    /// Checks the stored message graph against its definition: each
+    /// unit's message and each message's bytes as the merge left them,
+    /// and exactly the distinct message pairs that unit arcs join.
+    fn assert_graph_matches_definition(schedule: &Schedule) {
+        let mut message_of = vec![0u32; schedule.units.len()];
+        for (m, msg) in schedule.messages.iter().enumerate() {
+            let bytes: u32 = msg
+                .units
+                .iter()
+                .map(|&u| schedule.units[u].size_bytes)
+                .sum();
+            assert_eq!(schedule.message_bytes[m], bytes, "bytes of message {m}");
+            for &u in &msg.units {
+                message_of[u] = m as u32;
+            }
+        }
+        assert_eq!(schedule.message_of, message_of);
+        let mut preds: Vec<BTreeSet<u32>> = vec![BTreeSet::new(); schedule.messages.len()];
+        for &(u, v) in &schedule.unit_arcs {
+            let (a, b) = (message_of[u], message_of[v]);
+            if a != b {
+                preds[b as usize].insert(a);
+                assert!(
+                    schedule.successors(a as usize).contains(&b),
+                    "unit arc {u} -> {v} joins message {a} to {b}, which is not in the graph"
+                );
+            }
+        }
+        let mut arcs = 0;
+        for (m, distinct) in preds.iter().enumerate() {
+            assert_eq!(
+                schedule.pred_count[m] as usize,
+                distinct.len(),
+                "message {m}"
+            );
+            let succ = schedule.successors(m);
+            assert!(succ.windows(2).all(|w| w[0] < w[1]), "{succ:?} ascending");
+            assert!(!succ.contains(&(m as u32)), "message {m} waits on itself");
+            arcs += succ.len();
+        }
+        assert_eq!(arcs, preds.iter().map(BTreeSet::len).sum::<usize>());
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -1102,6 +1211,33 @@ mod tests {
                 merge_messages(&units, &arcs),
                 merge_messages_oracle(&units, &arcs)
             );
+        }
+
+        /// The stored message graph matches its definition on real plans
+        /// in every routing mode and on synthetic schedules, many of them
+        /// split by the merge fallback.
+        #[test]
+        fn message_graph_matches_its_definition(
+            place_seed in 0u64..10_000,
+            wl_seed in 0u64..10_000,
+            destinations in 4usize..16,
+            edges in 2u32..7,
+            max_units in 1usize..6,
+            density in 0.02f64..0.5,
+        ) {
+            let net = Network::with_default_energy(Deployment::great_duck_island(place_seed));
+            let spec = generate_workload(&net, &WorkloadConfig::paper_default(destinations, 10, wl_seed));
+            for mode in MODES {
+                let routing = RoutingTables::build(&net, &spec.source_to_destinations(), mode);
+                let plan = GlobalPlan::build(&net, &spec, &routing);
+                assert_graph_matches_definition(&build_schedule(&spec, &plan).expect("schedulable"));
+            }
+            assert_graph_matches_definition(&synthetic_schedule(
+                wl_seed,
+                &edge_chain(edges),
+                max_units,
+                density,
+            ));
         }
 
         /// Real plans in every routing mode: the same messages as the
@@ -1134,7 +1270,8 @@ mod tests {
     /// The synthetic cases exercise both paths: some full merges are
     /// acyclic and take the one-shot answer, others need the greedy loop,
     /// and in some of those the loop splits an edge. All match the
-    /// oracle.
+    /// oracle, and every split schedule's message graph matches its
+    /// definition.
     #[test]
     fn synthetic_graphs_reach_both_merge_paths() {
         let (mut one_shot, mut fallback, mut split) = (0, 0, 0);
@@ -1150,6 +1287,8 @@ mod tests {
                 fallback += 1;
                 if merged.len() > edges as usize {
                     split += 1;
+                    let schedule = synthetic_schedule(seed, &edge_chain(edges), 5, density);
+                    assert_graph_matches_definition(&schedule);
                 }
             }
         }
@@ -1181,6 +1320,7 @@ mod tests {
             assert!(!full_merge_is_acyclic(units, arcs));
             assert!(schedule.max_messages_on_any_edge() > 1);
             assert_eq!(schedule.messages, merge_messages_oracle(units, arcs));
+            assert_graph_matches_definition(&schedule);
         }
     }
 

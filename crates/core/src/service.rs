@@ -491,6 +491,9 @@ impl PlanService {
         let tenant_count: usize = parse_kv(lines.next(), "tenants")?;
         for _ in 0..tenant_count {
             let id: u64 = parse_kv(lines.next(), "tenant")?;
+            if id == u64::MAX {
+                return Err(format!("tenant id {id} leaves no id to admit next"));
+            }
             let mode_str: String = parse_kv(lines.next(), "mode")?;
             let mode = mode_parse(&mode_str).ok_or(format!("unknown mode '{mode_str}'"))?;
             let rt_str: String = parse_kv(lines.next(), "runtime")?;
@@ -504,17 +507,25 @@ impl PlanService {
                 let mut fields = Fields::new(line);
                 fields.expect("function")?;
                 let dest = fields.node("function destination", nodes)?;
+                if spec.function(dest).is_some() {
+                    return Err(format!(
+                        "function destination {} named twice in '{line}'",
+                        dest.0
+                    ));
+                }
                 let kind_str = fields.next().ok_or("function missing kind")?;
                 let kind = kind_parse(kind_str).ok_or(format!("unknown kind '{kind_str}'"))?;
                 let n = fields.num("function source count")?;
                 if n == 0 {
                     return Err(format!("function without sources in '{line}'"));
                 }
-                let mut weights = Vec::with_capacity(fields.capacity(n, 2));
+                let mut weights = BTreeMap::new();
                 for _ in 0..n {
                     let s = fields.node("function source", nodes)?;
                     let bits = fields.num("function weight bits")?;
-                    weights.push((s, f64::from_bits(bits)));
+                    if weights.insert(s, f64::from_bits(bits)).is_some() {
+                        return Err(format!("function source {} named twice in '{line}'", s.0));
+                    }
                 }
                 spec.add_function(dest, AggregateFunction::new(kind, weights));
             }
@@ -959,5 +970,103 @@ mod tests {
         })
         .unwrap_err();
         assert!(err.contains("function source 4294967297"), "{err}");
+    }
+
+    #[test]
+    fn restore_rejects_a_destination_named_twice() {
+        // A later line for the same destination used to replace the
+        // earlier one, which left a `var` function seeded with slabs
+        // solved for `sum`.
+        let err = edited_checkpoint(|lines| {
+            let at = lines
+                .iter()
+                .position(|l| l.starts_with("function "))
+                .expect("checkpoint has a function line");
+            let second = lines[at].replacen("function 12 sum ", "function 12 var ", 1);
+            lines.insert(at + 1, second);
+            *line_starting(lines, "functions ") = "functions 2".to_string();
+        })
+        .unwrap_err();
+        assert!(err.contains("function destination 12 named twice"), "{err}");
+        assert!(
+            err.contains("'function 12 var "),
+            "the error names the line: {err}"
+        );
+    }
+
+    #[test]
+    fn restore_rejects_a_source_named_twice_in_one_function() {
+        let err = edited_checkpoint(|lines| {
+            let line = line_starting(lines, "function ");
+            let mut toks: Vec<&str> = line.split_whitespace().collect();
+            assert_eq!(toks[6], "7", "the second source is node 7");
+            toks[6] = "1";
+            *line = toks.join(" ");
+        })
+        .unwrap_err();
+        assert!(err.contains("function source 1 named twice"), "{err}");
+    }
+
+    /// Tokens that break counts, ids, kinds, modes and keywords.
+    const REPLACEMENTS: [&str; 12] = [
+        "0",
+        "1",
+        "-1",
+        "x",
+        "18446744073709551615",
+        "4294967296",
+        "end",
+        "function",
+        "solution",
+        "sst",
+        "var",
+        "lossy",
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(12))]
+
+        /// Every cut of a two-tenant checkpoint at a token boundary, and
+        /// every copy of it with one token replaced, restores or fails
+        /// with an `Err`; none panics.
+        #[test]
+        fn damaged_checkpoints_restore_or_fail_without_panicking(seed in 0u64..1_000) {
+            let net = Arc::new(Network::with_default_energy(Deployment::grid(4, 4, 10.0, 12.0)));
+            let mut svc = PlanService::new(Arc::clone(&net));
+            for (i, mode) in [RoutingMode::ShortestPathTrees, RoutingMode::SharedSpanningTree]
+                .into_iter()
+                .enumerate()
+            {
+                let spec = generate_workload(
+                    &net,
+                    &WorkloadConfig::paper_default(2, 2, seed + i as u64),
+                );
+                svc.admit_with(spec, TenantOptions { mode, ..TenantOptions::default() });
+            }
+            let text = svc.checkpoint();
+            let mut damaged: Vec<String> = text
+                .char_indices()
+                .filter(|&(_, c)| c.is_whitespace())
+                .map(|(cut, _)| text[..cut].to_string())
+                .collect();
+            let lines: Vec<Vec<&str>> =
+                text.lines().map(|l| l.split_whitespace().collect()).collect();
+            let mut nth = seed as usize;
+            for (i, line) in lines.iter().enumerate() {
+                for j in 0..line.len() {
+                    let mut copy = lines.clone();
+                    copy[i][j] = REPLACEMENTS[nth % REPLACEMENTS.len()];
+                    nth += 1;
+                    damaged.push(copy.iter().map(|l| l.join(" ") + "\n").collect());
+                }
+            }
+            for text in &damaged {
+                let net = Arc::clone(&net);
+                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    PlanService::restore(net, Config::default(), text).map(|_| ())
+                }));
+                proptest::prop_assert!(outcome.is_ok(), "panicked on:\n{}", text);
+            }
+        }
     }
 }

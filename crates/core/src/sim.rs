@@ -5,24 +5,27 @@
 //!
 //! # Architecture
 //!
-//! [`SimExec`] is a clock over the static tables of [`FaultyExec`]
-//! (message graph, per-attempt energies, per-node component universe),
-//! which it shares rather than re-derives:
+//! [`SimExec`] is a clock over tables built once elsewhere: the message
+//! graph of the [`crate::schedule::Schedule`], the per-message facts and
+//! per-node plane universe of the [`CompiledSchedule`], and the settle
+//! tables it shares with [`crate::faults::FaultyExec`] (op gates, relay
+//! chains, demanded sets). It lowers no TDMA slots: its clock never reads
+//! one.
 //!
 //! * **Components** — one per message endpoint, interned as dense slots
-//!   of the sorted endpoint universe ([`FaultyExec`]'s per-node plane
-//!   ids). Each component owns one radio and one bounded outbound FIFO,
-//!   represented intrusively: a `next` link per message plus
-//!   head/tail/depth per component — no per-node allocation.
+//!   of the sorted endpoint universe (the compiled observability
+//!   profile's node ids). Each component owns one radio and one bounded
+//!   outbound FIFO, represented intrusively: a `next` link per message
+//!   plus head/tail/depth per component — no per-node allocation.
 //! * **Event wheel** — a `BinaryHeap` of `(tick, seq)`-ordered events;
 //!   `seq` is a monotone push counter, so the pop order is a total order
 //!   independent of heap internals: runs are bit-replayable.
-//! * **Message graph** — the schedule's unit arcs collapsed to message
-//!   granularity, as the successor CSR and initial pending counts the
-//!   TDMA slot scan runs on, so resolution is push-driven.
+//! * **Message graph** — the schedule's successor CSR and predecessor
+//!   counts, the same ones the TDMA slot scan runs on, so resolution is
+//!   push-driven.
 //! * **One answer path** — the wheel only decides delivery, filling the
 //!   per-message delivery vector of the [`FaultScratch`] inside
-//!   [`SimState`]; `FaultyExec::settle` turns it into the answer, the
+//!   [`SimState`]; `Settler::settle` turns it into the answer, the
 //!   same step the TDMA executor ends with. The hot loop performs no
 //!   heap allocation ([`SimState`] is reusable scratch).
 //!
@@ -41,7 +44,7 @@
 //!
 //! The round ends when the wheel drains or the tick budget
 //! (`policy.max_slots`) expires, mirroring the TDMA slot budget. The
-//! delivery vector is then final and `FaultyExec::settle` folds every
+//! delivery vector is then final and `Settler::settle` folds every
 //! node's records and every destination's result from whatever
 //! arrived. That is what the protocol computes: a node folds a
 //! message's records when the message is ready, and every op's gate
@@ -52,7 +55,7 @@
 //! **Equivalence contract**: at loss probability 0 (any retry policy),
 //! every gate is open and every fold includes every op in the compiled
 //! order, so [`SimOutcome::outcome`] results / cost / coverage are
-//! **bit-identical** to [`FaultyExec::run`] and hence to
+//! **bit-identical** to [`crate::faults::FaultyExec::run`] and hence to
 //! [`CompiledSchedule::run_round`] (`tests/sim_equivalence.rs` pins this
 //! across routing modes). Under loss the two executors draw from the
 //! same seeded per-link streams but index them by different clocks
@@ -75,7 +78,7 @@ use m2m_graph::NodeId;
 use m2m_netsim::{DeliveryModel, Network};
 
 use crate::exec::CompiledSchedule;
-use crate::faults::{FaultOutcome, FaultScratch, FaultyExec, RetryPolicy};
+use crate::faults::{FaultOutcome, FaultScratch, RetryPolicy, Settler};
 use crate::telemetry::names;
 
 /// Simulator tuning knobs, read from [`crate::config::Config`] by
@@ -157,15 +160,14 @@ pub struct SimOutcome {
 
 /// Reusable scratch for [`SimExec::run`] — allocate once, run any number
 /// of rounds without further allocation (outcomes excepted). It holds
-/// only clock state plus one [`FaultScratch`], which carries the round's
-/// delivery vector into `FaultyExec::settle` and, on drop, flushes the
-/// worker-local observability planes.
+/// only clock state plus one [`FaultScratch`], which keeps each message's
+/// unresolved predecessor count, carries the round's delivery vector
+/// into `Settler::settle` and, on drop, flushes the worker-local
+/// observability planes.
 #[derive(Clone, Debug, Default)]
 pub struct SimState {
     heap: BinaryHeap<std::cmp::Reverse<Ev>>,
     seq: u64,
-    /// Per message: unresolved predecessor messages left.
-    pred_left: Vec<u32>,
     /// Intrusive FIFO links (per message).
     next_in_q: Vec<u32>,
     /// Per component: queue head / tail / depth, radio busy flag.
@@ -182,7 +184,7 @@ pub struct SimState {
 /// The event-driven executor. Built once per plan; see the module docs.
 #[derive(Clone, Debug)]
 pub struct SimExec {
-    faults: FaultyExec,
+    settler: Settler,
     params: SimParams,
 }
 
@@ -193,39 +195,35 @@ impl SimExec {
         Self::with_params(network, compiled, SimParams::default())
     }
 
-    /// Lowers `compiled` with explicit [`SimParams`].
+    /// Lowers `compiled` with explicit [`SimParams`]. The event clock
+    /// reads no radio geometry, so `_network` goes unused: unlike
+    /// [`crate::faults::FaultyExec::new`], this lowering assigns no TDMA
+    /// slots.
     ///
     /// # Panics
     /// Panics if `params.queue_cap` or `params.latency` is zero.
-    pub fn with_params(network: &Network, compiled: &CompiledSchedule, params: SimParams) -> Self {
+    pub fn with_params(_network: &Network, compiled: &CompiledSchedule, params: SimParams) -> Self {
         let _span = crate::telemetry::span(crate::telemetry::layer::SIM_LOWER);
         assert!(params.queue_cap >= 1, "queue bound must be >= 1");
         assert!(params.latency >= 1, "link latency must be >= 1 tick");
-        Self::from_faults(FaultyExec::new(network, compiled), params)
-    }
-
-    /// Lowers an already-built [`FaultyExec`] (shares its static tables).
-    pub fn from_faults(faults: FaultyExec, params: SimParams) -> Self {
         crate::telemetry::counter(names::SIM_BUILDS, 1);
+        let sim = SimExec {
+            settler: Settler::new(compiled),
+            params,
+        };
         crate::m2m_log!(
             crate::telemetry::Level::Debug,
             "sim compiled: {} components, {} messages",
-            faults.plane_universe().len(),
-            faults.message_facts().len()
+            sim.component_count(),
+            sim.message_count()
         );
-        SimExec { faults, params }
-    }
-
-    /// The shared static lowering (message graph, gates, slot schedule).
-    #[inline]
-    pub fn faults(&self) -> &FaultyExec {
-        &self.faults
+        sim
     }
 
     /// The compiled schedule this simulator runs.
     #[inline]
     pub fn compiled(&self) -> &CompiledSchedule {
-        self.faults.compiled()
+        self.settler.compiled()
     }
 
     /// The simulator's tuning knobs.
@@ -237,13 +235,13 @@ impl SimExec {
     /// Components (distinct message endpoints) in the simulation.
     #[inline]
     pub fn component_count(&self) -> usize {
-        self.faults.plane_universe().len()
+        self.compiled().obs_profile.len()
     }
 
     /// Messages in one round of the simulation.
     #[inline]
     pub fn message_count(&self) -> usize {
-        self.faults.message_facts().len()
+        self.compiled().message_facts.len()
     }
 
     /// Allocates a scratch arena sized for this simulator.
@@ -253,7 +251,6 @@ impl SimExec {
         SimState {
             heap: BinaryHeap::with_capacity(messages * 2 + components),
             seq: 0,
-            pred_left: vec![0; messages],
             next_in_q: vec![NO_MSG; messages],
             q_head: vec![NO_MSG; components],
             q_tail: vec![NO_MSG; components],
@@ -261,7 +258,7 @@ impl SimExec {
             radio_busy: vec![false; components],
             overflow_at: vec![0; components],
             touched_overflow: Vec::new(),
-            scratch: self.faults.scratch(),
+            scratch: self.settler.scratch(),
         }
     }
 
@@ -276,7 +273,7 @@ impl SimExec {
         peak_depth: &mut u32,
         overflows: &mut u64,
     ) {
-        let comp = self.faults.message_facts()[m as usize].tail_slot as usize;
+        let comp = self.compiled().message_facts[m as usize].tail_slot as usize;
         st.next_in_q[m as usize] = NO_MSG;
         if st.q_tail[comp] == NO_MSG {
             st.q_head[comp] = m;
@@ -309,9 +306,9 @@ impl SimExec {
         peak_depth: &mut u32,
         overflows: &mut u64,
     ) {
-        for &s in self.faults.successors_of(m as usize) {
-            st.pred_left[s as usize] -= 1;
-            if st.pred_left[s as usize] == 0 {
+        for &s in self.compiled().schedule().successors(m as usize) {
+            st.scratch.pending[s as usize] -= 1;
+            if st.scratch.pending[s as usize] == 0 {
                 self.ready(s, now, st, peak_depth, overflows);
             }
         }
@@ -340,7 +337,7 @@ impl SimExec {
             "reading vector length must match the interned source count"
         );
         assert_eq!(
-            st.pred_left.len(),
+            st.scratch.pending.len(),
             self.message_count(),
             "state/simulator mismatch"
         );
@@ -356,8 +353,9 @@ impl SimExec {
         let mut overflows = 0u64;
 
         // Tick 0: source-local messages are ready immediately.
+        let schedule = self.compiled().schedule();
         for m in 0..self.message_count() as u32 {
-            if self.faults.initial_pending()[m as usize] == 0 {
+            if schedule.pred_count[m as usize] == 0 {
                 self.ready(m, 0, st, &mut peak_depth, &mut overflows);
             }
         }
@@ -377,10 +375,10 @@ impl SimExec {
                         st.radio_busy[c] = false;
                         continue;
                     }
-                    let msg = &self.faults.message_facts()[m as usize];
+                    let (tail, head) = schedule.messages[m as usize].edge;
                     let attempts = &mut st.scratch.attempts[m as usize];
                     *attempts += 1;
-                    if model.is_down(msg.edge.0, msg.edge.1, round_salt.wrapping_add(now)) {
+                    if model.is_down(tail, head, round_salt.wrapping_add(now)) {
                         retransmissions += 1;
                         if policy.max_attempts > 0 && *attempts >= policy.max_attempts {
                             st.scratch.dropped[m as usize] = true;
@@ -414,7 +412,7 @@ impl SimExec {
         // The wheel stopped (drained, or the tick budget ran out — the
         // event-clock analogue of running out of TDMA slots), so the
         // delivery vector is final: settle the answer from it.
-        let outcome = self.faults.settle(
+        let outcome = self.settler.settle(
             readings,
             &mut st.scratch,
             now.min(u64::from(u32::MAX)) as u32,
@@ -422,12 +420,13 @@ impl SimExec {
             dropped_count,
         );
 
+        let components = self.compiled().obs_profile.ids();
         let mut overflow_nodes: Vec<(NodeId, u32)> = st
             .touched_overflow
             .iter()
             .map(|&c| {
                 (
-                    NodeId(self.faults.plane_universe()[c as usize] as u32),
+                    NodeId(components[c as usize] as u32),
                     st.overflow_at[c as usize],
                 )
             })
@@ -456,18 +455,7 @@ impl SimExec {
         round_salt: u64,
         st: &mut SimState,
     ) -> SimOutcome {
-        let dense: Vec<f64> = self
-            .faults
-            .compiled()
-            .sources
-            .ids()
-            .iter()
-            .map(|s| {
-                *readings
-                    .get(s)
-                    .unwrap_or_else(|| panic!("no reading for source {s}"))
-            })
-            .collect();
+        let dense = self.compiled().dense_readings(readings);
         self.run(&dense, model, policy, round_salt, st)
     }
 
@@ -478,7 +466,9 @@ impl SimExec {
         st.scratch.delivered.fill(false);
         st.scratch.dropped.fill(false);
         st.scratch.attempts.fill(0);
-        st.pred_left.copy_from_slice(self.faults.initial_pending());
+        st.scratch
+            .pending
+            .copy_from_slice(&self.compiled().schedule().pred_count);
         st.next_in_q.fill(NO_MSG);
         st.q_head.fill(NO_MSG);
         st.q_tail.fill(NO_MSG);

@@ -25,6 +25,12 @@
 //! where it sends or receives, where a neighbour transmits, and where a
 //! neighbour receives, so a candidate slot costs four lookups. The
 //! tests keep the scanning assignment as an oracle.
+//!
+//! Precedence comes from the message graph the schedule already holds
+//! ([`crate::schedule::build_schedule`] derives it once); nothing here
+//! re-derives messages from units. Only the TDMA executor
+//! ([`crate::faults::FaultyExec`]) assigns slots; the event-driven
+//! simulator runs on its own clock and lowers none.
 
 use std::collections::BTreeMap;
 
@@ -52,12 +58,6 @@ impl SlotSchedule {
         let Some(inputs) = schedule.destination_inputs.get(&d) else {
             return 0;
         };
-        let mut message_of = vec![usize::MAX; schedule.units.len()];
-        for (m, msg) in schedule.messages.iter().enumerate() {
-            for &u in &msg.units {
-                message_of[u] = m;
-            }
-        }
         inputs
             .iter()
             .filter_map(|c| match c {
@@ -73,8 +73,8 @@ impl SlotSchedule {
                             && matches!(u.content,
                                 crate::schedule::UnitContent::Raw(src) if src == *s)
                     })
-                    .map(|u| self.slots[message_of[u]] + 1),
-                Contribution::FromUnit(u) => Some(self.slots[message_of[*u]] + 1),
+                    .map(|u| self.slots[schedule.message_of[u] as usize] + 1),
+                Contribution::FromUnit(u) => Some(self.slots[schedule.message_of[*u] as usize] + 1),
             })
             .max()
             .unwrap_or(0)
@@ -142,18 +142,17 @@ fn conflicts(network: &Network, a: (NodeId, NodeId), b: (NodeId, NodeId)) -> boo
 /// Panics if the message-level wait-for graph is cyclic, which
 /// [`crate::schedule::build_schedule`] already prevents.
 pub fn assign_slots(network: &Network, schedule: &Schedule) -> SlotSchedule {
-    let message_count = schedule.messages.len();
-    let (order, preds) = message_order(schedule);
     let mut sets = NodeSlotSets::new(network.node_count(), &schedule.messages);
-    let mut slots = vec![0u32; message_count];
+    let mut earliest = vec![0u32; schedule.messages.len()];
+    let mut slots = vec![0u32; schedule.messages.len()];
     let mut slot_count = 0u32;
-    for &m in &order {
-        let earliest = preds[m].iter().map(|&p| slots[p] + 1).max().unwrap_or(0);
+    for m in message_order(schedule) {
         let (s, r) = schedule.messages[m].edge;
-        let slot = sets.first_free(s, r, earliest);
+        let slot = sets.first_free(s, r, earliest[m]);
         sets.occupy(network, s, r, slot);
         slots[m] = slot;
         slot_count = slot_count.max(slot + 1);
+        release_successors(schedule, m, slot, &mut earliest);
     }
     crate::telemetry::counter(
         crate::telemetry::names::SLOTS_SET_BYTES,
@@ -162,31 +161,24 @@ pub fn assign_slots(network: &Network, schedule: &Schedule) -> SlotSchedule {
     SlotSchedule { slots, slot_count }
 }
 
-/// The messages in wait-for topological order, and each message's
-/// wait-for predecessors.
-fn message_order(schedule: &Schedule) -> (Vec<usize>, Vec<Vec<usize>>) {
+/// The messages in wait-for topological order: Kahn's order over the
+/// schedule's message arcs, which the successor lists give sorted.
+fn message_order(schedule: &Schedule) -> Vec<usize> {
     let message_count = schedule.messages.len();
-    let mut message_of = vec![usize::MAX; schedule.units.len()];
-    for (m, msg) in schedule.messages.iter().enumerate() {
-        for &u in &msg.units {
-            message_of[u] = m;
-        }
-    }
-    let mut arcs: Vec<(usize, usize)> = schedule
-        .unit_arcs
-        .iter()
-        .map(|&(u, v)| (message_of[u], message_of[v]))
-        .filter(|&(a, b)| a != b)
+    let arcs: Vec<(usize, usize)> = (0..message_count)
+        .flat_map(|m| schedule.successors(m).iter().map(move |&n| (m, n as usize)))
         .collect();
-    arcs.sort_unstable();
-    arcs.dedup();
-    let order = topological_order(message_count, &arcs)
-        .expect("message wait-for graph is acyclic (checked at merge time)");
-    let mut preds: Vec<Vec<usize>> = vec![Vec::new(); message_count];
-    for &(a, b) in &arcs {
-        preds[b].push(a);
+    topological_order(message_count, &arcs)
+        .expect("message wait-for graph is acyclic (checked at merge time)")
+}
+
+/// Message `m` went in `slot`: nothing waiting on it may go before
+/// `slot + 1`.
+fn release_successors(schedule: &Schedule, m: usize, slot: u32, earliest: &mut [u32]) {
+    for &n in schedule.successors(m) {
+        let n = n as usize;
+        earliest[n] = earliest[n].max(slot + 1);
     }
-    (order, preds)
 }
 
 /// The slot-set kinds: the node sends or receives, a neighbour
@@ -292,13 +284,12 @@ impl NodeSlotSets {
 #[cfg(test)]
 fn assign_slots_oracle(network: &Network, schedule: &Schedule) -> SlotSchedule {
     let message_count = schedule.messages.len();
-    let (order, preds) = message_order(schedule);
+    let mut earliest = vec![0u32; message_count];
     let mut slots = vec![0u32; message_count];
     let mut assigned = vec![false; message_count];
     let mut slot_count = 0u32;
-    for &m in &order {
-        let earliest = preds[m].iter().map(|&p| slots[p] + 1).max().unwrap_or(0);
-        let mut slot = earliest;
+    for m in message_order(schedule) {
+        let mut slot = earliest[m];
         'search: loop {
             for other in 0..message_count {
                 if assigned[other]
@@ -318,6 +309,7 @@ fn assign_slots_oracle(network: &Network, schedule: &Schedule) -> SlotSchedule {
         slots[m] = slot;
         assigned[m] = true;
         slot_count = slot_count.max(slot + 1);
+        release_successors(schedule, m, slot, &mut earliest);
     }
     SlotSchedule { slots, slot_count }
 }

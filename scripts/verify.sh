@@ -19,6 +19,13 @@
 # every failed gate declares more attempts; then both smokes run again.
 # Last, `--check` validates the committed BENCH_*.json and re-runs the
 # rows the bin pins, which must reproduce their digests.
+#
+# The pipeline benchmark (`perfbench/`, its own package) links the
+# crates' public items, so the script builds it and runs each workload
+# for one traced second: the result line must read `"correct": true`
+# and `"failed": 0`, and the run must leave `perfbench/` and
+# BENCHMARK.json as they were (the build goes to the ignored
+# `.bench_build/`, the span logs to the ignored `perfbench/out/`).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -82,5 +89,16 @@ for bin in bench_optimizer bench_runtime bench_resilience bench_scale bench_sim 
     done
     "./target/release/$bin" --check
 done
+
+for workload in lossy_rounds churn_adapt tenant_stream; do
+    last=$(python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 1 --trace 1 |
+        tail -n 1) || fail "perfbench $workload exited non-zero: $last"
+    case "$last" in
+    *'"correct": true,'*'"failed": 0,'*) echo "verify: perfbench $workload: ok" ;;
+    *) fail "perfbench $workload: ${last:0:200}" ;;
+    esac
+done
+[ -z "$(git status --porcelain perfbench BENCHMARK.json)" ] ||
+    fail "the perfbench runs changed perfbench/ or BENCHMARK.json"
 
 echo "verify: OK"
