@@ -59,7 +59,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 use m2m_graph::NodeId;
-use m2m_netsim::quality::LinkQuality;
+use m2m_netsim::quality::{etx_of_loss, LinkQuality};
 use m2m_netsim::{DeliveryModel, LinkLoss, Network};
 use m2m_telemetry::timeseries::record_planes;
 
@@ -1106,14 +1106,27 @@ impl ChurnController {
     }
 
     /// The worst relative ETX drift of any baseline link:
-    /// `max |etx_now − etx_base| / etx_base`.
+    /// `max |etx_now − etx_base| / etx_base`. A link that died or came
+    /// back (infinite ETX on one side only) drifts without bound; one
+    /// dead on both sides does not drift. A baseline link `current` does
+    /// not model is dead there, as [`LinkQuality::loss`] reads it.
     pub fn drift(&self, current: &LinkQuality) -> f64 {
+        // Both link slabs ascend, so one forward walk over `current`
+        // finds every baseline link.
+        let mut now = current.links().peekable();
         self.baseline
             .links()
-            .map(|((a, b), _)| {
-                let base = self.baseline.etx(a, b);
-                let now = current.etx(a, b);
-                (now - base).abs() / base
+            .map(|(link, base_loss)| {
+                while now.next_if(|&(l, _)| l < link).is_some() {}
+                let now_loss = now.next_if(|&(l, _)| l == link).map_or(1.0, |(_, p)| p);
+                let (base, now) = (etx_of_loss(base_loss), etx_of_loss(now_loss));
+                if base.is_finite() {
+                    (now - base).abs() / base
+                } else if now.is_finite() {
+                    f64::INFINITY
+                } else {
+                    0.0
+                }
             })
             .fold(0.0, f64::max)
     }
@@ -1721,5 +1734,31 @@ mod tests {
         assert_eq!(ctl.reroutes(), 1);
         ctl.rebase(bad.clone());
         assert!(!ctl.should_reroute(&bad), "rebase resets the reference");
+    }
+
+    #[test]
+    fn churn_drift_is_unbounded_when_a_link_dies_or_revives() {
+        let net = network();
+        let base = LinkQuality::distance_based(&net, 0.2, 3);
+        let ((a, b), _) = base.links().nth(3).unwrap();
+        let mut dead = base.clone();
+        dead.set_loss(a, b, 1.0);
+        let mut revived = dead.clone();
+        revived.set_loss(a, b, 0.0);
+        // clean -> dead
+        assert_eq!(ChurnController::new(base, 0.3).drift(&dead), f64::INFINITY);
+        let mut ctl = ChurnController::new(dead.clone(), 0.3);
+        // dead -> dead: no drift
+        assert_eq!(ctl.drift(&dead), 0.0);
+        // dead -> clean: the revived link must trigger a reroute
+        assert_eq!(ctl.drift(&revived), f64::INFINITY);
+        assert!(ctl.should_reroute(&revived));
+        // A baseline link the current map lacks reads as dead.
+        let mut extra = revived.clone();
+        extra.set_loss(NodeId(0), NodeId(15), 0.1);
+        assert_eq!(
+            ChurnController::new(extra, 0.3).drift(&revived),
+            f64::INFINITY
+        );
     }
 }

@@ -285,7 +285,9 @@ impl PlanService {
     /// bit-identical to one built in isolation over the same network.
     ///
     /// # Panics
-    /// Panics if the spec's plan is unschedulable (Theorem 2 cycle).
+    /// Panics if the spec's plan is unschedulable (Theorem 2 cycle), or
+    /// once the tenant id `u64::MAX` has been handed out (only a restored
+    /// checkpoint starts the id counter near it).
     pub fn admit_with(&mut self, spec: AggregationSpec, options: TenantOptions) -> Admission {
         let key: SubstrateKey = (mode_tag(options.mode), demand_pairs(&spec));
         let reused_substrate = self.substrates.contains_key(&key);
@@ -321,7 +323,10 @@ impl PlanService {
             (c.hits(), c.misses())
         };
         let id = TenantId(self.next_id);
-        self.next_id += 1;
+        self.next_id = self
+            .next_id
+            .checked_add(1)
+            .expect("every tenant id has been handed out");
         self.admitted_total += 1;
         self.tenants.insert(id, Tenant { session, key });
         Admission {
@@ -487,12 +492,17 @@ impl PlanService {
                 service.network.node_count()
             ));
         }
+        // `admit` hands out `next_id` and then counts it up, so restore
+        // leaves it below `u64::MAX`.
         let next_id: u64 = parse_kv(lines.next(), "next_id")?;
+        if next_id == u64::MAX {
+            return Err(format!("'next_id {next_id}' leaves no id to admit next"));
+        }
         let tenant_count: usize = parse_kv(lines.next(), "tenants")?;
         for _ in 0..tenant_count {
             let id: u64 = parse_kv(lines.next(), "tenant")?;
-            if id == u64::MAX {
-                return Err(format!("tenant id {id} leaves no id to admit next"));
+            if id >= u64::MAX - 1 {
+                return Err(format!("'tenant {id}' leaves no id to admit next"));
             }
             let mode_str: String = parse_kv(lines.next(), "mode")?;
             let mode = mode_parse(&mode_str).ok_or(format!("unknown mode '{mode_str}'"))?;
@@ -936,6 +946,34 @@ mod tests {
     }
 
     #[test]
+    fn restore_leaves_an_id_to_admit_next() {
+        // A header `next_id` of `u64::MAX`, or a tenant id one below it,
+        // would overflow the next admission's id counter.
+        let err = edited_checkpoint(|lines| {
+            *line_starting(lines, "next_id ") = format!("next_id {}", u64::MAX);
+        })
+        .unwrap_err();
+        assert!(err.contains("'next_id 18446744073709551615'"), "{err}");
+        let err = edited_checkpoint(|lines| {
+            *line_starting(lines, "tenant ") = format!("tenant {}", u64::MAX - 1);
+        })
+        .unwrap_err();
+        assert!(err.contains("'tenant 18446744073709551614'"), "{err}");
+        // The last id that leaves room restores, and the next admission
+        // takes it.
+        let mut svc = edited_checkpoint(|lines| {
+            *line_starting(lines, "next_id ") = format!("next_id {}", u64::MAX - 1);
+        })
+        .unwrap();
+        let mut spec = AggregationSpec::new();
+        spec.add_function(
+            NodeId(3),
+            AggregateFunction::weighted_sum([(NodeId(0), 1.0)]),
+        );
+        assert_eq!(svc.admit(spec).tenant, TenantId(u64::MAX - 1));
+    }
+
+    #[test]
     fn restore_rejects_a_solution_count_beyond_the_input() {
         let err = edited_checkpoint(|lines| {
             *line_starting(lines, "solutions ") = "solutions 1152921504606846975".to_string();
@@ -1060,10 +1098,13 @@ mod tests {
                     damaged.push(copy.iter().map(|l| l.join(" ") + "\n").collect());
                 }
             }
+            let next = generate_workload(&net, &WorkloadConfig::paper_default(2, 2, seed + 2));
             for text in &damaged {
                 let net = Arc::clone(&net);
                 let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    PlanService::restore(net, Config::default(), text).map(|_| ())
+                    // A restored service must take the next admission.
+                    PlanService::restore(net, Config::default(), text)
+                        .map(|mut svc| svc.admit(next.clone()).tenant)
                 }));
                 proptest::prop_assert!(outcome.is_ok(), "panicked on:\n{}", text);
             }

@@ -147,6 +147,21 @@ impl CsrAdjacency {
         CsrAdjacency { start, neighbors }
     }
 
+    /// Number of adjacency entries: twice the undirected edge count.
+    #[inline]
+    pub fn entry_count(&self) -> usize {
+        self.neighbors.len()
+    }
+
+    /// Positions of `v`'s entries in the flat slab: `neighbors(v)[j]`
+    /// sits at `entry_range(v).start + j`. A slab of per-entry values
+    /// (such as one link weight per entry) indexed this way stays aligned
+    /// with the adjacency.
+    #[inline]
+    pub fn entry_range(&self, v: NodeId) -> std::ops::Range<usize> {
+        self.start[v.index()] as usize..self.start[v.index() + 1] as usize
+    }
+
     /// Resident bytes of the slabs.
     pub fn slab_bytes(&self) -> usize {
         self.start.len() * std::mem::size_of::<u32>()
@@ -161,9 +176,7 @@ impl Adjacency for CsrAdjacency {
     }
     #[inline]
     fn neighbors(&self, v: NodeId) -> &[NodeId] {
-        let lo = self.start[v.index()] as usize;
-        let hi = self.start[v.index() + 1] as usize;
-        &self.neighbors[lo..hi]
+        &self.neighbors[self.entry_range(v)]
     }
 }
 
@@ -242,6 +255,14 @@ mod tests {
         assert_eq!(Adjacency::node_count(&csr), g.node_count());
         for v in g.nodes() {
             assert_eq!(Adjacency::neighbors(&csr, v), g.neighbors(v), "node {v}");
+        }
+        // Entry ranges tile the slab in node order.
+        assert_eq!(csr.entry_count(), 2 * g.edge_count());
+        let mut next = 0;
+        for v in g.nodes() {
+            let range = csr.entry_range(v);
+            assert_eq!((range.start, range.len()), (next, g.degree(v)), "node {v}");
+            next = range.end;
         }
         // Isolated trailing node keeps an empty window.
         let lonely = CsrAdjacency::from_graph(&Graph::new(3));

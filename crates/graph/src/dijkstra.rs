@@ -4,6 +4,12 @@
 //! and link-quality-aware route selection (§3, "Flexibility Trade-Off in
 //! Routing") need weighted shortest paths, e.g. with weights derived from
 //! expected transmission counts over lossy links.
+//!
+//! This allocating, closure-weighted version is the reference: routing
+//! runs the arena [`crate::scratch::RoutingScratch::dijkstra`] over a
+//! per-entry weight slab, and the tests hold it to this one. It assumes
+//! every path sum fits in a `u64`; the arena version also handles dead
+//! links (weight `u64::MAX`), which this one would add without a check.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

@@ -21,10 +21,16 @@
 //!   parent of [`crate::spt::ShortestPathTree`], memoized on demand so a
 //!   pruned multicast tree only pays for parents along kept paths;
 //! * [`RoutingScratch::dijkstra`] — weighted shortest paths on an
-//!   indexed 4-ary heap with decrease-key, matching
-//!   [`crate::dijkstra::dijkstra`] bit for bit (same
+//!   indexed 4-ary heap with decrease-key, reading one weight per
+//!   adjacency entry from a slab aligned with a [`CsrAdjacency`] and
+//!   matching [`crate::dijkstra::dijkstra`] bit for bit (same
 //!   [`crate::tiebreak::offer_wins`] rule; see that module for why heap
-//!   layout cannot change results);
+//!   layout cannot change results). Dead links (weight `u64::MAX`) are
+//!   never relaxed and path sums are checked, so they cannot wrap;
+//! * [`RoutingScratch::dijkstra_until_marked`] — the same run stopped
+//!   once every marked target has been popped, the weighted twin of
+//!   [`RoutingScratch::bfs_until_marked`]: with positive weights every
+//!   chain to a popped node already equals the full run's;
 //! * [`RoutingScratch::bfs_from_seeds`] — the multi-source BFS used by
 //!   Steiner tree growth, recording the first discoverer of each node in
 //!   the exact seed-ascending queue order the legacy implementation used;
@@ -32,7 +38,7 @@
 //!   ([`RoutingScratch::clear_marks`]), for prune keep-sets, Steiner
 //!   in-tree membership, and shared-tree re-rooting.
 
-use crate::adjacency::Adjacency;
+use crate::adjacency::{Adjacency, CsrAdjacency};
 use crate::node::NodeId;
 use crate::tiebreak::offer_wins;
 
@@ -268,23 +274,69 @@ impl RoutingScratch {
     }
 
     /// Runs Dijkstra from `root` on an indexed 4-ary heap with
-    /// decrease-key, with edge weights from `weight(u, v)`. Produces the
-    /// same distances and parents as [`crate::dijkstra::dijkstra`]: both
-    /// apply [`offer_wins`] to every optimal predecessor, which pins the
-    /// result independent of heap order.
-    pub fn dijkstra<A: Adjacency, W>(&mut self, graph: &A, root: NodeId, mut weight: W)
-    where
-        W: FnMut(NodeId, NodeId) -> u64,
-    {
+    /// decrease-key. `weights` holds one weight per adjacency entry of
+    /// `graph` (see [`CsrAdjacency::entry_range`]); a weight of
+    /// `u64::MAX` is a dead link and is never relaxed, and a path whose
+    /// sum would reach `u64::MAX` is dropped instead of wrapping. On
+    /// every other input it produces the same distances and parents as
+    /// [`crate::dijkstra::dijkstra`]: both apply [`offer_wins`] to every
+    /// optimal predecessor, which pins the result independent of heap
+    /// order.
+    pub fn dijkstra(&mut self, graph: &CsrAdjacency, root: NodeId, weights: &[u64]) {
+        self.dijkstra_until_marked(graph, root, weights, usize::MAX);
+    }
+
+    /// [`Self::dijkstra`] that stops once `pending` currently-marked
+    /// nodes have been *popped* (distance final). Pass `usize::MAX` to
+    /// settle the whole component.
+    ///
+    /// With every weight positive, the chains [`Self::extend_path_to`]
+    /// walks from any popped node are bit-identical to a full run's. A
+    /// popped node's optimal predecessors all lie strictly closer, so
+    /// each was popped before it and offered it a path; [`offer_wins`]
+    /// has therefore already settled its parent to the min-id optimal
+    /// predecessor, and every node on its chain was popped earlier still.
+    /// The weighted forest builder marks a source's destinations and pays
+    /// only for the run up to the farthest one.
+    ///
+    /// # Panics
+    /// Panics unless `weights` has one entry per adjacency entry.
+    pub fn dijkstra_until_marked(
+        &mut self,
+        graph: &CsrAdjacency,
+        root: NodeId,
+        weights: &[u64],
+        mut pending: usize,
+    ) {
+        assert_eq!(
+            weights.len(),
+            graph.entry_count(),
+            "one weight per adjacency entry"
+        );
         self.begin(graph.node_count());
         self.touch(root.index());
         self.dist[root.index()] = 0;
         self.parent[root.index()] = PARENT_NONE;
+        if pending == 0 {
+            return;
+        }
         self.heap_push(root.0);
         while let Some(u) = self.heap_pop() {
+            if self.is_marked(NodeId(u)) {
+                pending -= 1;
+                if pending == 0 {
+                    break;
+                }
+            }
             let du = self.dist[u as usize];
-            for &v in graph.neighbors(NodeId(u)) {
-                let cand = du + weight(NodeId(u), v);
+            let entries = graph.entry_range(NodeId(u));
+            let neighbors = graph.neighbors(NodeId(u));
+            for (&v, &w) in neighbors.iter().zip(&weights[entries]) {
+                // A dead link (infinite ETX) carries nothing, and a sum
+                // that reaches the unreached sentinel is no path either.
+                let Some(cand) = du.checked_add(w).filter(|&c| c != INF) else {
+                    continue;
+                };
                 let i = v.index();
                 self.touch(i);
                 let incumbent_dist = (self.dist[i] != INF).then_some(self.dist[i]);
@@ -483,6 +535,15 @@ mod tests {
         1 + ((u.0 ^ v.0) % 3) as u64
     }
 
+    /// One `weight(u, v)` per adjacency entry of `csr`, in entry order.
+    fn weight_slab(csr: &CsrAdjacency, weight: impl Fn(NodeId, NodeId) -> u64) -> Vec<u64> {
+        let mut slab = Vec::with_capacity(csr.entry_count());
+        for u in (0..Adjacency::node_count(csr)).map(NodeId::from_index) {
+            slab.extend(csr.neighbors(u).iter().map(|&v| weight(u, v)));
+        }
+        slab
+    }
+
     #[test]
     fn bfs_matches_bfs_distances_for_every_root() {
         let g = grid();
@@ -520,9 +581,11 @@ mod tests {
     #[test]
     fn dijkstra_matches_binary_heap_dijkstra() {
         let g = grid();
+        let csr = CsrAdjacency::from_graph(&g);
+        let slab = weight_slab(&csr, weight);
         let mut scratch = RoutingScratch::new();
         for root in g.nodes() {
-            scratch.dijkstra(&g, root, weight);
+            scratch.dijkstra(&csr, root, &slab);
             let oracle = dijkstra(&g, root, weight);
             for v in g.nodes() {
                 assert_eq!(
@@ -547,9 +610,89 @@ mod tests {
         g.add_edge(NodeId(0), NodeId(2));
         g.add_edge(NodeId(1), NodeId(3));
         g.add_edge(NodeId(2), NodeId(3));
+        let csr = CsrAdjacency::from_graph(&g);
         let mut scratch = RoutingScratch::new();
-        scratch.dijkstra(&g, NodeId(0), |_, _| 1);
+        scratch.dijkstra(&csr, NodeId(0), &vec![1; csr.entry_count()]);
         assert_eq!(scratch.parent(NodeId(3)), Some(NodeId(1)));
+        let oracle = dijkstra(&g, NodeId(0), |_, _| 1);
+        assert_eq!(scratch.parent(NodeId(3)), oracle.parent[3]);
+    }
+
+    #[test]
+    fn early_exit_chains_equal_a_full_runs() {
+        // Every root, every target pair (the root itself included): the
+        // run stopped at the last popped target gives each target the
+        // distance and root chain of the full run.
+        let g = grid();
+        let csr = CsrAdjacency::from_graph(&g);
+        let slab = weight_slab(&csr, weight);
+        let (mut full, mut early) = (RoutingScratch::new(), RoutingScratch::new());
+        let mut stopped_early = 0;
+        for root in g.nodes() {
+            full.dijkstra(&csr, root, &slab);
+            for a in g.nodes() {
+                for b in g.nodes() {
+                    early.clear_marks(g.node_count());
+                    let pending = usize::from(early.mark(a)) + usize::from(early.mark(b));
+                    early.dijkstra_until_marked(&csr, root, &slab, pending);
+                    for t in [a, b] {
+                        assert_eq!(early.dist(t), full.dist(t), "root {root} target {t}");
+                        let (mut want, mut got) = (Vec::new(), Vec::new());
+                        full.extend_path_to(t, &mut want);
+                        early.extend_path_to(t, &mut got);
+                        assert_eq!(got, want, "root {root} target {t}");
+                    }
+                    stopped_early += usize::from(g.nodes().any(|v| early.dist(v) != full.dist(v)));
+                }
+            }
+        }
+        assert!(
+            stopped_early > 0,
+            "no run exited before settling its component"
+        );
+    }
+
+    #[test]
+    fn dead_links_are_never_relaxed_and_sums_never_wrap() {
+        // Triangle: 0-1 costs 1000, 0-2 costs 2000, 1-2 is dead.
+        let mut g = Graph::new(3);
+        g.add_edge(NodeId(0), NodeId(1));
+        g.add_edge(NodeId(0), NodeId(2));
+        g.add_edge(NodeId(1), NodeId(2));
+        let csr = CsrAdjacency::from_graph(&g);
+        let slab = weight_slab(&csr, |u, v| match (u.0.min(v.0), u.0.max(v.0)) {
+            (0, 1) => 1000,
+            (0, 2) => 2000,
+            _ => u64::MAX,
+        });
+        let mut scratch = RoutingScratch::new();
+        scratch.dijkstra(&csr, NodeId(0), &slab);
+        assert_eq!(scratch.dist(NodeId(2)), Some(2000));
+        assert_eq!(scratch.parent(NodeId(2)), Some(NodeId(0)));
+        assert_eq!(scratch.parent(NodeId(1)), Some(NodeId(0)));
+        scratch.dijkstra(&csr, NodeId(1), &slab);
+        assert_eq!(scratch.dist(NodeId(2)), Some(3000));
+        assert_eq!(scratch.parent(NodeId(2)), Some(NodeId(0)));
+
+        // A path whose sum would reach `u64::MAX` is no path: 0-1-2 with
+        // finite weights that sum to exactly `u64::MAX`, then past it.
+        let mut line = Graph::new(3);
+        line.add_edge(NodeId(0), NodeId(1));
+        line.add_edge(NodeId(1), NodeId(2));
+        let csr = CsrAdjacency::from_graph(&line);
+        for tail in [1, u64::MAX - 1] {
+            let slab = weight_slab(&csr, |u, v| {
+                if u.0.max(v.0) == 1 {
+                    u64::MAX - 1
+                } else {
+                    tail
+                }
+            });
+            scratch.dijkstra(&csr, NodeId(0), &slab);
+            assert_eq!(scratch.dist(NodeId(1)), Some(u64::MAX - 1));
+            assert_eq!(scratch.dist(NodeId(2)), None, "tail {tail}");
+            assert_eq!(scratch.parent(NodeId(2)), None, "tail {tail}");
+        }
     }
 
     #[test]
@@ -562,7 +705,8 @@ mod tests {
         // Interleave runs over graphs of different sizes, then compare
         // against a fresh arena on the final run.
         let mut reused = RoutingScratch::new();
-        reused.dijkstra(&g, NodeId(6), weight);
+        let csr = CsrAdjacency::from_graph(&g);
+        reused.dijkstra(&csr, NodeId(6), &weight_slab(&csr, weight));
         reused.bfs(&small, NodeId(2));
         reused.bfs(&g, NodeId(1));
         for v in g.nodes() {

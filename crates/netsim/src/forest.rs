@@ -23,7 +23,8 @@
 //! `destinations_through`, …), so plan construction, validation, and the
 //! executors are agnostic to the storage change.
 //!
-//! The three construction modes of [`crate::routing::RoutingMode`] build
+//! The three construction modes of [`crate::routing::RoutingMode`], and
+//! the ETX-weighted trees of [`crate::quality::weighted_routing`], build
 //! directly into the slabs through one shared [`m2m_graph::RoutingScratch`]
 //! arena; each is written to be step-for-step equivalent to the
 //! tree-at-a-time construction it replaces (see the per-function notes —
@@ -32,7 +33,7 @@
 
 use std::collections::BTreeMap;
 
-use m2m_graph::adjacency::CsrAdjacency;
+use m2m_graph::adjacency::{Adjacency, CsrAdjacency};
 use m2m_graph::spt::{MulticastTree, ShortestPathTree};
 use m2m_graph::{Graph, NodeId, RoutingScratch};
 
@@ -53,7 +54,7 @@ pub struct RoutingForest {
 
 impl RoutingForest {
     /// Converts per-source [`MulticastTree`]s (e.g. the virtual trees of
-    /// milestone routing or link-quality routing) into forest form.
+    /// milestone routing) into forest form.
     pub fn from_trees(trees: &BTreeMap<NodeId, MulticastTree>) -> Self {
         let mut builder = ForestBuilder::new(trees.len());
         for (&s, t) in trees {
@@ -274,6 +275,50 @@ impl ForestBuilder {
     }
 }
 
+/// Marks the distinct `targets` (after clearing every mark) and returns
+/// how many there are: the `pending` count of a run that stops at the
+/// last of them.
+fn mark_targets(scratch: &mut RoutingScratch, n: usize, targets: &[NodeId]) -> usize {
+    scratch.clear_marks(n);
+    let mut pending = 0;
+    for &d in targets {
+        pending += usize::from(scratch.mark(d));
+    }
+    pending
+}
+
+/// The keep-set walk of the pruned shortest-path trees: for each target
+/// the current run reached, pushes onto `kept` (and marks) every node of
+/// its root chain up to the first one already marked, stepping with
+/// `parent`. Leaves `kept` sorted and `reached` holding the reached
+/// targets, sorted and deduplicated.
+fn keep_chains(
+    scratch: &mut RoutingScratch,
+    targets: &[NodeId],
+    kept: &mut Vec<NodeId>,
+    reached: &mut Vec<NodeId>,
+    mut parent: impl FnMut(&mut RoutingScratch, NodeId) -> Option<NodeId>,
+) {
+    reached.clear();
+    for &d in targets {
+        if scratch.dist(d).is_none() {
+            continue;
+        }
+        reached.push(d);
+        let mut cur = d;
+        while scratch.mark(cur) {
+            kept.push(cur);
+            match parent(scratch, cur) {
+                Some(p) => cur = p,
+                None => break,
+            }
+        }
+    }
+    kept.sort_unstable();
+    reached.sort_unstable();
+    reached.dedup();
+}
+
 /// Builds the per-source pruned shortest-path-tree forest
 /// ([`crate::routing::RoutingMode::ShortestPathTrees`]).
 ///
@@ -296,35 +341,53 @@ pub fn build_spt_forest(graph: &Graph, demands: &BTreeMap<NodeId, Vec<NodeId>>) 
         // kept chain equal the full flood's (see `bfs_until_marked`).
         // An unreachable target simply never unmarks, degrading to the
         // full component flood the legacy build always paid.
-        scratch.clear_marks(n);
-        let mut pending = 0usize;
-        for &d in targets {
-            if scratch.mark(d) {
-                pending += 1;
-            }
-        }
+        let pending = mark_targets(&mut scratch, n, targets);
         scratch.bfs_until_marked(&csr, s, pending);
         scratch.clear_marks(n);
         kept.clear();
-        reached.clear();
-        for &d in targets {
-            if scratch.dist(d).is_none() {
-                continue;
-            }
-            reached.push(d);
-            let mut cur = d;
-            while scratch.mark(cur) {
-                kept.push(cur);
-                match scratch.spt_parent(&csr, cur) {
-                    Some(p) => cur = p,
-                    None => break,
-                }
-            }
-        }
-        kept.sort_unstable();
-        reached.sort_unstable();
-        reached.dedup();
+        keep_chains(&mut scratch, targets, &mut kept, &mut reached, |sc, v| {
+            sc.spt_parent(&csr, v)
+        });
         builder.push_tree(s, &kept, |v| scratch.spt_parent(&csr, v), &reached);
+    }
+    builder.finish()
+}
+
+/// Builds the per-source pruned ETX shortest-path forest of
+/// [`crate::quality::weighted_routing`], with `weights` holding one link
+/// weight per adjacency entry of `csr` (`u64::MAX` for a dead link).
+///
+/// Equivalent, for weights of at least 1 and below `u64::MAX`, to the
+/// tree-at-a-time build it replaces: the allocating
+/// [`m2m_graph::dijkstra::dijkstra`] per source, the keep-set of every
+/// root→destination path, and [`MulticastTree::from_parents`]. The arena
+/// Dijkstra applies the same [`m2m_graph::tiebreak::offer_wins`] rule,
+/// and stops once the last of the source's destinations is popped
+/// ([`RoutingScratch::dijkstra_until_marked`]): positive weights make
+/// every kept chain final by then. The root is a member even when no
+/// destination is reachable, as it was in the legacy tree; unreachable
+/// destinations (including those behind dead links only) are dropped.
+pub fn build_weighted_forest(
+    csr: &CsrAdjacency,
+    weights: &[u64],
+    demands: &BTreeMap<NodeId, Vec<NodeId>>,
+) -> RoutingForest {
+    let n = csr.node_count();
+    let mut scratch = RoutingScratch::new();
+    let mut builder = ForestBuilder::new(demands.len());
+    let mut kept: Vec<NodeId> = Vec::new();
+    let mut reached: Vec<NodeId> = Vec::new();
+    for (&s, targets) in demands {
+        let pending = mark_targets(&mut scratch, n, targets);
+        scratch.dijkstra_until_marked(csr, s, weights, pending);
+        scratch.clear_marks(n);
+        scratch.mark(s);
+        kept.clear();
+        kept.push(s);
+        keep_chains(&mut scratch, targets, &mut kept, &mut reached, |sc, v| {
+            sc.parent(v)
+        });
+        builder.push_tree(s, &kept, |v| scratch.parent(v), &reached);
     }
     builder.finish()
 }

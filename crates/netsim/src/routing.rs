@@ -20,12 +20,13 @@
 //!   Steiner trees, trading route length for fewer tree edges; the
 //!   direction the paper's Figure 5 discussion points at.
 //!
-//! All three modes build straight into a flat [`RoutingForest`] (see
-//! [`crate::forest`]): per-tree state lives in shared CSR slabs sized by
-//! Σ|T_s| instead of one node-count-sized parent vector per source, and
-//! queries go through the borrowing [`TreeView`]. Pre-built
-//! [`MulticastTree`]s (milestone routing's virtual trees, link-quality
-//! routing) enter through [`RoutingTables::from_trees`].
+//! All three modes, and link-quality routing
+//! ([`crate::quality::weighted_routing`]), build straight into a flat
+//! [`RoutingForest`] (see [`crate::forest`]): per-tree state lives in
+//! shared CSR slabs sized by Σ|T_s| instead of one node-count-sized
+//! parent vector per source, and queries go through the borrowing
+//! [`TreeView`]. Pre-built [`MulticastTree`]s (milestone routing's
+//! virtual trees) enter through [`RoutingTables::from_trees`].
 
 use std::collections::BTreeMap;
 

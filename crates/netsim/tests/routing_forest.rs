@@ -10,16 +10,20 @@
 //! paths, and per-edge destination routing. A second property guards
 //! the shared [`m2m_graph::RoutingScratch`] arena: building each source
 //! alone (fresh scratch) must be bit-identical to the multi-source
-//! build that reuses the arena across sources.
+//! build that reuses the arena across sources. A third pins the
+//! ETX-weighted forest of `quality::weighted_routing` against the
+//! per-source Dijkstra build it replaced (ported below).
 
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
+use m2m_graph::dijkstra::dijkstra;
 use m2m_graph::spt::{MulticastTree, ShortestPathTree};
 use m2m_graph::NodeId;
+use m2m_netsim::quality::weighted_routing;
 use m2m_netsim::routing::TreeView;
-use m2m_netsim::{Deployment, Network, RoutingMode, RoutingTables};
+use m2m_netsim::{Deployment, LinkQuality, Network, RoutingMode, RoutingTables};
 
 const ALL_MODES: [RoutingMode; 3] = [
     RoutingMode::ShortestPathTrees,
@@ -122,6 +126,51 @@ fn legacy_trees(
     }
 }
 
+/// The pre-forest ETX routing, ported verbatim from the old
+/// `quality::weighted_routing`: one allocating Dijkstra per source, the
+/// keep-set of every source→destination path, and
+/// `MulticastTree::from_parents` (the root is always kept).
+fn legacy_weighted_trees(
+    net: &Network,
+    demands: &BTreeMap<NodeId, Vec<NodeId>>,
+    quality: &LinkQuality,
+) -> BTreeMap<NodeId, MulticastTree> {
+    let n = net.node_count();
+    demands
+        .iter()
+        .map(|(&s, dests)| {
+            let sp = dijkstra(net.graph(), s, |a, b| quality.weight(a, b));
+            let mut keep = vec![false; n];
+            keep[s.index()] = true;
+            let mut reached = Vec::new();
+            for &d in dests {
+                let Some(path) = sp.path_to(d) else { continue };
+                reached.push(d);
+                for v in path {
+                    keep[v.index()] = true;
+                }
+            }
+            let mut parent: Vec<Option<NodeId>> = vec![None; n];
+            for i in 0..n {
+                if keep[i] && i != s.index() {
+                    parent[i] = sp.parent[i];
+                }
+            }
+            (s, MulticastTree::from_parents(s, parent, reached))
+        })
+        .collect()
+}
+
+/// A link-quality map of one of three kinds: perfect, distance-based,
+/// or distance-based and then drifted.
+fn quality(net: &Network, kind: u64, max_loss: f64, seed: u64) -> LinkQuality {
+    match kind {
+        0 => LinkQuality::perfect(net),
+        1 => LinkQuality::distance_based(net, max_loss, seed),
+        _ => LinkQuality::distance_based(net, max_loss, seed).with_drift(0.5, seed + 1),
+    }
+}
+
 /// Every observable of the packed view must match the legacy tree.
 fn assert_view_matches(s: NodeId, view: TreeView<'_>, oracle: &MulticastTree) {
     assert_eq!(view.root(), oracle.root(), "root of tree {s}");
@@ -214,5 +263,41 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// ETX forest ≡ the legacy per-source Dijkstra trees: every tree's
+    /// nodes, parents, destinations and edges, the deduplicated directed
+    /// edges, and the mode tag. Every other source also demands itself.
+    #[test]
+    fn weighted_forest_matches_legacy_etx_trees(
+        seed in 0u64..100,
+        raw_demands in demand_strategy(),
+        kind in 0u64..3,
+        max_loss in 0.0f64..0.95,
+        quality_seed in 0u64..1_000,
+    ) {
+        let net = network(seed);
+        let mut demands = to_demands(raw_demands);
+        for (s, dests) in demands.iter_mut().step_by(2) {
+            dests.push(*s);
+        }
+        let q = quality(&net, kind, max_loss, quality_seed);
+        let rt = weighted_routing(&net, &demands, &q);
+        prop_assert_eq!(rt.mode(), RoutingMode::ShortestPathTrees);
+        let oracle = legacy_weighted_trees(&net, &demands, &q);
+        prop_assert_eq!(rt.source_count(), oracle.len());
+        for (s, tree) in &oracle {
+            let view = rt.tree(*s).expect("forest has every demanded source");
+            assert_view_matches(*s, view, tree);
+        }
+        let mut expected: Vec<(NodeId, NodeId)> =
+            oracle.values().flat_map(MulticastTree::edges).collect();
+        expected.sort_unstable();
+        expected.dedup();
+        prop_assert_eq!(rt.directed_edges(), &expected[..], "quality kind {}", kind);
     }
 }
