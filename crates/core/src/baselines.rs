@@ -25,7 +25,7 @@ use m2m_netsim::Network;
 use m2m_netsim::RoutingTables;
 
 use crate::agg::RAW_VALUE_BYTES;
-use crate::edge_opt::{build_edge_problems, EdgeSolution};
+use crate::edge_opt::{build_edge_problems, price, EdgeSolution};
 use crate::metrics::RoundCost;
 use crate::plan::GlobalPlan;
 use crate::spec::AggregationSpec;
@@ -76,42 +76,28 @@ pub fn plan_for_algorithm(
 ) -> GlobalPlan {
     match algorithm {
         Algorithm::Optimal => GlobalPlan::build(network, spec, routing),
-        Algorithm::Multicast => {
+        Algorithm::Multicast | Algorithm::Aggregation => {
             let topo = Arc::new(Topology::snapshot(spec, routing));
             let problems = build_edge_problems(&topo);
-            let solutions = problems
-                .iter()
-                .map(|p| EdgeSolution {
-                    edge: p.edge,
-                    raw: p.sources.clone(),
-                    agg: Vec::new(),
-                    cost_bytes: p.sources.len() as u64 * u64::from(RAW_VALUE_BYTES),
-                })
-                .collect();
-            GlobalPlan::from_solutions(spec, topo, problems, solutions)
-        }
-        Algorithm::Aggregation => {
-            let topo = Arc::new(Topology::snapshot(spec, routing));
-            let problems = build_edge_problems(&topo);
+            let record_bytes = |d| {
+                spec.function(d)
+                    .expect("function exists")
+                    .partial_record_bytes()
+            };
             let solutions = problems
                 .iter()
                 .map(|p| {
-                    let cost: u64 = p
-                        .groups
-                        .iter()
-                        .map(|g| {
-                            u64::from(
-                                spec.function(g.destination)
-                                    .expect("function exists")
-                                    .partial_record_bytes(),
-                            )
-                        })
-                        .sum();
+                    let (raw, agg) = if algorithm == Algorithm::Multicast {
+                        (p.sources.clone(), Vec::new())
+                    } else {
+                        (Vec::new(), p.groups.clone())
+                    };
+                    let cost_bytes = price(&raw, &agg, &record_bytes);
                     EdgeSolution {
                         edge: p.edge,
-                        raw: Vec::new(),
-                        agg: p.groups.clone(),
-                        cost_bytes: cost,
+                        raw,
+                        agg,
+                        cost_bytes,
                     }
                 })
                 .collect();

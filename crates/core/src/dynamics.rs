@@ -86,20 +86,15 @@ impl UpdateStats {
 }
 
 /// Maintains a plan across workload updates with incremental
-/// re-optimization.
+/// re-optimization. It holds its spec, its routes and its plan; the
+/// plan owns every slab (topology, problems, pre- and post-sweep
+/// solutions).
 #[derive(Clone, Debug)]
 pub struct PlanMaintainer {
     network: Arc<Network>,
     spec: AggregationSpec,
     mode: RoutingMode,
     routing: Arc<RoutingTables>,
-    /// The interned topology the slabs below are laid out over.
-    topo: Arc<Topology>,
-    /// Pre-repair per-edge optima in `EdgeIdx` order, reusable across
-    /// updates (repairs are applied on a copy when the public plan is
-    /// assembled).
-    base_solutions: Vec<EdgeSolution>,
-    problems: Vec<EdgeProblem>,
     plan: GlobalPlan,
 }
 
@@ -123,10 +118,10 @@ impl PlanMaintainer {
     /// the topology's slab order, and the matching **pre-repair**
     /// solutions (from [`crate::edge_opt::solve_edge_slab`], a shared
     /// [`crate::memo::SharedSolveCache`], or a restored service
-    /// checkpoint). The public plan is assembled exactly as
-    /// [`PlanMaintainer::new`] assembles it from the same parts, so a
-    /// maintainer built this way is bit-identical to one that planned
-    /// from scratch.
+    /// checkpoint). The slabs move into the assembled plan, which is
+    /// built exactly as [`PlanMaintainer::new`] builds it from the same
+    /// parts, so a maintainer built this way is bit-identical to one that
+    /// planned from scratch.
     ///
     /// # Panics
     /// Panics if the parts are inconsistent (problems that do not match
@@ -141,20 +136,12 @@ impl PlanMaintainer {
         problems: Vec<EdgeProblem>,
         base_solutions: Vec<EdgeSolution>,
     ) -> Self {
-        let plan = GlobalPlan::from_solutions(
-            &spec,
-            Arc::clone(&topo),
-            problems.clone(),
-            base_solutions.clone(),
-        );
+        let plan = GlobalPlan::from_solutions(&spec, topo, problems, base_solutions);
         PlanMaintainer {
             network: network.into(),
             spec,
             mode,
             routing,
-            topo,
-            base_solutions,
-            problems,
             plan,
         }
     }
@@ -199,7 +186,7 @@ impl PlanMaintainer {
     /// The interned topology snapshot the plan's slabs are laid out over.
     #[inline]
     pub fn topology(&self) -> &Arc<Topology> {
-        &self.topo
+        self.plan.topology()
     }
 
     /// The routing mode workload-driven re-routes rebuild tables with.
@@ -211,15 +198,16 @@ impl PlanMaintainer {
     /// The per-edge problems in slab order (pre-repair inputs).
     #[inline]
     pub fn problems(&self) -> &[EdgeProblem] {
-        &self.problems
+        self.plan.problems()
     }
 
     /// The pre-repair per-edge solutions in slab order — the reusable
     /// basis [`PlanMaintainer::from_parts`] accepts back (the public
-    /// [`PlanMaintainer::plan`] holds the *post-repair* copies).
+    /// [`PlanMaintainer::plan`] holds the *post-repair* copies, and keeps
+    /// the original of each edge its sweep patched).
     #[inline]
-    pub fn base_solutions(&self) -> &[EdgeSolution] {
-        &self.base_solutions
+    pub fn base_solutions(&self) -> impl ExactSizeIterator<Item = &EdgeSolution> {
+        self.plan.base_solutions()
     }
 
     /// Applies one update, re-optimizing only the edges whose single-edge
@@ -285,10 +273,10 @@ impl PlanMaintainer {
     /// it is not today's (`None` after a route change, which leaves every
     /// record size alone). An edge keeps its old solution only when
     /// [`same_key`] says its solve key is unchanged; the old snapshot's
-    /// O(1) edge lookup finds the old slot. The re-solve set is fanned
-    /// out across worker threads; Theorem 1 makes the solves independent
-    /// and ordered collection keeps the plan bit-identical to a serial
-    /// re-solve.
+    /// O(1) edge lookup finds the old slot, and the kept solutions move
+    /// out of the old plan. The re-solve set is fanned out across worker
+    /// threads; Theorem 1 makes the solves independent and ordered
+    /// collection keeps the plan bit-identical to a serial re-solve.
     fn install(
         &mut self,
         new_routing: RoutingTables,
@@ -298,14 +286,15 @@ impl PlanMaintainer {
         let new_topo = Arc::new(Topology::snapshot(&self.spec, &new_routing));
         let new_problems = build_edge_problems(&new_topo);
         let old_spec = solved_under.unwrap_or(&self.spec);
+        let (old_topo, old_problems) = (self.plan.topology(), self.plan.problems());
 
         // Per new slot: the old slot whose solution it keeps, if any.
         let mut stats = UpdateStats::default();
         let mut kept: Vec<Option<usize>> = Vec::with_capacity(new_problems.len());
         let mut to_solve: Vec<&EdgeProblem> = Vec::new();
         for problem in &new_problems {
-            let old = self.topo.edge_idx(problem.edge).map(|e| e.index());
-            let keep = old.filter(|&o| same_key(&self.problems[o], old_spec, problem, &self.spec));
+            let old = old_topo.edge_idx(problem.edge).map(|e| e.index());
+            let keep = old.filter(|&o| same_key(&old_problems[o], old_spec, problem, &self.spec));
             if keep.is_some() {
                 stats.edges_reused += 1;
             } else {
@@ -315,21 +304,26 @@ impl PlanMaintainer {
             }
             kept.push(keep);
         }
-        let mut fresh =
-            solve_edge_batch(&to_solve, &self.spec, parallel::max_threads()).into_iter();
-        let new_solutions: Vec<EdgeSolution> = kept
-            .iter()
-            .map(|keep| match *keep {
-                Some(old) => self.base_solutions[old].clone(),
-                None => fresh.next().expect("one solve per re-solved edge"),
-            })
-            .collect();
-        stats.edges_added_or_removed += self
-            .topo
+        stats.edges_added_or_removed += old_topo
             .edges()
             .iter()
             .filter(|&&e| new_topo.edge_idx(e).is_none())
             .count();
+        let mut fresh =
+            solve_edge_batch(&to_solve, &self.spec, parallel::max_threads()).into_iter();
+        let mut old: Vec<Option<EdgeSolution>> = self
+            .plan
+            .take_base_solutions()
+            .into_iter()
+            .map(Some)
+            .collect();
+        let new_solutions: Vec<EdgeSolution> = kept
+            .iter()
+            .map(|keep| match *keep {
+                Some(o) => old[o].take().expect("each old edge is kept at most once"),
+                None => fresh.next().expect("one solve per re-solved edge"),
+            })
+            .collect();
 
         if crate::telemetry::enabled() {
             use crate::telemetry::names;
@@ -340,16 +334,8 @@ impl PlanMaintainer {
                 stats.edges_reoptimized as u64,
             );
         }
-        self.plan = GlobalPlan::from_solutions(
-            &self.spec,
-            Arc::clone(&new_topo),
-            new_problems.clone(),
-            new_solutions.clone(),
-        );
+        self.plan = GlobalPlan::from_solutions(&self.spec, new_topo, new_problems, new_solutions);
         self.routing = Arc::new(new_routing);
-        self.topo = new_topo;
-        self.problems = new_problems;
-        self.base_solutions = new_solutions;
         stats
     }
 }
@@ -494,6 +480,7 @@ mod tests {
             weighted_routing(&m.network, &m.spec().source_to_destinations(), &quality);
         let stats = m.apply_route_change(new_routing);
         assert!(stats.edges_total() > 0);
+        assert!(stats.edges_reoptimized > 0, "{stats:?}");
         m.plan().validate(m.spec(), m.routing()).unwrap();
         // Some edges typically survive (shared short routes), and the
         // plan matches a from-scratch build over the same routing.
@@ -503,6 +490,109 @@ mod tests {
             scratch.total_payload_bytes()
         );
         let _ = before_bytes;
+    }
+
+    /// A maintainer whose §2.3 sweep patches edges: source 0's first hop
+    /// towards destination 15 aggregates its record (a valid cover, not
+    /// the solver's), so every later hop, which wants 0 raw, is patched.
+    /// Returns it with the pre-sweep slab it was built from.
+    fn swept_maintainer() -> (PlanMaintainer, Vec<EdgeSolution>) {
+        let net = Network::with_default_energy(Deployment::grid(4, 4, 10.0, 12.0));
+        let mut spec = AggregationSpec::new();
+        spec.add_function(
+            NodeId(15),
+            AggregateFunction::weighted_sum([(NodeId(0), 1.0), (NodeId(5), 2.0)]),
+        );
+        spec.add_function(
+            NodeId(12),
+            AggregateFunction::weighted_sum([(NodeId(1), 1.0), (NodeId(9), 0.5)]),
+        );
+        let mode = RoutingMode::ShortestPathTrees;
+        let routing = RoutingTables::build(&net, &spec.source_to_destinations(), mode);
+        let topo = Arc::new(Topology::snapshot(&spec, &routing));
+        let problems = build_edge_problems(&topo);
+        let mut base = solve_edge_slab(&problems, &spec, 1);
+        let first = routing
+            .tree(NodeId(0))
+            .unwrap()
+            .path_to(NodeId(15))
+            .unwrap()[..2]
+            .to_vec();
+        let slot = topo.edge_idx((first[0], first[1])).unwrap().index();
+        crate::edge_opt::patch_edge_sized(&problems[slot], &mut base[slot], NodeId(0), &|d| {
+            spec.function(d).unwrap().partial_record_bytes()
+        });
+        let m = PlanMaintainer::from_parts(
+            net,
+            spec,
+            mode,
+            Arc::new(routing),
+            topo,
+            problems,
+            base.clone(),
+        );
+        assert!(m.plan().repair_count() > 0, "the sweep must patch");
+        (m, base)
+    }
+
+    #[test]
+    fn a_swept_plan_keeps_its_pre_sweep_slab_across_reroutes() {
+        let (mut m, base) = swept_maintainer();
+        assert!(m.base_solutions().eq(&base));
+        assert_ne!(m.plan().solutions(), base.as_slice());
+        m.plan().validate(m.spec(), m.routing()).unwrap();
+
+        // The same routes again: every edge keeps its pre-sweep solution,
+        // so the sweep patches the same edges.
+        let before = m.plan().clone();
+        let stats = m.apply_route_change(m.routing().clone());
+        assert_eq!(stats.edges_reused, base.len());
+        assert_eq!(m.plan().solutions(), before.solutions());
+        assert_eq!(m.plan().repair_count(), before.repair_count());
+        assert!(m.base_solutions().eq(&base));
+
+        // ETX routes: the plan a cold build assembles from the pre-sweep
+        // solution of every edge whose problem is unchanged and a fresh
+        // solve of every other edge.
+        use m2m_netsim::quality::{weighted_routing, LinkQuality};
+        // Source 1's route to 12 leaves link 0-4; source 0's stays put.
+        let mut quality = LinkQuality::perfect(m.network());
+        quality.set_loss(NodeId(0), NodeId(4), 0.9);
+        let routing = weighted_routing(m.network(), &m.spec().source_to_destinations(), &quality);
+        let path = |r: &RoutingTables, s, d| r.tree(NodeId(s)).unwrap().path_to(NodeId(d)).unwrap();
+        let crosses_0_4 = |p: &[NodeId]| {
+            p.windows(2)
+                .any(|w| w == [NodeId(0), NodeId(4)] || w == [NodeId(4), NodeId(0)])
+        };
+        assert!(crosses_0_4(&path(m.routing(), 1, 12)));
+        assert!(!crosses_0_4(&path(&routing, 1, 12)));
+        assert_eq!(path(m.routing(), 0, 15), path(&routing, 0, 15));
+        let topo = Arc::new(Topology::snapshot(m.spec(), &routing));
+        let problems = build_edge_problems(&topo);
+        let kept = |p: &EdgeProblem| {
+            let slot = m.topology().edge_idx(p.edge)?.index();
+            (&m.problems()[slot] == p).then(|| base[slot].clone())
+        };
+        let solutions: Vec<EdgeSolution> = problems
+            .iter()
+            .map(|p| kept(p).unwrap_or_else(|| crate::edge_opt::solve_edge(p, m.spec())))
+            .collect();
+        let cold = PlanMaintainer::from_parts(
+            m.network_arc(),
+            m.spec().clone(),
+            m.mode(),
+            Arc::new(routing.clone()),
+            topo,
+            problems,
+            solutions,
+        );
+        assert!(cold.plan().repair_count() > 0, "the patched hop is kept");
+        let stats = m.apply_route_change(routing);
+        assert!(stats.edges_reoptimized > 0, "{stats:?}");
+        assert_eq!(m.plan().solutions(), cold.plan().solutions());
+        assert_eq!(m.plan().repair_count(), cold.plan().repair_count());
+        assert!(m.base_solutions().eq(cold.base_solutions()));
+        m.plan().validate(m.spec(), m.routing()).unwrap();
     }
 
     #[test]

@@ -266,11 +266,7 @@ pub fn solve_edge_sized(
         .iter()
         .map(|&i| problem.groups[i].clone())
         .collect();
-    let cost_bytes = raw.len() as u64 * u64::from(RAW_VALUE_BYTES)
-        + agg
-            .iter()
-            .map(|g| u64::from(record_bytes(g.destination)))
-            .sum::<u64>();
+    let cost_bytes = price(&raw, &agg, record_bytes);
     debug_assert!(raw.windows(2).all(|w| w[0] < w[1]));
     debug_assert!(agg.windows(2).all(|w| w[0] < w[1]));
     EdgeSolution {
@@ -312,12 +308,18 @@ pub fn patch_edge_sized(
             sol.agg.insert(pos, group.clone());
         }
     }
-    sol.cost_bytes = sol.raw.len() as u64 * u64::from(RAW_VALUE_BYTES)
-        + sol
-            .agg
-            .iter()
-            .map(|g| u64::from(record_bytes(g.destination)))
-            .sum::<u64>();
+    sol.cost_bytes = price(&sol.raw, &sol.agg, record_bytes);
+}
+
+/// The payload bytes of an edge that carries the `raw` values and the
+/// `agg` records, each record `record_bytes(destination)` wide: the one
+/// pricing rule of solves, patches, baselines and checkpoint restore.
+pub(crate) fn price(raw: &[NodeId], agg: &[AggGroup], record_bytes: &dyn Fn(NodeId) -> u32) -> u64 {
+    let records: u64 = agg
+        .iter()
+        .map(|g| u64::from(record_bytes(g.destination)))
+        .sum();
+    raw.len() as u64 * u64::from(RAW_VALUE_BYTES) + records
 }
 
 /// Solves a batch of single-edge problems on up to `threads` workers,

@@ -53,12 +53,17 @@ fn debug_assert_radio_links(network: &Network, routing: &RoutingTables) {
     );
 }
 
-/// The assembled network-wide many-to-many aggregation plan.
+/// The assembled network-wide many-to-many aggregation plan. It is the
+/// one owner of its slabs: the problems, the swept solutions, and the
+/// per-edge solve results the sweep replaced.
 #[derive(Clone, Debug)]
 pub struct GlobalPlan {
     topo: Arc<Topology>,
     problems: Vec<EdgeProblem>,
     solutions: Vec<EdgeSolution>,
+    /// The pre-sweep solution of each edge the §2.3 sweep patched, by
+    /// ascending slot (empty when the sharing restriction holds).
+    originals: Vec<(usize, EdgeSolution)>,
     repairs: usize,
 }
 
@@ -151,13 +156,36 @@ impl GlobalPlan {
         let _span = crate::telemetry::span(crate::telemetry::layer::PLAN_ASSEMBLE);
         debug_assert_eq!(problems.len(), topo.edge_count());
         debug_assert_eq!(solutions.len(), topo.edge_count());
-        let repairs = repair_availability(spec, &topo, &problems, &mut solutions);
+        let (repairs, originals) = repair_availability(spec, &topo, &problems, &mut solutions);
         GlobalPlan {
             topo,
             problems,
             solutions,
+            originals,
             repairs,
         }
+    }
+
+    /// The per-edge solve results in slab order, before the §2.3 sweep
+    /// patched any of them: the reusable basis that incremental updates
+    /// keep and checkpoints persist ([`GlobalPlan::solutions`] holds the
+    /// swept copies).
+    pub(crate) fn base_solutions(&self) -> impl ExactSizeIterator<Item = &EdgeSolution> {
+        let mut originals = self.originals.iter().peekable();
+        self.solutions.iter().enumerate().map(move |(slot, swept)| {
+            let original = originals.next_if(|&&(patched, _)| patched == slot);
+            original.map_or(swept, |(_, original)| original)
+        })
+    }
+
+    /// Moves [`GlobalPlan::base_solutions`] out, leaving the plan without
+    /// solutions: only for a caller that replaces or drops it next.
+    pub(crate) fn take_base_solutions(&mut self) -> Vec<EdgeSolution> {
+        let mut base = std::mem::take(&mut self.solutions);
+        for (slot, original) in self.originals.drain(..) {
+            base[slot] = original;
+        }
+        base
     }
 
     /// The per-edge problems, one per demanded edge in
@@ -335,14 +363,16 @@ impl GlobalPlan {
 /// solutions — `{e : raw(e) ∧ ¬avail(tail(e))}` — independent of visit
 /// order, and the old walks counted each such edge once too (after the
 /// first patch the `transmits_raw` guard fails on revisits). Returns the
-/// number of patched edges.
+/// number of patches and the pre-sweep original of each patched edge,
+/// by ascending slot.
 fn repair_availability(
     spec: &AggregationSpec,
     topo: &Topology,
     problems: &[EdgeProblem],
     solutions: &mut [EdgeSolution],
-) -> usize {
+) -> (usize, Vec<(usize, EdgeSolution)>) {
     let mut repairs = 0;
+    let mut originals: Vec<(usize, EdgeSolution)> = Vec::new();
     let mut stack: Vec<(u32, bool)> = Vec::new();
     for tree in topo.trees() {
         let s = tree.source();
@@ -353,6 +383,7 @@ fn repair_availability(
                 let sol = &mut solutions[e.index()];
                 let raw = sol.transmits_raw(s);
                 if raw && !avail {
+                    originals.push((e.index(), sol.clone()));
                     patch_edge(spec, &problems[e.index()], sol, s);
                     repairs += 1;
                 }
@@ -360,7 +391,10 @@ fn repair_availability(
             }
         }
     }
-    repairs
+    // Stable, so each slot's first copy is the one taken before any patch.
+    originals.sort_by_key(|&(slot, _)| slot);
+    originals.dedup_by_key(|&mut (slot, _)| slot);
+    (repairs, originals)
 }
 
 /// Removes `s` from an edge's raw set and forces every continuation group

@@ -46,7 +46,7 @@ use m2m_netsim::{DeliveryModel, Network, RoutingMode, RoutingTables};
 
 use crate::agg::{AggregateFunction, AggregateKind};
 use crate::config::{Config, Runtime};
-use crate::edge_opt::{build_edge_problems, AggGroup, EdgeSolution};
+use crate::edge_opt::{build_edge_problems, price, AggGroup, EdgeProblem, EdgeSolution};
 use crate::memo::SharedSolveCache;
 use crate::session::{RoundReport, Session, DEFAULT_BASE_SALT};
 use crate::sharing::{multi_query_analysis, MultiQueryReport};
@@ -195,7 +195,8 @@ fn kind_parse(name: &str) -> Option<AggregateKind> {
     }
 }
 
-fn demand_pairs(spec: &AggregationSpec) -> Vec<(NodeId, NodeId)> {
+/// Every demanded `(source, destination)` pair of `spec`, ascending.
+pub(crate) fn demand_pairs(spec: &AggregationSpec) -> Vec<(NodeId, NodeId)> {
     let mut pairs: Vec<(NodeId, NodeId)> = spec
         .source_to_destinations()
         .into_iter()
@@ -289,18 +290,8 @@ impl PlanService {
     /// once the tenant id `u64::MAX` has been handed out (only a restored
     /// checkpoint starts the id counter near it).
     pub fn admit_with(&mut self, spec: AggregationSpec, options: TenantOptions) -> Admission {
-        let key: SubstrateKey = (mode_tag(options.mode), demand_pairs(&spec));
-        let reused_substrate = self.substrates.contains_key(&key);
-        let entry = self.substrates.entry(key.clone()).or_insert_with(|| {
-            let routing =
-                RoutingTables::build(&self.network, &spec.source_to_destinations(), options.mode);
-            let topo = Arc::new(Topology::snapshot(&spec, &routing));
-            SubstrateEntry {
-                routing: Arc::new(routing),
-                topo,
-                refs: 0,
-            }
-        });
+        let (key, reused_substrate) = self.intern(&spec, options.mode);
+        let entry = self.substrates.get_mut(&key).expect("interned above");
         let (hits_before, misses_before) = {
             let c = self.cache.lock().expect("solve cache poisoned");
             (c.hits(), c.misses())
@@ -335,6 +326,23 @@ impl PlanService {
             solves_cached: hits_after - hits_before,
             solves_fresh: misses_after - misses_before,
         }
+    }
+
+    /// Interns the substrate (routing tables and topology snapshot) for
+    /// `spec`'s demand shape under `mode`, routing and snapping it on
+    /// first use. Returns its key and whether it was interned already.
+    fn intern(&mut self, spec: &AggregationSpec, mode: RoutingMode) -> (SubstrateKey, bool) {
+        let key: SubstrateKey = (mode_tag(mode), demand_pairs(spec));
+        let interned = self.substrates.contains_key(&key);
+        self.substrates.entry(key.clone()).or_insert_with(|| {
+            let routing = RoutingTables::build(&self.network, &spec.source_to_destinations(), mode);
+            SubstrateEntry {
+                topo: Arc::new(Topology::snapshot(spec, &routing)),
+                routing: Arc::new(routing),
+                refs: 0,
+            }
+        });
+        (key, interned)
     }
 
     /// Evicts a tenant, dropping its session; the last tenant of a
@@ -427,23 +435,8 @@ impl PlanService {
             }
             out.push_str(&format!("solutions {}\n", m.base_solutions().len()));
             for sol in m.base_solutions() {
-                out.push_str(&format!(
-                    "solution {} {} {}",
-                    sol.edge.0 .0,
-                    sol.edge.1 .0,
-                    sol.raw.len()
-                ));
-                for r in &sol.raw {
-                    out.push_str(&format!(" {}", r.0));
-                }
-                out.push_str(&format!(" {}", sol.agg.len()));
-                for g in &sol.agg {
-                    out.push_str(&format!(" {} {}", g.destination.0, g.suffix.len()));
-                    for n in g.suffix.iter() {
-                        out.push_str(&format!(" {}", n.0));
-                    }
-                }
-                out.push_str(&format!(" {}\n", sol.cost_bytes));
+                out.push_str(&solution_line(sol));
+                out.push('\n');
             }
             out.push_str("end\n");
         }
@@ -592,22 +585,10 @@ impl PlanService {
         if self.tenants.contains_key(&id) {
             return Err(format!("duplicate tenant id {id} in checkpoint"));
         }
-        // Build (or fetch) the substrate now so the persisted slab can be
-        // checked against it and seeded into the cache before admission.
-        let key: SubstrateKey = (mode_tag(mode), demand_pairs(&spec));
-        let (routing, topo) = {
-            let entry = self.substrates.entry(key).or_insert_with(|| {
-                let routing =
-                    RoutingTables::build(&self.network, &spec.source_to_destinations(), mode);
-                let topo = Arc::new(Topology::snapshot(&spec, &routing));
-                SubstrateEntry {
-                    routing: Arc::new(routing),
-                    topo,
-                    refs: 0,
-                }
-            });
-            (Arc::clone(&entry.routing), Arc::clone(&entry.topo))
-        };
+        // Intern the substrate now so the persisted slab can be checked
+        // against it and seeded into the cache before admission.
+        let (key, _) = self.intern(&spec, mode);
+        let topo = Arc::clone(&self.substrates[&key].topo);
         let problems = build_edge_problems(&topo);
         if problems.len() != solutions.len() {
             return Err(format!(
@@ -616,17 +597,21 @@ impl PlanService {
                 problems.len()
             ));
         }
-        let plan = crate::plan::GlobalPlan::from_solutions(
-            &spec,
-            Arc::clone(&topo),
-            problems.clone(),
-            solutions.clone(),
-        );
-        plan.validate(&spec, &routing)
+        for (problem, sol) in problems.iter().zip(&solutions) {
+            if !answers(problem, sol, &spec) {
+                let edge = sol.edge;
+                return Err(format!(
+                    "tenant {id}: edge {edge:?}: solution does not answer its problem"
+                ));
+            }
+        }
+        let mut plan = crate::plan::GlobalPlan::from_solutions(&spec, topo, problems, solutions);
+        plan.validate(&spec, &self.substrates[&key].routing)
             .map_err(|e| format!("tenant {id}: persisted plan failed validation: {e}"))?;
         {
+            let solutions = plan.take_base_solutions();
             let mut cache = self.cache.lock().expect("solve cache poisoned");
-            for (problem, solution) in problems.iter().zip(solutions) {
+            for (problem, solution) in plan.problems().iter().zip(solutions) {
                 cache.seed(problem, &spec, solution);
             }
         }
@@ -656,6 +641,23 @@ impl PlanService {
         self.tenants.insert(id, t);
         Ok(())
     }
+}
+
+/// Whether `sol` could be a solve of `problem`: the same edge, raw
+/// sources and record groups drawn from the problem in ascending order,
+/// and the cost those units price under `spec`. (Coverage is left to
+/// [`crate::plan::GlobalPlan::validate`].)
+fn answers(problem: &EdgeProblem, sol: &EdgeSolution, spec: &AggregationSpec) -> bool {
+    fn drawn_from<T: Ord>(chosen: &[T], from: &[T]) -> bool {
+        chosen.windows(2).all(|w| w[0] < w[1])
+            && chosen.iter().all(|c| from.binary_search(c).is_ok())
+    }
+    // The problem's groups are the spec's, so each has a function.
+    let record_bytes = |d| spec.function(d).map_or(0, |f| f.partial_record_bytes());
+    sol.edge == problem.edge
+        && drawn_from(&sol.raw, &problem.sources)
+        && drawn_from(&sol.agg, &problem.groups)
+        && sol.cost_bytes == price(&sol.raw, &sol.agg, &record_bytes)
 }
 
 fn parse_kv<T: std::str::FromStr>(line: Option<&str>, keyword: &str) -> Result<T, String> {
@@ -720,6 +722,28 @@ impl<'a> Fields<'a> {
             .unwrap_or(usize::MAX)
             .min(self.toks.len() / width)
     }
+}
+
+/// One checkpoint `solution` line, the inverse of [`parse_solution`].
+fn solution_line(sol: &EdgeSolution) -> String {
+    let mut line = format!(
+        "solution {} {} {}",
+        sol.edge.0 .0,
+        sol.edge.1 .0,
+        sol.raw.len()
+    );
+    for r in &sol.raw {
+        line.push_str(&format!(" {}", r.0));
+    }
+    line.push_str(&format!(" {}", sol.agg.len()));
+    for g in &sol.agg {
+        line.push_str(&format!(" {} {}", g.destination.0, g.suffix.len()));
+        for n in g.suffix.iter() {
+            line.push_str(&format!(" {}", n.0));
+        }
+    }
+    line.push_str(&format!(" {}", sol.cost_bytes));
+    line
 }
 
 fn parse_solution(line: &str, nodes: usize) -> Result<EdgeSolution, String> {
@@ -1045,6 +1069,73 @@ mod tests {
         assert!(err.contains("function source 1 named twice"), "{err}");
     }
 
+    #[test]
+    fn restore_rejects_a_solution_that_does_not_answer_its_problem() {
+        // A raw unit the edge does not route, a cost its units do not
+        // price, and a reversed edge: plan validation catches none.
+        for edit in [
+            |sol: &mut EdgeSolution| sol.raw.push(NodeId(24)),
+            |sol: &mut EdgeSolution| sol.cost_bytes += 1,
+            |sol: &mut EdgeSolution| sol.edge = (sol.edge.1, sol.edge.0),
+        ] {
+            let err = edited_checkpoint(|lines| {
+                let line = line_starting(lines, "solution ");
+                let mut sol = parse_solution(line, 25).unwrap();
+                edit(&mut sol);
+                *line = solution_line(&sol);
+            })
+            .unwrap_err();
+            assert!(err.contains("does not answer its problem"), "{err}");
+        }
+    }
+
+    #[test]
+    fn checkpoint_round_trips_a_swept_plan() {
+        // Source 1's first hop aggregates its record (a valid cover, not
+        // the solver's), so the §2.3 sweep patches the hops after it.
+        let net = Arc::new(network());
+        let mut svc = PlanService::new(Arc::clone(&net));
+        let mut spec = AggregationSpec::new();
+        spec.add_function(
+            NodeId(24),
+            AggregateFunction::weighted_sum([(NodeId(1), 1.0), (NodeId(7), 0.5)]),
+        );
+        let tenant = svc.admit(spec.clone()).tenant;
+        let m = svc.tenant(tenant).unwrap().driver().maintainer();
+        let path = m
+            .routing()
+            .tree(NodeId(1))
+            .unwrap()
+            .path_to(NodeId(24))
+            .unwrap();
+        let slot = m.topology().edge_idx((path[0], path[1])).unwrap().index();
+        let mut base: Vec<EdgeSolution> = m.base_solutions().cloned().collect();
+        crate::edge_opt::patch_edge_sized(&m.problems()[slot], &mut base[slot], NodeId(1), &|d| {
+            spec.function(d).unwrap().partial_record_bytes()
+        });
+        let text = svc.checkpoint().replace(
+            &solution_line(m.base_solutions().nth(slot).unwrap()),
+            &solution_line(&base[slot]),
+        );
+        let restored = PlanService::restore(Arc::clone(&net), Config::default(), &text).unwrap();
+        let back = restored.tenant(tenant).unwrap().driver().maintainer();
+        assert!(back.plan().repair_count() > 0, "the sweep patches");
+        assert!(back.base_solutions().eq(&base));
+        assert_ne!(back.plan().solutions(), base.as_slice());
+        assert_eq!(restored.checkpoint(), text, "the round trip is exact");
+        let again = PlanService::restore(net, Config::default(), &text).unwrap();
+        assert_eq!(
+            again
+                .tenant(tenant)
+                .unwrap()
+                .driver()
+                .maintainer()
+                .plan()
+                .solutions(),
+            back.plan().solutions()
+        );
+    }
+
     /// Tokens that break counts, ids, kinds, modes and keywords.
     const REPLACEMENTS: [&str; 12] = [
         "0",
@@ -1065,8 +1156,8 @@ mod tests {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(12))]
 
         /// Every cut of a two-tenant checkpoint at a token boundary, and
-        /// every copy of it with one token replaced, restores or fails
-        /// with an `Err`; none panics.
+        /// every copy of it with one token replaced by each of the
+        /// [`REPLACEMENTS`], restores or fails with an `Err`; none panics.
         #[test]
         fn damaged_checkpoints_restore_or_fail_without_panicking(seed in 0u64..1_000) {
             let net = Arc::new(Network::with_default_energy(Deployment::grid(4, 4, 10.0, 12.0)));
@@ -1089,13 +1180,13 @@ mod tests {
                 .collect();
             let lines: Vec<Vec<&str>> =
                 text.lines().map(|l| l.split_whitespace().collect()).collect();
-            let mut nth = seed as usize;
             for (i, line) in lines.iter().enumerate() {
                 for j in 0..line.len() {
-                    let mut copy = lines.clone();
-                    copy[i][j] = REPLACEMENTS[nth % REPLACEMENTS.len()];
-                    nth += 1;
-                    damaged.push(copy.iter().map(|l| l.join(" ") + "\n").collect());
+                    for replacement in REPLACEMENTS {
+                        let mut copy = lines.clone();
+                        copy[i][j] = replacement;
+                        damaged.push(copy.iter().map(|l| l.join(" ") + "\n").collect());
+                    }
                 }
             }
             let next = generate_workload(&net, &WorkloadConfig::paper_default(2, 2, seed + 2));

@@ -78,6 +78,7 @@ use crate::faults::{
 use crate::memo::SharedSolveCache;
 use crate::metrics::RoundCost;
 use crate::obs::{FlightRecorder, DEFAULT_BATTERY_UJ};
+use crate::service::demand_pairs;
 use crate::sim::{SimExec, SimOutcome, SimState};
 use crate::spec::AggregationSpec;
 use crate::topo::Topology;
@@ -137,9 +138,9 @@ impl SessionBuilder {
         self
     }
 
-    /// Tracks link quality: initial routes become ETX-weighted for this
-    /// baseline, and [`Session::observe_quality`] arms the churn loop
-    /// with the configured hysteresis.
+    /// Tracks link quality: the session plans on ETX-weighted routes for
+    /// this baseline from the start, and [`Session::observe_quality`]
+    /// arms the churn loop with the configured hysteresis.
     #[must_use]
     pub fn quality(mut self, quality: LinkQuality) -> Self {
         self.quality = Some(quality);
@@ -173,6 +174,10 @@ impl SessionBuilder {
     /// [`Session::build`] panics if `routing`'s mode disagrees with the
     /// builder's [`SessionBuilder::routing_mode`] or if `topo`'s demanded
     /// pairs are not exactly the spec's ([`Topology::demanded_pairs`]).
+    ///
+    /// A tracked [`SessionBuilder::quality`] wins: the session then
+    /// ignores the substrate (unchecked) and builds the plan the quality
+    /// alone builds, on ETX-weighted routes.
     #[must_use]
     pub fn substrate(mut self, routing: Arc<RoutingTables>, topo: Arc<Topology>) -> Self {
         self.substrate = Some((routing, topo));
@@ -188,7 +193,10 @@ impl SessionBuilder {
         self
     }
 
-    /// Builds the session: routes, plans, compiles.
+    /// Builds the session in one pass: routes (ETX-weighted when a
+    /// quality is tracked, else the caller's substrate, else in the
+    /// builder's mode), solves (through the shared cache if set), plans,
+    /// and compiles once.
     ///
     /// # Panics
     /// Panics if the initial plan is unschedulable (Theorem 2 cycle), or
@@ -209,60 +217,44 @@ impl SessionBuilder {
             rounds_cursor,
         } = self;
         config.apply();
-        let churn = quality
-            .as_ref()
-            .map(|q| ChurnController::new(q.clone(), config.hysteresis()));
         let runtime = runtime.unwrap_or_else(|| config.runtime());
-        // A shared solve cache without a substrate still takes the
-        // parts-based path: route + snapshot here, solve through the
-        // cache, assemble identically.
-        let substrate = match (substrate, &solve_cache) {
-            (Some(pair), _) => Some(pair),
-            (None, Some(_)) => {
-                let routing = RoutingTables::build(&network, &spec.source_to_destinations(), mode);
-                let topo = Arc::new(Topology::snapshot(&spec, &routing));
-                Some((Arc::new(routing), topo))
-            }
-            (None, None) => None,
-        };
-        let mut driver = match substrate {
-            Some((routing, topo)) => {
+        let (routing, topo) = match (&quality, substrate) {
+            (None, Some((routing, topo))) => {
                 assert_eq!(
                     routing.mode(),
                     mode,
                     "substrate routing mode must match the builder's routing mode"
                 );
-                let mut demanded: Vec<(NodeId, NodeId)> = spec
-                    .source_to_destinations()
-                    .into_iter()
-                    .flat_map(|(s, ds)| ds.into_iter().map(move |d| (s, d)))
-                    .collect();
-                demanded.sort_unstable();
                 assert_eq!(
                     topo.demanded_pairs(),
-                    demanded,
+                    demand_pairs(&spec),
                     "substrate topology must cover exactly the spec's demanded pairs"
                 );
-                let problems = build_edge_problems(&topo);
-                let threads = config.resolved_threads();
-                let solutions = match &solve_cache {
-                    Some(cache) => cache
-                        .lock()
-                        .expect("shared solve cache poisoned")
-                        .solve_all(&problems, &spec, threads),
-                    None => solve_edge_slab(&problems, &spec, threads),
-                };
-                EpochDriver::from_maintainer(PlanMaintainer::from_parts(
-                    network, spec, mode, routing, topo, problems, solutions,
-                ))
+                (routing, topo)
             }
-            None => EpochDriver::new(network, spec, mode),
+            (quality, _) => {
+                let demands = spec.source_to_destinations();
+                let routing = match quality {
+                    Some(q) => weighted_routing(&network, &demands, q),
+                    None => RoutingTables::build(&network, &demands, mode),
+                };
+                let topo = Arc::new(Topology::snapshot(&spec, &routing));
+                (Arc::new(routing), topo)
+            }
         };
-        if let Some(quality) = &quality {
-            let demands = driver.maintainer().spec().source_to_destinations();
-            let routing = weighted_routing(driver.maintainer().network(), &demands, quality);
-            driver.apply_route_change(routing);
-        }
+        let problems = build_edge_problems(&topo);
+        let threads = config.resolved_threads();
+        let solutions = match &solve_cache {
+            Some(cache) => cache
+                .lock()
+                .expect("shared solve cache poisoned")
+                .solve_all(&problems, &spec, threads),
+            None => solve_edge_slab(&problems, &spec, threads),
+        };
+        let driver = EpochDriver::from_maintainer(PlanMaintainer::from_parts(
+            network, spec, mode, routing, topo, problems, solutions,
+        ));
+        let churn = quality.map(|q| ChurnController::new(q, config.hysteresis()));
         let recorder = config
             .obs()
             .then(|| FlightRecorder::new(config.obs_every(), config.obs_cap()));
@@ -682,23 +674,29 @@ impl Session {
     /// Applies one workload update through the incremental maintainer;
     /// the compiled executor (and the fault engine, lazily) resync.
     pub fn apply(&mut self, update: WorkloadUpdate) -> UpdateStats {
-        let stats = self.driver.apply(update);
         self.faults = None;
         self.sim = None;
-        stats
+        self.driver.apply(update)
     }
 
     /// Installs externally built routing tables and resyncs. Staleness
     /// measured the old paths, so it resets with them.
     pub fn apply_route_change(&mut self, routing: RoutingTables) -> UpdateStats {
-        let stats = self.driver.apply_route_change(routing);
-        self.faults = None;
-        self.sim = None;
-        self.tracker.reset_staleness();
+        let stats = self.reroute(routing);
         if let Some(rec) = &mut self.recorder {
             rec.record_route_change(self.rounds_run);
         }
         stats
+    }
+
+    /// Installs new routes: the lossy and sim executors go first (they
+    /// are rebuilt lazily from the recompiled plan), and staleness, which
+    /// measured the old paths, resets with them.
+    fn reroute(&mut self, routing: RoutingTables) -> UpdateStats {
+        self.faults = None;
+        self.sim = None;
+        self.tracker.reset_staleness();
+        self.driver.apply_route_change(routing)
     }
 
     /// The churn loop: compares `current` quality against the tracked
@@ -720,12 +718,7 @@ impl Session {
         churn.rebase(current.clone());
         let demands = self.driver.maintainer().spec().source_to_destinations();
         let routing = weighted_routing(self.driver.maintainer().network(), &demands, current);
-        let stats = self.driver.apply_route_change(routing);
-        self.faults = None;
-        self.sim = None;
-        // The new routes owe nothing for the old paths' outages.
-        self.tracker.reset_staleness();
-        Some(stats)
+        Some(self.reroute(routing))
     }
 
     /// Writes the telemetry snapshot to the configured trace output, if
@@ -1112,6 +1105,79 @@ mod tests {
         let _ = Session::builder(net, other)
             .substrate(routing, topo)
             .build();
+    }
+
+    /// Link 0-1 carries source 0's hop routes, so ETX routes move off it.
+    fn degraded_quality(net: &Network) -> LinkQuality {
+        let mut quality = LinkQuality::distance_based(net, 0.3, 3);
+        quality.set_loss(NodeId(0), NodeId(1), 0.9);
+        quality
+    }
+
+    #[test]
+    fn a_tracked_quality_session_plans_on_etx_routes_and_compiles_once() {
+        let net = Arc::new(network());
+        let quality = degraded_quality(&net);
+        let delivery = DeliveryModel::from_quality(&quality, 7);
+        let mut session = Session::builder(Arc::clone(&net), spec())
+            .runtime(Runtime::Lossy)
+            .delivery(delivery.clone())
+            .quality(quality.clone())
+            .build();
+        assert_eq!(session.driver().recompiles(), 0, "one compile");
+        // The oracle is the two-step path: a hop-routed plan, then the ETX
+        // reroute onto the same quality.
+        let mut oracle =
+            PlanMaintainer::new(Arc::clone(&net), spec(), RoutingMode::ShortestPathTrees);
+        let hop_plan = oracle.plan().clone();
+        let uses_0_1 = |r: &RoutingTables| r.directed_edges().contains(&(NodeId(0), NodeId(1)));
+        assert!(uses_0_1(oracle.routing()));
+        let demands = spec().source_to_destinations();
+        oracle.apply_route_change(weighted_routing(&net, &demands, &quality));
+        assert!(!uses_0_1(oracle.routing()));
+        assert_ne!(hop_plan.solutions(), oracle.plan().solutions());
+        let m = session.driver().maintainer();
+        assert_eq!(
+            m.routing().directed_edges(),
+            oracle.routing().directed_edges()
+        );
+        assert_eq!(m.plan().solutions(), oracle.plan().solutions());
+        assert!(m.base_solutions().eq(oracle.base_solutions()));
+        // The first lossy round matches the oracle plan's, salt for salt.
+        let compiled = CompiledSchedule::compile(&net, oracle.spec(), oracle.plan()).unwrap();
+        let vals = readings(&net);
+        let want = FaultyExec::new(&net, &compiled).run_rounds(
+            &[compiled.dense_readings(&vals)],
+            &delivery,
+            &session.retry_policy(),
+            DEFAULT_BASE_SALT,
+            1,
+        );
+        assert_eq!(session.run(&vals).fault(), Some(&want[0]));
+    }
+
+    #[test]
+    fn quality_takes_precedence_over_a_supplied_substrate() {
+        let net = Arc::new(network());
+        let quality = degraded_quality(&net);
+        let hop = Session::builder(Arc::clone(&net), spec()).build();
+        let alone = Session::builder(Arc::clone(&net), spec())
+            .quality(quality.clone())
+            .build();
+        let both = Session::builder(Arc::clone(&net), spec())
+            .substrate(
+                hop.driver().maintainer().routing_arc(),
+                Arc::clone(hop.driver().maintainer().topology()),
+            )
+            .quality(quality)
+            .build();
+        let plan = |s: &Session| s.driver().maintainer().plan().solutions().to_vec();
+        assert_ne!(plan(&hop), plan(&alone), "the ETX plan differs");
+        assert_eq!(plan(&both), plan(&alone));
+        assert_eq!(
+            both.driver().maintainer().routing().directed_edges(),
+            alone.driver().maintainer().routing().directed_edges()
+        );
     }
 
     #[test]

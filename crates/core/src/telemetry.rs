@@ -32,7 +32,7 @@ use std::collections::BTreeMap;
 use m2m_graph::NodeId;
 
 use crate::agg::RAW_VALUE_BYTES;
-use crate::edge_opt::{solve_edge, DirectedEdge, EdgeProblem, EdgeSolution};
+use crate::edge_opt::{price, solve_edge, DirectedEdge, EdgeProblem, EdgeSolution};
 use crate::plan::GlobalPlan;
 use crate::spec::AggregationSpec;
 
@@ -294,12 +294,8 @@ fn explain_edge(
             }
         })
         .collect();
-    let all_raw_bytes = problem.sources.len() as u64 * u64::from(RAW_VALUE_BYTES);
-    let all_records_bytes = problem
-        .groups
-        .iter()
-        .map(|g| u64::from(record_bytes(g.destination)))
-        .sum();
+    let all_raw_bytes = price(&problem.sources, &[], &record_bytes);
+    let all_records_bytes = price(&[], &problem.groups, &record_bytes);
     let repaired = &solve_edge(problem, spec) != solution;
     EdgeExplain {
         edge: problem.edge,

@@ -26,9 +26,12 @@
 # The pipeline benchmark (`perfbench/`, its own package) links the
 # crates' public items, so the script builds it and runs each workload
 # for one traced second: the result line must read `"correct": true`
-# and `"failed": 0`, and the run must leave `perfbench/` and
-# BENCHMARK.json as they were (the build goes to the ignored
-# `.bench_build/`, the span logs to the ignored `perfbench/out/`).
+# and `"failed": 0`, the `# digest=` line must equal the workload's
+# pinned outcome digest at `--seed 1 --seconds 1` (an engine change
+# that claims no behaviour change leaves all three alone), and the run
+# must leave `perfbench/` and BENCHMARK.json as they were (the build
+# goes to the ignored `.bench_build/`, the span logs to the ignored
+# `perfbench/out/`).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -95,13 +98,19 @@ for bin in bench_optimizer bench_runtime bench_resilience bench_scale bench_sim 
     "./target/release/$bin" --check
 done
 
-for workload in lossy_rounds churn_adapt tenant_stream; do
-    last=$(python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 1 --trace 1 |
-        tail -n 1) || fail "perfbench $workload exited non-zero: $last"
+for pin in lossy_rounds=079f3d13d662c6bc churn_adapt=663f9192c24f44db tenant_stream=e328d3d66f2f8100; do
+    workload=${pin%=*}
+    out=$(python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 1 --trace 1) ||
+        fail "perfbench $workload exited non-zero: $(tail -n 1 <<< "$out")"
+    last=$(tail -n 1 <<< "$out")
     case "$last" in
-    *'"correct": true,'*'"failed": 0,'*) echo "verify: perfbench $workload: ok" ;;
+    *'"correct": true,'*'"failed": 0,'*) ;;
     *) fail "perfbench $workload: ${last:0:200}" ;;
     esac
+    digest=$(grep -m 1 '^# digest=' <<< "$out") || fail "perfbench $workload printed no digest"
+    [ "$digest" = "# digest=${pin#*=}" ] ||
+        fail "perfbench $workload: $digest, pinned ${pin#*=}"
+    echo "verify: perfbench $workload: ok, ${digest#\# }"
 done
 [ -z "$(git status --porcelain perfbench BENCHMARK.json)" ] ||
     fail "the perfbench runs changed perfbench/ or BENCHMARK.json"
