@@ -5,7 +5,7 @@
 //! ([`m2m_core::exec::CompiledSchedule`], built once and run over flat
 //! arrays) on the largest scaled-series deployment (Figure 6's 250-node
 //! point). Verifies bit-exact agreement before timing anything, sweeps
-//! the epoch driver over several thread counts, writes the medians to
+//! the epoch fan-out over several thread counts, writes the medians to
 //! `BENCH_runtime.json` so regressions are diffable in CI and across
 //! machines, and then replays the workload with tracing enabled so the
 //! artifact embeds a telemetry counter snapshot (solves, memo hit rate,
@@ -49,13 +49,15 @@ use m2m_bench::report::{
     bench_report, check_header, median_ns, median_run, require_fields, require_rows,
     telemetry_section, time_ns, JsonValue,
 };
+use m2m_core::config::Config;
 use m2m_core::exec::{
-    run_epochs_slab, CompiledSchedule, EpochDriver, EpochSlab, ExecState, DEFAULT_LANE_WIDTH,
+    run_epochs_slab, CompiledSchedule, EpochSlab, ExecState, DEFAULT_LANE_WIDTH,
     SUPPORTED_LANE_WIDTHS,
 };
 use m2m_core::memo::SharedSolveCache;
 use m2m_core::plan::GlobalPlan;
 use m2m_core::runtime::execute_round;
+use m2m_core::session::Session;
 use m2m_core::telemetry::Level;
 use m2m_core::workload::{generate_workload, WorkloadConfig};
 use m2m_core::{dynamics::WorkloadUpdate, m2m_log, telemetry};
@@ -385,7 +387,7 @@ fn main() {
 
     // Instrumented replay, outside the timed phases: a memoized plan
     // build, a compile, an epoch batch, and one refresh plus one
-    // recompile through the epoch driver, so the artifact records the
+    // recompile through a session, so the artifact records the
     // optimizer/executor work behind the timings above.
     let telemetry_json = telemetry_section(|| {
         let mut cache = SharedSolveCache::new();
@@ -396,11 +398,12 @@ fn main() {
         let replay = run_epochs_slab(&traced, &batch, DEFAULT_LANE_WIDTH, 2);
         assert_eq!(replay, serial, "traced replay diverged");
 
-        let mut driver = EpochDriver::new(
-            network.clone(),
-            spec.clone(),
-            RoutingMode::ShortestPathTrees,
-        );
+        // The session applies its config when built: it keeps tracing on
+        // for the rest of the section, and this bin's Info log level.
+        let config = Config::builder().trace(true).log(Level::Info).build();
+        let mut session = Session::builder(network.clone(), spec.clone())
+            .config(config)
+            .build();
         let (dest, source, weight) = spec
             .functions()
             .flat_map(|(d, f)| {
@@ -409,17 +412,17 @@ fn main() {
             })
             .next()
             .expect("workload has at least one pair");
-        driver.apply(WorkloadUpdate::AddSource {
+        session.apply(WorkloadUpdate::AddSource {
             destination: dest,
             source,
             weight: weight * 1.5,
         });
-        driver.apply(WorkloadUpdate::RemoveSource {
+        session.apply(WorkloadUpdate::RemoveSource {
             destination: dest,
             source,
         });
-        assert!(driver.refreshes() >= 1, "reweight should refresh in place");
-        assert!(driver.recompiles() >= 1, "source removal should recompile");
+        assert!(session.refreshes() >= 1, "reweight should refresh in place");
+        assert!(session.recompiles() >= 1, "source removal should recompile");
     });
 
     let report = bench_report("round_execution", &format!("scaled_series_{n}"))

@@ -168,11 +168,10 @@ fn main() {
     assert_eq!(
         svc.tenant(probe)
             .expect("admitted")
-            .driver()
             .maintainer()
             .plan()
             .solutions(),
-        isolated.driver().maintainer().plan().solutions(),
+        isolated.maintainer().plan().solutions(),
         "shared-substrate plan diverged from the isolated build"
     );
     let got = svc.run(probe, &vals).expect("probe runs");

@@ -153,51 +153,51 @@ impl Config {
     /// documented defaults. This is exactly the configuration the
     /// scattered `std::env::var` call sites used to assemble implicitly.
     pub fn from_env() -> Self {
+        Self::from_vars(|name| std::env::var(name).ok())
+    }
+
+    /// [`Config::from_env`] over any variable lookup: `var` maps an
+    /// `M2M_*` name to its value, or `None` when it is unset (or not
+    /// UTF-8). A value that does not parse into its knob's domain falls
+    /// back to the default.
+    fn from_vars(var: impl Fn(&str) -> Option<String>) -> Self {
         let parse_u32 = |name: &str, default: u32| -> u32 {
-            std::env::var(name)
-                .ok()
+            var(name)
                 .and_then(|v| v.trim().parse::<u32>().ok())
                 .unwrap_or(default)
         };
         Config {
-            threads: std::env::var(THREADS_ENV)
-                .ok()
+            threads: var(THREADS_ENV)
                 .and_then(|v| v.trim().parse::<usize>().ok())
                 .filter(|&n| n > 0),
-            trace: std::env::var(TRACE_ENV).is_ok_and(|v| parse_bool(&v)),
-            trace_out: std::env::var(TRACE_OUT_ENV).ok().filter(|p| !p.is_empty()),
-            log: std::env::var(LOG_ENV)
-                .ok()
+            trace: var(TRACE_ENV).is_some_and(|v| parse_bool(&v)),
+            trace_out: var(TRACE_OUT_ENV).filter(|p| !p.is_empty()),
+            log: var(LOG_ENV)
                 .and_then(|v| Level::parse(&v))
                 .unwrap_or(Level::Off),
             retries: parse_u32(RETRIES_ENV, DEFAULT_RETRIES),
             backoff_slots: parse_u32(BACKOFF_ENV, 0),
             max_slots: parse_u32(MAX_SLOTS_ENV, DEFAULT_MAX_SLOTS).max(1),
-            hysteresis: std::env::var(HYSTERESIS_ENV)
-                .ok()
+            hysteresis: var(HYSTERESIS_ENV)
                 .and_then(|v| v.trim().parse::<f64>().ok())
                 .filter(|h| h.is_finite() && *h >= 0.0)
                 .unwrap_or(DEFAULT_HYSTERESIS),
-            lanes: std::env::var(LANES_ENV)
-                .ok()
+            lanes: var(LANES_ENV)
                 .and_then(|v| v.trim().parse::<usize>().ok())
                 .filter(|w| crate::exec::SUPPORTED_LANE_WIDTHS.contains(w))
                 .unwrap_or(crate::exec::DEFAULT_LANE_WIDTH),
-            obs: std::env::var(OBS_ENV).is_ok_and(|v| parse_bool(&v)),
-            obs_every: std::env::var(OBS_EVERY_ENV)
-                .ok()
+            obs: var(OBS_ENV).is_some_and(|v| parse_bool(&v)),
+            obs_every: var(OBS_EVERY_ENV)
                 .and_then(|v| v.trim().parse::<u64>().ok())
                 .filter(|&n| n > 0)
                 .unwrap_or(DEFAULT_OBS_EVERY),
-            obs_cap: std::env::var(OBS_CAP_ENV)
-                .ok()
+            obs_cap: var(OBS_CAP_ENV)
                 .and_then(|v| v.trim().parse::<usize>().ok())
                 .filter(|&n| n > 0)
                 .unwrap_or(DEFAULT_OBS_CAP),
             sim_queue: parse_u32(SIM_QUEUE_ENV, DEFAULT_SIM_QUEUE).max(1),
             sim_latency: parse_u32(SIM_LATENCY_ENV, DEFAULT_SIM_LATENCY).max(1),
-            runtime: std::env::var(RUNTIME_ENV)
-                .ok()
+            runtime: var(RUNTIME_ENV)
                 .and_then(|v| Runtime::parse(&v))
                 .unwrap_or_default(),
         }
@@ -672,5 +672,98 @@ mod tests {
         let a = global();
         let b = global();
         assert!(std::ptr::eq(a, b));
+    }
+
+    /// One valid value for every variable [`Config::from_env`] reads.
+    const VALID: [(&str, &str); 15] = [
+        (THREADS_ENV, "12"),
+        (TRACE_ENV, "true"),
+        (TRACE_OUT_ENV, "trace.json"),
+        (LOG_ENV, "debug"),
+        (RETRIES_ENV, "30"),
+        (BACKOFF_ENV, "25"),
+        (MAX_SLOTS_ENV, "500"),
+        (HYSTERESIS_ENV, "0.75"),
+        (LANES_ENV, "16"),
+        (OBS_ENV, "yes"),
+        (OBS_EVERY_ENV, "10"),
+        (OBS_CAP_ENV, "128"),
+        (SIM_QUEUE_ENV, "64"),
+        (SIM_LATENCY_ENV, "20"),
+        (RUNTIME_ENV, "lossy"),
+    ];
+
+    /// Values that break numbers, signs, widths, bounds and names.
+    const HOSTILE: [&str; 11] = [
+        "",
+        " ",
+        "-1",
+        "0",
+        "4294967296",
+        "18446744073709551616",
+        "NaN",
+        "inf",
+        "1e309",
+        "x",
+        "Ω≈∞",
+    ];
+
+    fn from_map(vars: &std::collections::BTreeMap<&str, &str>) -> Config {
+        Config::from_vars(|name| vars.get(name).map(|v| (*v).to_string()))
+    }
+
+    #[test]
+    fn every_variable_reaches_its_knob() {
+        let cfg = from_map(&VALID.into_iter().collect());
+        let policy = cfg.retry_policy();
+        assert_eq!(cfg.threads(), Some(12));
+        assert!(cfg.trace() && cfg.obs());
+        assert_eq!(cfg.trace_out(), Some("trace.json"));
+        assert_eq!(cfg.log(), Level::Debug);
+        assert_eq!((policy.max_attempts, policy.backoff_slots), (30, 25));
+        assert_eq!(policy.max_slots, 500);
+        assert_eq!(cfg.hysteresis(), 0.75);
+        assert_eq!(cfg.lanes(), 16);
+        assert_eq!((cfg.obs_every(), cfg.obs_cap()), (10, 128));
+        assert_eq!((cfg.sim_queue(), cfg.sim_latency()), (64, 20));
+        assert_eq!(cfg.runtime(), Runtime::Lossy);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// Over a background of valid and unset variables, every
+        /// truncation of each variable's valid value and every
+        /// [`HOSTILE`] replacement parses without panicking, and every
+        /// knob lands in its documented domain.
+        #[test]
+        fn damaged_environments_parse_into_the_documented_domain(seed in 0u64..1_000) {
+            let background: std::collections::BTreeMap<&str, &str> = VALID
+                .into_iter()
+                .enumerate()
+                .filter(|&(i, _)| (seed >> (i % 10)) & 1 == 1)
+                .map(|(_, pair)| pair)
+                .collect();
+            for (name, valid) in VALID {
+                let cuts = (0..=valid.len()).map(|cut| &valid[..cut]);
+                for value in cuts.chain(HOSTILE) {
+                    let mut vars = background.clone();
+                    vars.insert(name, value);
+                    let cfg = std::panic::catch_unwind(|| from_map(&vars));
+                    proptest::prop_assert!(cfg.is_ok(), "panicked on {name}={value:?}");
+                    let cfg = cfg.unwrap();
+                    let in_domain = cfg.threads().is_none_or(|n| n > 0)
+                        && [cfg.max_slots(), cfg.sim_queue(), cfg.sim_latency()]
+                            .iter()
+                            .all(|&v| v >= 1)
+                        && cfg.obs_every() >= 1
+                        && cfg.obs_cap() >= 1
+                        && crate::exec::SUPPORTED_LANE_WIDTHS.contains(&cfg.lanes())
+                        && cfg.hysteresis().is_finite()
+                        && cfg.hysteresis() >= 0.0;
+                    proptest::prop_assert!(in_domain, "{name}={value:?}: {cfg:?}");
+                }
+            }
+        }
     }
 }

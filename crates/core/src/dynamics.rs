@@ -137,6 +137,18 @@ impl PlanMaintainer {
         base_solutions: Vec<EdgeSolution>,
     ) -> Self {
         let plan = GlobalPlan::from_solutions(&spec, topo, problems, base_solutions);
+        Self::from_plan(network, spec, mode, routing, plan)
+    }
+
+    /// Wraps a plan already assembled for `spec` over `routing` (the
+    /// restore path, which validates the plan before it hands it over).
+    pub(crate) fn from_plan(
+        network: impl Into<Arc<Network>>,
+        spec: AggregationSpec,
+        mode: RoutingMode,
+        routing: Arc<RoutingTables>,
+        plan: GlobalPlan,
+    ) -> Self {
         PlanMaintainer {
             network: network.into(),
             spec,

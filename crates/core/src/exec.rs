@@ -60,19 +60,18 @@
 //! lane-batched [`ExecState`] arena and writes its rounds' results
 //! directly into a disjoint span of one preallocated output slab
 //! ([`EpochSlab`]) — no per-round task dispatch, no per-round result
-//! allocation. [`EpochDriver`] pairs a compiled schedule with a
-//! [`PlanMaintainer`] so a long-running campaign recompiles only when an
-//! update actually changed the plan's structure (Corollary 1) and merely
-//! refreshes baked-in weights otherwise.
+//! allocation. A live plan's compiled schedule belongs to its
+//! [`crate::session::Session`], which recompiles only when an update
+//! changed the plan's structure (Corollary 1) and otherwise refreshes the
+//! baked-in weights in place ([`CompiledSchedule::refresh_weights`]).
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use m2m_graph::NodeId;
-use m2m_netsim::{EnergyModel, Network, RoutingMode, RoutingTables};
+use m2m_netsim::{EnergyModel, Network};
 
-use crate::agg::{with_lane_kernel, AggregateFunction, AggregateKind, LaneKernel, PartialRecord};
-use crate::dynamics::{PlanMaintainer, UpdateStats, WorkloadUpdate};
+use crate::agg::{with_lane_kernel, AggregateFunction, AggregateKind, LaneKernel};
 use crate::metrics::RoundCost;
 use crate::parallel;
 use crate::plan::GlobalPlan;
@@ -633,7 +632,8 @@ impl CompiledSchedule {
     /// ones that change no `(source, destination)` pair, no aggregate
     /// kind, and no routing — because those leave every per-edge problem
     /// (and hence the schedule structure) unchanged while still changing
-    /// the arithmetic. [`EpochDriver`] decides refresh-vs-recompile.
+    /// the arithmetic. [`crate::session::Session`] decides
+    /// refresh-vs-recompile.
     ///
     /// # Panics
     /// Panics if a destination or source disappeared from `spec`, or if a
@@ -708,37 +708,6 @@ pub const DEFAULT_LANE_WIDTH: usize = 8;
 // Three component planes cover every kernel, by the agg-side contract.
 const _: () = assert!(crate::agg::MAX_COMPONENTS == 3);
 
-/// Left fold of a contiguous op run (dynamic-dispatch flavour), in the
-/// reference path's contribution order — the float associativity is
-/// identical to the reference by construction. This is the cold/degraded
-/// sibling of [`fold_run`]: [`crate::faults`] uses it where record
-/// *presence* matters (an `Option` per unit), which the dense component
-/// planes deliberately do not represent.
-#[inline]
-pub(crate) fn fold_ops(
-    kind: AggregateKind,
-    ops: &OpStream,
-    first: usize,
-    count: usize,
-    readings: &[f64],
-    records: &[Option<PartialRecord>],
-) -> Option<PartialRecord> {
-    let mut acc: Option<PartialRecord> = None;
-    for i in first..first + count {
-        let part = match ops.get(i) {
-            Op::Pre { slot, alpha } => kind.pre_aggregate_weighted(alpha, readings[slot as usize]),
-            Op::FromUnit { unit } => {
-                records[unit as usize].expect("topological order computes dependencies first")
-            }
-        };
-        acc = Some(match acc {
-            None => part,
-            Some(prev) => kind.merge_records(prev, part),
-        });
-    }
-    acc
-}
-
 /// Monomorphized left fold of a contiguous op run over `W` lanes at once.
 ///
 /// The kind dispatch happened before the call (see
@@ -746,8 +715,9 @@ pub(crate) fn fold_ops(
 /// is a concrete inlined arithmetic kernel, so each op decodes once and
 /// then runs a straight-line loop over `W` adjacent `f64`s — the shape
 /// the auto-vectorizer wants. Per lane, the op order and the
-/// merge-association order are exactly those of [`fold_ops`], so lane `w`
-/// of the result is bit-identical to a scalar fold of lane `w`'s round.
+/// merge-association order are exactly those of the reference path's left
+/// fold, so lane `w` of the result is bit-identical to a scalar fold of
+/// lane `w`'s round.
 ///
 /// `count` must be ≥ 1 (the compiler never emits an empty run; callers
 /// assert with the empty-run panics the scalar path always had).
@@ -1065,134 +1035,13 @@ pub fn run_epochs_slab(
     }
 }
 
-/// A [`PlanMaintainer`] paired with the compiled executor for its current
-/// plan. Workload/route updates go through the maintainer's incremental
-/// re-optimization (Corollary 1); the driver then recompiles **only** if
-/// the update changed the plan structure — any re-solved, added, or
-/// removed edge, or any change to the `(source, destination)` pair set or
-/// an aggregate kind (which can change the schedule without touching an
-/// edge problem, e.g. a destination adding itself as a local source).
-/// Pure re-weights — the common steady-state tuning case — just re-bake
-/// the `α` weights into the existing ops.
-#[derive(Clone, Debug)]
-pub struct EpochDriver {
-    maintainer: PlanMaintainer,
-    compiled: CompiledSchedule,
-    recompiles: usize,
-    refreshes: usize,
-}
-
-/// Structure-relevant view of a workload: per destination, its kind and
-/// sorted source set (weights excluded on purpose).
-fn spec_shape(spec: &AggregationSpec) -> Vec<(NodeId, AggregateKind, Vec<NodeId>)> {
-    spec.functions()
-        .map(|(d, f)| (d, f.kind(), f.sources().collect()))
-        .collect()
-}
-
-impl EpochDriver {
-    /// Builds the initial plan and compiles it.
-    ///
-    /// # Panics
-    /// Panics if the initial plan is unschedulable.
-    pub fn new(
-        network: impl Into<std::sync::Arc<Network>>,
-        spec: AggregationSpec,
-        mode: RoutingMode,
-    ) -> Self {
-        Self::from_maintainer(PlanMaintainer::new(network, spec, mode))
-    }
-
-    /// Wraps an existing maintainer, compiling its current plan.
-    ///
-    /// # Panics
-    /// Panics if the maintained plan is unschedulable.
-    pub fn from_maintainer(maintainer: PlanMaintainer) -> Self {
-        let compiled =
-            CompiledSchedule::compile(maintainer.network(), maintainer.spec(), maintainer.plan())
-                .expect("maintained plan must be schedulable");
-        EpochDriver {
-            maintainer,
-            compiled,
-            recompiles: 0,
-            refreshes: 0,
-        }
-    }
-
-    /// The compiled executor for the current plan.
-    #[inline]
-    pub fn compiled(&self) -> &CompiledSchedule {
-        &self.compiled
-    }
-
-    /// The underlying maintainer (plan, spec, routing).
-    #[inline]
-    pub fn maintainer(&self) -> &PlanMaintainer {
-        &self.maintainer
-    }
-
-    /// How many updates forced a full recompile.
-    #[inline]
-    pub fn recompiles(&self) -> usize {
-        self.recompiles
-    }
-
-    /// How many updates were absorbed as in-place weight refreshes.
-    #[inline]
-    pub fn refreshes(&self) -> usize {
-        self.refreshes
-    }
-
-    /// Applies one workload update and resynchronizes the compiled
-    /// executor (recompile or weight refresh, as the update demands).
-    pub fn apply(&mut self, update: WorkloadUpdate) -> UpdateStats {
-        let shape_before = spec_shape(self.maintainer.spec());
-        let stats = self.maintainer.apply(update);
-        self.resync(stats, &shape_before);
-        stats
-    }
-
-    /// Installs new routing tables (see
-    /// [`PlanMaintainer::apply_route_change`]) and resynchronizes.
-    pub fn apply_route_change(&mut self, new_routing: RoutingTables) -> UpdateStats {
-        let shape_before = spec_shape(self.maintainer.spec());
-        let stats = self.maintainer.apply_route_change(new_routing);
-        self.resync(stats, &shape_before);
-        stats
-    }
-
-    fn resync(
-        &mut self,
-        stats: UpdateStats,
-        shape_before: &[(NodeId, AggregateKind, Vec<NodeId>)],
-    ) {
-        let structural = stats.edges_reoptimized > 0
-            || stats.edges_added_or_removed > 0
-            || spec_shape(self.maintainer.spec()) != shape_before;
-        if structural {
-            self.compiled = CompiledSchedule::compile(
-                self.maintainer.network(),
-                self.maintainer.spec(),
-                self.maintainer.plan(),
-            )
-            .expect("maintained plan must be schedulable");
-            self.recompiles += 1;
-            crate::telemetry::counter(crate::telemetry::names::EXEC_RECOMPILES, 1);
-        } else {
-            self.compiled.refresh_weights(self.maintainer.spec());
-            self.refreshes += 1;
-            crate::telemetry::counter(crate::telemetry::names::EXEC_REFRESHES, 1);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::agg::AggregateKind;
     use crate::baselines::{plan_for_algorithm, Algorithm};
     use crate::runtime::execute_round;
-    use m2m_netsim::Deployment;
+    use m2m_netsim::{Deployment, RoutingMode, RoutingTables};
 
     fn network() -> Network {
         Network::with_default_energy(Deployment::grid(4, 4, 10.0, 12.0))
@@ -1303,86 +1152,5 @@ mod tests {
             assert_eq!(state.results(), serial.round(r));
             assert_eq!(cost, serial.cost());
         }
-    }
-
-    #[test]
-    fn reweight_refreshes_without_recompile() {
-        let net = network();
-        let vals = readings(&net);
-        let mut driver = EpochDriver::new(
-            net.clone(),
-            spec(AggregateKind::WeightedSum),
-            RoutingMode::ShortestPathTrees,
-        );
-        // Re-weight an existing pair: no edge problem changes, so the
-        // driver must absorb it as a weight refresh.
-        let stats = driver.apply(WorkloadUpdate::AddSource {
-            destination: NodeId(12),
-            source: NodeId(1),
-            weight: 7.5,
-        });
-        assert_eq!(
-            stats.edges_reoptimized, 0,
-            "pure re-weight must reuse every edge"
-        );
-        assert_eq!(driver.refreshes(), 1);
-        assert_eq!(driver.recompiles(), 0);
-        let reference = execute_round(
-            driver.maintainer().network(),
-            driver.maintainer().spec(),
-            driver.maintainer().plan(),
-            &vals,
-        );
-        let mut state = ExecState::for_schedule(driver.compiled());
-        let cost = driver.compiled().run_round_on(&vals, &mut state);
-        assert_eq!(state.result_map(driver.compiled()), reference.results);
-        assert_eq!(cost, reference.cost);
-    }
-
-    #[test]
-    fn structural_updates_recompile_and_stay_correct() {
-        let net = network();
-        let vals = readings(&net);
-        let mut driver = EpochDriver::new(
-            net.clone(),
-            spec(AggregateKind::WeightedSum),
-            RoutingMode::ShortestPathTrees,
-        );
-        let check = |driver: &EpochDriver| {
-            let reference = execute_round(
-                driver.maintainer().network(),
-                driver.maintainer().spec(),
-                driver.maintainer().plan(),
-                &vals,
-            );
-            let mut state = ExecState::for_schedule(driver.compiled());
-            driver.compiled().run_round_on(&vals, &mut state);
-            assert_eq!(state.result_map(driver.compiled()), reference.results);
-        };
-        // New destination: edges change, recompile.
-        driver.apply(WorkloadUpdate::AddDestination {
-            destination: NodeId(5),
-            function: AggregateFunction::weighted_sum([(NodeId(10), 1.0), (NodeId(14), 2.0)]),
-        });
-        assert_eq!(driver.recompiles(), 1);
-        check(&driver);
-        // A destination adding *itself* as a source touches no edge
-        // problem (the path has length one) but changes the schedule's
-        // final inputs — the shape diff must force a recompile.
-        let stats = driver.apply(WorkloadUpdate::AddSource {
-            destination: NodeId(5),
-            source: NodeId(5),
-            weight: 3.0,
-        });
-        assert_eq!(stats.edges_reoptimized, 0, "local source touches no edge");
-        assert_eq!(driver.recompiles(), 2, "shape change must recompile");
-        check(&driver);
-        // Source removal: edges shrink, recompile.
-        driver.apply(WorkloadUpdate::RemoveSource {
-            destination: NodeId(12),
-            source: NodeId(6),
-        });
-        assert_eq!(driver.recompiles(), 3);
-        check(&driver);
     }
 }

@@ -64,7 +64,7 @@ use m2m_netsim::{DeliveryModel, LinkLoss, Network};
 use m2m_telemetry::timeseries::record_planes;
 
 use crate::agg::PartialRecord;
-use crate::exec::{fold_ops, CompiledSchedule, MessageFacts, Op};
+use crate::exec::{CompiledSchedule, MessageFacts, Op};
 use crate::metrics::RoundCost;
 use crate::parallel;
 use crate::schedule::{Contribution, UnitContent};
@@ -532,10 +532,11 @@ impl Settler {
         }
     }
 
-    /// Left-folds one op run like [`fold_ops`], but skipping ops whose
-    /// gate is closed or whose source record came up empty, and leaves
-    /// the run's source-coverage row in `scratch.tmp_cover`. Identical to
-    /// [`fold_ops`] when every gate is open.
+    /// Left-folds one op run in the reference path's contribution order,
+    /// but skipping ops whose gate is closed or whose source record came
+    /// up empty, and leaves the run's source-coverage row in
+    /// `scratch.tmp_cover`. With every gate open this is the compiled
+    /// fold: the same ops in the same order and association.
     fn fold_step(
         &self,
         first_op: u32,
@@ -653,35 +654,7 @@ impl Settler {
         // up empty). With everything delivered this includes every op and
         // is bit-identical to `CompiledSchedule::run_round`.
         let mut results: Vec<Option<f64>> = Vec::with_capacity(self.compiled.dest_steps.len());
-        let cover = if delivered_all {
-            // Fast path: nothing lost — the exact compiled fold.
-            for step in &self.compiled.record_steps {
-                let acc = fold_ops(
-                    step.kind,
-                    &self.compiled.ops,
-                    step.first_op as usize,
-                    step.op_count as usize,
-                    readings,
-                    &scratch.records,
-                );
-                scratch.records[step.unit as usize] = acc;
-            }
-            for step in &self.compiled.dest_steps {
-                let acc = fold_ops(
-                    step.kind,
-                    &self.compiled.ops,
-                    step.first_op as usize,
-                    step.op_count as usize,
-                    readings,
-                    &scratch.records,
-                );
-                results.push(acc.map(|r| step.kind.evaluate_record(r)));
-            }
-            &self.demanded_bits
-        } else {
-            self.fold_gated(readings, scratch, &mut results);
-            &scratch.cover
-        };
+        self.fold_gated(readings, scratch, &mut results);
 
         // Coverage accounting.
         let words = self.words;
@@ -691,7 +664,7 @@ impl Settler {
             .iter()
             .enumerate()
             .map(|(i, step)| {
-                let row = &cover[i * words..(i + 1) * words];
+                let row = &scratch.cover[i * words..(i + 1) * words];
                 let demanded_row = &self.demanded_bits[i * words..(i + 1) * words];
                 let covered: usize = row.iter().map(|w| w.count_ones() as usize).sum();
                 let mut missing = Vec::new();

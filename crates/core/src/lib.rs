@@ -37,8 +37,8 @@
 //! * [`exec`] — the compiled steady-state executor: the schedule lowered
 //!   once into flat dense-index arrays, epochs run allocation-free and
 //!   bit-identical to the reference oracle, with batch fan-out over
-//!   [`parallel`] and recompile-only-on-structure-change driving
-//!   ([`dynamics`]);
+//!   [`parallel`] (a [`session::Session`] recompiles it only when an
+//!   update changes the plan's structure, [`dynamics`]);
 //! * [`faults`] — the fault-tolerant epoch pipeline: seeded per-edge loss
 //!   ([`m2m_netsim::failure::DeliveryModel`]), bounded retransmission
 //!   charged through the energy model, per-destination coverage /
@@ -184,7 +184,7 @@ pub mod prelude {
     pub use crate::dynamics::{PlanMaintainer, WorkloadUpdate};
     pub use crate::edge_opt::{EdgeProblem, EdgeSolution};
     pub use crate::exec::{
-        run_epochs_slab, CompiledSchedule, EpochDriver, EpochSlab, ExecState, DEFAULT_LANE_WIDTH,
+        run_epochs_slab, CompiledSchedule, EpochSlab, ExecState, DEFAULT_LANE_WIDTH,
         SUPPORTED_LANE_WIDTHS,
     };
     pub use crate::faults::{

@@ -30,13 +30,15 @@
 //!
 //! [`PlanService::checkpoint`] serializes the admitted specs, their
 //! pre-repair plan slabs, and each tenant's salt cursor as a versioned
-//! text artifact; [`PlanService::restore`] rebuilds the service from it,
-//! seeding the shared cache from the persisted slabs so every restored
-//! admission is served without a single fresh solve, and resuming each
-//! tenant's replayable failure stream at its persisted round
-//! ([`crate::session::SessionBuilder::rounds_cursor`]). Delivery models
-//! are runtime configuration, not plan state — re-apply them after
-//! restore with [`Session::set_delivery`].
+//! text artifact; [`PlanService::restore`] rebuilds the service from it.
+//! Each tenant's plan is assembled once from its persisted slab,
+//! validated, and handed to the tenant's session as is — no solve, no
+//! second assembly — and the slab also seeds the shared cache, so a
+//! later admission of a restored shape is served without a fresh solve.
+//! Each tenant's replayable failure stream resumes at its persisted
+//! round ([`crate::session::SessionBuilder::rounds_cursor`]). Delivery
+//! models are runtime configuration, not plan state — re-apply them
+//! after restore with [`Session::set_delivery`].
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -46,6 +48,7 @@ use m2m_netsim::{DeliveryModel, Network, RoutingMode, RoutingTables};
 
 use crate::agg::{AggregateFunction, AggregateKind};
 use crate::config::{Config, Runtime};
+use crate::dynamics::PlanMaintainer;
 use crate::edge_opt::{build_edge_problems, price, AggGroup, EdgeProblem, EdgeSolution};
 use crate::memo::SharedSolveCache;
 use crate::session::{RoundReport, Session, DEFAULT_BASE_SALT};
@@ -291,7 +294,7 @@ impl PlanService {
     /// checkpoint starts the id counter near it).
     pub fn admit_with(&mut self, spec: AggregationSpec, options: TenantOptions) -> Admission {
         let (key, reused_substrate) = self.intern(&spec, options.mode);
-        let entry = self.substrates.get_mut(&key).expect("interned above");
+        let entry = &self.substrates[&key];
         let (hits_before, misses_before) = {
             let c = self.cache.lock().expect("solve cache poisoned");
             (c.hits(), c.misses())
@@ -308,7 +311,6 @@ impl PlanService {
             builder = builder.runtime(rt);
         }
         let session = builder.build();
-        entry.refs += 1;
         let (hits_after, misses_after) = {
             let c = self.cache.lock().expect("solve cache poisoned");
             (c.hits(), c.misses())
@@ -318,14 +320,24 @@ impl PlanService {
             .next_id
             .checked_add(1)
             .expect("every tenant id has been handed out");
-        self.admitted_total += 1;
-        self.tenants.insert(id, Tenant { session, key });
+        self.register(id, key, session);
         Admission {
             tenant: id,
             reused_substrate,
             solves_cached: hits_after - hits_before,
             solves_fresh: misses_after - misses_before,
         }
+    }
+
+    /// Registers a built tenant session under `id`: the tenant takes a
+    /// reference on its interned substrate and counts as admitted.
+    fn register(&mut self, id: TenantId, key: SubstrateKey, session: Session) {
+        self.substrates
+            .get_mut(&key)
+            .expect("the tenant's substrate is interned")
+            .refs += 1;
+        self.admitted_total += 1;
+        self.tenants.insert(id, Tenant { session, key });
     }
 
     /// Interns the substrate (routing tables and topology snapshot) for
@@ -397,7 +409,7 @@ impl PlanService {
         multi_query_analysis(
             self.tenants
                 .values()
-                .map(|t| (t.session.spec(), t.session.driver().maintainer().plan())),
+                .map(|t| (t.session.spec(), t.session.maintainer().plan())),
         )
     }
 
@@ -413,7 +425,7 @@ impl PlanService {
         out.push_str(&format!("tenants {}\n", self.tenants.len()));
         for (id, t) in &self.tenants {
             let s = &t.session;
-            let m = s.driver().maintainer();
+            let m = s.maintainer();
             out.push_str(&format!("tenant {}\n", id.0));
             out.push_str(&format!("mode {}\n", mode_name(m.mode())));
             out.push_str(&format!("runtime {}\n", s.runtime().name()));
@@ -451,14 +463,15 @@ impl PlanService {
         std::fs::write(path, self.checkpoint()).map_err(|e| format!("write {path}: {e}"))
     }
 
-    /// Rebuilds a service over `network` from checkpoint text: every
-    /// persisted tenant is re-admitted (same id order, same base salt,
-    /// salt cursor resumed at its persisted round), and the shared cache
-    /// is seeded from the persisted plan slabs first, so restoration
-    /// performs **zero** fresh solves and every restored plan is
-    /// bit-identical to the one checkpointed. Each restored plan is
-    /// re-validated against its spec and routing before the tenant
-    /// session is built.
+    /// Rebuilds a service over `network` from checkpoint text. Every
+    /// persisted tenant keeps its id, base salt and runtime, and its salt
+    /// cursor resumes at its persisted round. Its plan is assembled once
+    /// from the persisted slab and validated against its spec and
+    /// routing; the tenant's session is then built from that plan, so
+    /// restoration performs **zero** solves and every restored plan is
+    /// bit-identical to the one checkpointed. The slabs also seed the
+    /// shared cache. The next admission takes the larger of the header's
+    /// `next_id` and one past the largest persisted id.
     ///
     /// Declared counts never size an allocation beyond the input that
     /// remains, and node ids at or above the network's node count are
@@ -569,8 +582,10 @@ impl PlanService {
         Self::restore(network, config, &text)
     }
 
-    /// One persisted tenant: seed the cache from its slab, re-admit
-    /// through the normal (now all-hit) path, and pin its persisted id.
+    /// One persisted tenant: check its slab against the interned
+    /// substrate, assemble and validate its plan, seed the cache with the
+    /// slab, and build the tenant's session from that plan under its
+    /// persisted id.
     #[allow(clippy::too_many_arguments)]
     fn restore_tenant(
         &mut self,
@@ -585,8 +600,8 @@ impl PlanService {
         if self.tenants.contains_key(&id) {
             return Err(format!("duplicate tenant id {id} in checkpoint"));
         }
-        // Intern the substrate now so the persisted slab can be checked
-        // against it and seeded into the cache before admission.
+        // The persisted slab is checked against the interned substrate's
+        // problems, in its slab order.
         let (key, _) = self.intern(&spec, mode);
         let topo = Arc::clone(&self.substrates[&key].topo);
         let problems = build_edge_problems(&topo);
@@ -605,40 +620,31 @@ impl PlanService {
                 ));
             }
         }
-        let mut plan = crate::plan::GlobalPlan::from_solutions(&spec, topo, problems, solutions);
-        plan.validate(&spec, &self.substrates[&key].routing)
+        let plan = crate::plan::GlobalPlan::from_solutions(&spec, topo, problems, solutions);
+        let routing = Arc::clone(&self.substrates[&key].routing);
+        plan.validate(&spec, &routing)
             .map_err(|e| format!("tenant {id}: persisted plan failed validation: {e}"))?;
         {
-            let solutions = plan.take_base_solutions();
+            // A later admission of this shape then hits, as it would have
+            // before the restart.
             let mut cache = self.cache.lock().expect("solve cache poisoned");
-            for (problem, solution) in plan.problems().iter().zip(solutions) {
-                cache.seed(problem, &spec, solution);
+            for (problem, solution) in plan.problems().iter().zip(plan.base_solutions()) {
+                cache.seed(problem, &spec, solution.clone());
             }
         }
-        let admission = self.admit_with(
-            spec,
-            TenantOptions {
-                mode,
-                runtime: Some(runtime),
-                delivery: DeliveryModel::reliable(),
-                base_salt,
-                rounds_cursor: rounds_run,
-            },
+        let maintainer = PlanMaintainer::from_plan(self.network_arc(), spec, mode, routing, plan);
+        self.config.apply(); // as `SessionBuilder::build` does for an admission
+        let session = Session::from_maintainer(
+            maintainer,
+            self.config.clone(),
+            Some(runtime),
+            DeliveryModel::reliable(),
+            None,
+            base_salt,
+            rounds_run,
         );
-        if admission.solves_fresh != 0 {
-            return Err(format!(
-                "tenant {id}: restore performed {} fresh solves (seed mismatch)",
-                admission.solves_fresh
-            ));
-        }
-        // admit_with assigned the next sequential id; re-key to the
-        // persisted one (ids must survive a restart).
-        let t = self
-            .tenants
-            .remove(&admission.tenant)
-            .expect("just admitted");
+        self.register(id, key, session);
         self.next_id = self.next_id.max(id.0 + 1);
-        self.tenants.insert(id, t);
         Ok(())
     }
 }
@@ -832,11 +838,10 @@ mod tests {
             assert_eq!(
                 svc.tenant(admission.tenant)
                     .unwrap()
-                    .driver()
                     .maintainer()
                     .plan()
                     .solutions(),
-                isolated.driver().maintainer().plan().solutions(),
+                isolated.maintainer().plan().solutions(),
                 "seed {seed}: plans must match bit-for-bit"
             );
         }
@@ -912,8 +917,8 @@ mod tests {
             assert_eq!(back.base_salt(), orig.base_salt());
             assert_eq!(back.runtime(), orig.runtime());
             assert_eq!(
-                back.driver().maintainer().plan().solutions(),
-                orig.driver().maintainer().plan().solutions(),
+                back.maintainer().plan().solutions(),
+                orig.maintainer().plan().solutions(),
                 "{id}: restored plan is bit-identical"
             );
         }
@@ -921,6 +926,11 @@ mod tests {
         let a = svc.run(ids[1], &vals).unwrap();
         let b = restored.run(ids[1], &vals).unwrap();
         assert_eq!(a, b, "the resumed salt stream replays the original");
+        // The persisted slabs warmed the cache: re-admitting a restored
+        // spec solves nothing.
+        let again = restored.admit(restored.tenant(ids[0]).unwrap().spec().clone());
+        assert_eq!(again.solves_fresh, 0, "the seeded cache serves every edge");
+        assert!(again.solves_cached > 0);
         // New admissions continue past persisted ids.
         let next = restored.admit(spec_seeded(&net, 29));
         assert!(next.tenant.0 > ids[2].0);
@@ -1101,7 +1111,7 @@ mod tests {
             AggregateFunction::weighted_sum([(NodeId(1), 1.0), (NodeId(7), 0.5)]),
         );
         let tenant = svc.admit(spec.clone()).tenant;
-        let m = svc.tenant(tenant).unwrap().driver().maintainer();
+        let m = svc.tenant(tenant).unwrap().maintainer();
         let path = m
             .routing()
             .tree(NodeId(1))
@@ -1118,7 +1128,7 @@ mod tests {
             &solution_line(&base[slot]),
         );
         let restored = PlanService::restore(Arc::clone(&net), Config::default(), &text).unwrap();
-        let back = restored.tenant(tenant).unwrap().driver().maintainer();
+        let back = restored.tenant(tenant).unwrap().maintainer();
         assert!(back.plan().repair_count() > 0, "the sweep patches");
         assert!(back.base_solutions().eq(&base));
         assert_ne!(back.plan().solutions(), base.as_slice());
@@ -1128,7 +1138,6 @@ mod tests {
             again
                 .tenant(tenant)
                 .unwrap()
-                .driver()
                 .maintainer()
                 .plan()
                 .solutions(),

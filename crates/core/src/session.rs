@@ -68,10 +68,11 @@ use m2m_graph::NodeId;
 use m2m_netsim::quality::{weighted_routing, LinkQuality};
 use m2m_netsim::{DeliveryModel, Network, RoutingMode, RoutingTables};
 
+use crate::agg::AggregateKind;
 use crate::config::{Config, Runtime};
 use crate::dynamics::{PlanMaintainer, UpdateStats, WorkloadUpdate};
 use crate::edge_opt::{build_edge_problems, solve_edge_slab};
-use crate::exec::{run_epochs_slab, CompiledSchedule, EpochDriver, EpochSlab, ExecState};
+use crate::exec::{run_epochs_slab, CompiledSchedule, EpochSlab, ExecState};
 use crate::faults::{
     ChurnController, DegradationTracker, FaultOutcome, FaultyExec, RetryPolicy, SALT_STRIDE,
 };
@@ -217,7 +218,6 @@ impl SessionBuilder {
             rounds_cursor,
         } = self;
         config.apply();
-        let runtime = runtime.unwrap_or_else(|| config.runtime());
         let (routing, topo) = match (&quality, substrate) {
             (None, Some((routing, topo))) => {
                 assert_eq!(
@@ -251,26 +251,17 @@ impl SessionBuilder {
                 .solve_all(&problems, &spec, threads),
             None => solve_edge_slab(&problems, &spec, threads),
         };
-        let driver = EpochDriver::from_maintainer(PlanMaintainer::from_parts(
-            network, spec, mode, routing, topo, problems, solutions,
-        ));
-        let churn = quality.map(|q| ChurnController::new(q, config.hysteresis()));
-        let recorder = config
-            .obs()
-            .then(|| FlightRecorder::new(config.obs_every(), config.obs_cap()));
-        Session {
+        let maintainer =
+            PlanMaintainer::from_parts(network, spec, mode, routing, topo, problems, solutions);
+        Session::from_maintainer(
+            maintainer,
             config,
             runtime,
-            driver,
             delivery,
-            faults: None,
-            sim: None,
-            churn,
-            tracker: DegradationTracker::new(),
-            recorder,
+            quality,
             base_salt,
-            rounds_run: rounds_cursor,
-        }
+            rounds_cursor,
+        )
     }
 }
 
@@ -411,17 +402,31 @@ impl RoundReport {
 /// One live aggregation deployment: plan, compiled executor, fault
 /// engine, and churn loop behind a single facade. Construct with
 /// [`Session::builder`].
+///
+/// The session is the one owner of its live plan and of everything
+/// derived from it: the incremental maintainer, the compiled schedule,
+/// and the lazily lowered lossy and sim executors. Every update runs
+/// through one step that resyncs them: it recompiles when the update
+/// changed the plan's structure — any re-solved, added or removed edge,
+/// or a changed `(source, destination)` pair set or aggregate kind (a
+/// destination adding itself as a source changes the schedule without
+/// touching an edge problem) — and otherwise re-bakes the weights in
+/// place ([`CompiledSchedule::refresh_weights`]).
 #[derive(Debug)]
 pub struct Session {
     config: Config,
     /// The runtime [`Session::run`] dispatches to.
     runtime: Runtime,
-    driver: EpochDriver,
+    maintainer: PlanMaintainer,
+    /// The compiled executor for the maintainer's current plan.
+    compiled: CompiledSchedule,
+    recompiles: usize,
+    refreshes: usize,
     delivery: DeliveryModel,
-    /// Lazily built, invalidated whenever the compiled schedule moves.
+    /// Lowered from `compiled` on first use; dropped by every update.
     faults: Option<FaultyExec>,
     /// The discrete-event runtime and its warm state, lazily built and
-    /// invalidated alongside `faults`.
+    /// dropped alongside `faults`.
     sim: Option<(SimExec, SimState)>,
     churn: Option<ChurnController>,
     tracker: DegradationTracker,
@@ -434,6 +439,44 @@ pub struct Session {
 }
 
 impl Session {
+    /// The tail every session is built through, from a freshly planned
+    /// maintainer ([`SessionBuilder::build`]) or a restored plan
+    /// ([`crate::service::PlanService::restore`]): compiles the plan once,
+    /// arms the churn loop when a quality is tracked, and starts the
+    /// flight recorder, the degradation tracker and the salt cursor.
+    ///
+    /// # Panics
+    /// Panics if the plan is unschedulable (Theorem 2 cycle).
+    pub(crate) fn from_maintainer(
+        maintainer: PlanMaintainer,
+        config: Config,
+        runtime: Option<Runtime>,
+        delivery: DeliveryModel,
+        quality: Option<LinkQuality>,
+        base_salt: u64,
+        rounds_cursor: u64,
+    ) -> Session {
+        let recorder = config
+            .obs()
+            .then(|| FlightRecorder::new(config.obs_every(), config.obs_cap()));
+        Session {
+            runtime: runtime.unwrap_or_else(|| config.runtime()),
+            churn: quality.map(|q| ChurnController::new(q, config.hysteresis())),
+            compiled: compile(&maintainer),
+            maintainer,
+            recompiles: 0,
+            refreshes: 0,
+            config,
+            delivery,
+            faults: None,
+            sim: None,
+            tracker: DegradationTracker::new(),
+            recorder,
+            base_salt,
+            rounds_run: rounds_cursor,
+        }
+    }
+
     /// Starts building a session for `spec` over `network` (owned or
     /// shared — service tenants pass the deployment's `Arc`).
     pub fn builder(network: impl Into<Arc<Network>>, spec: AggregationSpec) -> SessionBuilder {
@@ -468,31 +511,43 @@ impl Session {
     /// The network the plan is maintained for.
     #[inline]
     pub fn network(&self) -> &Network {
-        self.driver.maintainer().network()
+        self.maintainer.network()
     }
 
     /// A shared handle to the deployment this session plans over.
     #[inline]
     pub fn network_arc(&self) -> Arc<Network> {
-        self.driver.maintainer().network_arc()
+        self.maintainer.network_arc()
     }
 
     /// The current workload.
     #[inline]
     pub fn spec(&self) -> &AggregationSpec {
-        self.driver.maintainer().spec()
+        self.maintainer.spec()
     }
 
     /// The compiled executor for the current plan.
     #[inline]
     pub fn compiled(&self) -> &CompiledSchedule {
-        self.driver.compiled()
+        &self.compiled
     }
 
-    /// The underlying epoch driver (maintainer, recompile counters).
+    /// The incremental maintainer (plan, spec, routing).
     #[inline]
-    pub fn driver(&self) -> &EpochDriver {
-        &self.driver
+    pub fn maintainer(&self) -> &PlanMaintainer {
+        &self.maintainer
+    }
+
+    /// How many updates forced a full recompile.
+    #[inline]
+    pub fn recompiles(&self) -> usize {
+        self.recompiles
+    }
+
+    /// How many updates were absorbed as in-place weight refreshes.
+    #[inline]
+    pub fn refreshes(&self) -> usize {
+        self.refreshes
     }
 
     /// The delivery model lossy rounds run under.
@@ -553,7 +608,7 @@ impl Session {
     /// # Panics
     /// Panics if a source reading is missing.
     pub fn run(&mut self, readings: &BTreeMap<NodeId, f64>) -> RoundReport {
-        let compiled = self.driver.compiled();
+        let compiled = &self.compiled;
         match self.runtime {
             Runtime::Compiled => {
                 let mut state = ExecState::for_schedule(compiled);
@@ -561,16 +616,7 @@ impl Session {
                 RoundReport::compiled(compiled.destinations().collect(), state.results(), cost)
             }
             Runtime::Lossy | Runtime::Sim => {
-                let row: Vec<f64> = compiled
-                    .sources()
-                    .ids()
-                    .iter()
-                    .map(|s| {
-                        *readings
-                            .get(s)
-                            .unwrap_or_else(|| panic!("no reading for source {s}"))
-                    })
-                    .collect();
+                let row = compiled.dense_readings(readings);
                 self.run_rounds(&[row]).pop().expect("one report per row")
             }
         }
@@ -582,7 +628,7 @@ impl Session {
     /// bit-identical to running the rows one at a time with
     /// [`Session::run`] at any configured thread count or lane width.
     pub fn run_rounds(&mut self, rounds: &[Vec<f64>]) -> Vec<RoundReport> {
-        let destinations: Vec<NodeId> = self.driver.compiled().destinations().collect();
+        let destinations: Vec<NodeId> = self.compiled.destinations().collect();
         match self.runtime {
             Runtime::Compiled => {
                 let slab = self.epochs_slab(rounds);
@@ -613,7 +659,7 @@ impl Session {
 
     fn epochs_slab(&self, rounds: &[Vec<f64>]) -> EpochSlab {
         run_epochs_slab(
-            self.driver.compiled(),
+            &self.compiled,
             rounds,
             self.config.lanes(),
             self.config.resolved_threads(),
@@ -674,9 +720,11 @@ impl Session {
     /// Applies one workload update through the incremental maintainer;
     /// the compiled executor (and the fault engine, lazily) resync.
     pub fn apply(&mut self, update: WorkloadUpdate) -> UpdateStats {
-        self.faults = None;
-        self.sim = None;
-        self.driver.apply(update)
+        self.replan(|m| {
+            let shape = spec_shape(m.spec());
+            let stats = m.apply(update);
+            (stats, spec_shape(m.spec()) != shape)
+        })
     }
 
     /// Installs externally built routing tables and resyncs. Staleness
@@ -689,14 +737,36 @@ impl Session {
         stats
     }
 
-    /// Installs new routes: the lossy and sim executors go first (they
-    /// are rebuilt lazily from the recompiled plan), and staleness, which
-    /// measured the old paths, resets with them.
+    /// Installs new routes; staleness, which measured the old paths,
+    /// resets with them. A route change leaves the spec alone, so only
+    /// the maintainer's stats decide whether the plan's structure moved.
     fn reroute(&mut self, routing: RoutingTables) -> UpdateStats {
+        self.tracker.reset_staleness();
+        self.replan(|m| (m.apply_route_change(routing), false))
+    }
+
+    /// The one step every update runs through (see [`Session`]): the
+    /// lossy and sim executors lowered from the old plan go first (they
+    /// are rebuilt lazily on next use), `update` re-plans through the
+    /// maintainer and reports its stats and whether it changed the
+    /// spec's shape, and the compiled schedule follows.
+    fn replan(
+        &mut self,
+        update: impl FnOnce(&mut PlanMaintainer) -> (UpdateStats, bool),
+    ) -> UpdateStats {
         self.faults = None;
         self.sim = None;
-        self.tracker.reset_staleness();
-        self.driver.apply_route_change(routing)
+        let (stats, reshaped) = update(&mut self.maintainer);
+        if reshaped || stats.edges_reoptimized > 0 || stats.edges_added_or_removed > 0 {
+            self.compiled = compile(&self.maintainer);
+            self.recompiles += 1;
+            crate::telemetry::counter(crate::telemetry::names::EXEC_RECOMPILES, 1);
+        } else {
+            self.compiled.refresh_weights(self.maintainer.spec());
+            self.refreshes += 1;
+            crate::telemetry::counter(crate::telemetry::names::EXEC_REFRESHES, 1);
+        }
+        stats
     }
 
     /// The churn loop: compares `current` quality against the tracked
@@ -716,8 +786,8 @@ impl Session {
             return None;
         }
         churn.rebase(current.clone());
-        let demands = self.driver.maintainer().spec().source_to_destinations();
-        let routing = weighted_routing(self.driver.maintainer().network(), &demands, current);
+        let demands = self.maintainer.spec().source_to_destinations();
+        let routing = weighted_routing(self.maintainer.network(), &demands, current);
         Some(self.reroute(routing))
     }
 
@@ -730,24 +800,35 @@ impl Session {
 
     fn ensure_faults(&mut self) {
         if self.faults.is_none() {
-            self.faults = Some(FaultyExec::new(
-                self.driver.maintainer().network(),
-                self.driver.compiled(),
-            ));
+            self.faults = Some(FaultyExec::new(self.maintainer.network(), &self.compiled));
         }
     }
 
     fn ensure_sim(&mut self) {
         if self.sim.is_none() {
             let sim = SimExec::with_params(
-                self.driver.maintainer().network(),
-                self.driver.compiled(),
+                self.maintainer.network(),
+                &self.compiled,
                 self.config.sim_params(),
             );
             let st = sim.state();
             self.sim = Some((sim, st));
         }
     }
+}
+
+/// Compiles the maintainer's current plan.
+fn compile(maintainer: &PlanMaintainer) -> CompiledSchedule {
+    CompiledSchedule::compile(maintainer.network(), maintainer.spec(), maintainer.plan())
+        .expect("maintained plan must be schedulable")
+}
+
+/// Structure-relevant view of a workload: per destination, its kind and
+/// sorted source set (weights excluded on purpose).
+fn spec_shape(spec: &AggregationSpec) -> Vec<(NodeId, AggregateKind, Vec<NodeId>)> {
+    spec.functions()
+        .map(|(d, f)| (d, f.kind(), f.sources().collect()))
+        .collect()
 }
 
 #[cfg(test)]
@@ -863,6 +944,90 @@ mod tests {
         assert_eq!(singles, batch);
     }
 
+    /// Three weighted sums; destination 3 also reads destination 12.
+    fn update_spec() -> AggregationSpec {
+        let mut s = AggregationSpec::new();
+        s.add_function(
+            NodeId(12),
+            AggregateFunction::weighted_sum([
+                (NodeId(0), 1.0),
+                (NodeId(1), 2.0),
+                (NodeId(3), 0.5),
+                (NodeId(6), 1.5),
+            ]),
+        );
+        s.add_function(
+            NodeId(15),
+            AggregateFunction::weighted_sum([(NodeId(0), 1.0), (NodeId(1), 1.0), (NodeId(2), 3.0)]),
+        );
+        s.add_function(
+            NodeId(3),
+            AggregateFunction::weighted_sum([(NodeId(0), 2.0), (NodeId(12), 1.0)]),
+        );
+        s
+    }
+
+    /// The session's round equals the interpreted oracle's round over the
+    /// maintained plan, bit for bit.
+    fn assert_round_matches_the_oracle(session: &mut Session) {
+        let vals = readings(session.network());
+        let m = session.maintainer();
+        let reference = crate::runtime::execute_round(m.network(), m.spec(), m.plan(), &vals);
+        let report = session.run(&vals);
+        assert_eq!(report.result_map(), reference.results);
+        assert_eq!(report.cost(), reference.cost);
+    }
+
+    #[test]
+    fn reweight_refreshes_without_recompile() {
+        let mut session = Session::builder(network(), update_spec()).build();
+        // Re-weight an existing pair: no edge problem changes, so the
+        // session must absorb it as a weight refresh.
+        let stats = session.apply(WorkloadUpdate::AddSource {
+            destination: NodeId(12),
+            source: NodeId(1),
+            weight: 7.5,
+        });
+        assert_eq!(
+            stats.edges_reoptimized, 0,
+            "pure re-weight must reuse every edge"
+        );
+        assert_eq!(session.refreshes(), 1);
+        assert_eq!(session.recompiles(), 0);
+        assert_round_matches_the_oracle(&mut session);
+    }
+
+    #[test]
+    fn structural_updates_recompile_and_stay_correct() {
+        let mut session = Session::builder(network(), update_spec()).build();
+        // New destination: edges change, recompile.
+        session.apply(WorkloadUpdate::AddDestination {
+            destination: NodeId(5),
+            function: AggregateFunction::weighted_sum([(NodeId(10), 1.0), (NodeId(14), 2.0)]),
+        });
+        assert_eq!(session.recompiles(), 1);
+        assert_round_matches_the_oracle(&mut session);
+        // A destination adding *itself* as a source touches no edge
+        // problem (the path has length one) but changes the schedule's
+        // final inputs — the shape diff must force a recompile.
+        let stats = session.apply(WorkloadUpdate::AddSource {
+            destination: NodeId(5),
+            source: NodeId(5),
+            weight: 3.0,
+        });
+        assert_eq!(stats.edges_reoptimized, 0, "local source touches no edge");
+        assert_eq!(session.recompiles(), 2, "shape change must recompile");
+        assert_round_matches_the_oracle(&mut session);
+        // Source removal: edges shrink, recompile.
+        session.apply(WorkloadUpdate::RemoveSource {
+            destination: NodeId(12),
+            source: NodeId(6),
+        });
+        assert_eq!(session.recompiles(), 3);
+        assert_eq!(session.refreshes(), 0);
+        assert_round_matches_the_oracle(&mut session);
+    }
+
     #[test]
     fn route_change_resets_staleness_and_is_recorded() {
         use m2m_telemetry::timeseries::{self, EventKind};
@@ -916,7 +1081,7 @@ mod tests {
         // In-threshold drift: absorbed.
         assert!(session.observe_quality(&base.with_drift(0.02, 5)).is_none());
         assert_eq!(session.churn().unwrap().suppressed(), 1);
-        let recompiles_before = session.driver().recompiles();
+        let recompiles_before = session.recompiles();
         // Collapse one link the plan uses: drift blows past 30%.
         let mut bad = base.clone();
         let ((a, b), _) = base.links().next().unwrap();
@@ -924,7 +1089,7 @@ mod tests {
         let stats = session.observe_quality(&bad);
         assert!(stats.is_some(), "reroute must fire");
         assert_eq!(session.churn().unwrap().reroutes(), 1);
-        assert!(session.driver().recompiles() >= recompiles_before);
+        assert!(session.recompiles() >= recompiles_before);
         // Rebased: the same quality no longer trips the gate.
         assert!(session.observe_quality(&bad).is_none());
         // The session still answers correctly after the reroute.
@@ -1035,14 +1200,14 @@ mod tests {
     fn substrate_reuse_is_bit_identical_to_a_cold_build() {
         let net = Arc::new(network());
         let cold = Session::builder(Arc::clone(&net), spec()).build();
-        let routing = cold.driver().maintainer().routing_arc();
-        let topo = Arc::clone(cold.driver().maintainer().topology());
+        let routing = cold.maintainer().routing_arc();
+        let topo = Arc::clone(cold.maintainer().topology());
         let mut warm = Session::builder(Arc::clone(&net), spec())
             .substrate(routing, topo)
             .build();
         assert_eq!(
-            cold.driver().maintainer().plan().solutions(),
-            warm.driver().maintainer().plan().solutions(),
+            cold.maintainer().plan().solutions(),
+            warm.maintainer().plan().solutions(),
             "substrate reuse must reproduce the cold plan bit-for-bit"
         );
         let vals = readings(warm.network());
@@ -1072,8 +1237,8 @@ mod tests {
         // And against a cache-free build: bit-identical plans.
         let plain = Session::builder(net, spec()).build();
         assert_eq!(
-            plain.driver().maintainer().plan().solutions(),
-            twin.driver().maintainer().plan().solutions()
+            plain.maintainer().plan().solutions(),
+            twin.maintainer().plan().solutions()
         );
     }
 
@@ -1082,8 +1247,8 @@ mod tests {
     fn mismatched_substrate_mode_is_rejected() {
         let net = Arc::new(network());
         let cold = Session::builder(Arc::clone(&net), spec()).build();
-        let routing = cold.driver().maintainer().routing_arc();
-        let topo = Arc::clone(cold.driver().maintainer().topology());
+        let routing = cold.maintainer().routing_arc();
+        let topo = Arc::clone(cold.maintainer().topology());
         let _ = Session::builder(net, spec())
             .routing_mode(RoutingMode::SharedSpanningTree)
             .substrate(routing, topo)
@@ -1095,8 +1260,8 @@ mod tests {
     fn mismatched_substrate_spec_is_rejected() {
         let net = Arc::new(network());
         let cold = Session::builder(Arc::clone(&net), spec()).build();
-        let routing = cold.driver().maintainer().routing_arc();
-        let topo = Arc::clone(cold.driver().maintainer().topology());
+        let routing = cold.maintainer().routing_arc();
+        let topo = Arc::clone(cold.maintainer().topology());
         let mut other = spec();
         other.add_function(
             NodeId(9),
@@ -1124,7 +1289,7 @@ mod tests {
             .delivery(delivery.clone())
             .quality(quality.clone())
             .build();
-        assert_eq!(session.driver().recompiles(), 0, "one compile");
+        assert_eq!(session.recompiles(), 0, "one compile");
         // The oracle is the two-step path: a hop-routed plan, then the ETX
         // reroute onto the same quality.
         let mut oracle =
@@ -1136,7 +1301,7 @@ mod tests {
         oracle.apply_route_change(weighted_routing(&net, &demands, &quality));
         assert!(!uses_0_1(oracle.routing()));
         assert_ne!(hop_plan.solutions(), oracle.plan().solutions());
-        let m = session.driver().maintainer();
+        let m = session.maintainer();
         assert_eq!(
             m.routing().directed_edges(),
             oracle.routing().directed_edges()
@@ -1166,17 +1331,17 @@ mod tests {
             .build();
         let both = Session::builder(Arc::clone(&net), spec())
             .substrate(
-                hop.driver().maintainer().routing_arc(),
-                Arc::clone(hop.driver().maintainer().topology()),
+                hop.maintainer().routing_arc(),
+                Arc::clone(hop.maintainer().topology()),
             )
             .quality(quality)
             .build();
-        let plan = |s: &Session| s.driver().maintainer().plan().solutions().to_vec();
+        let plan = |s: &Session| s.maintainer().plan().solutions().to_vec();
         assert_ne!(plan(&hop), plan(&alone), "the ETX plan differs");
         assert_eq!(plan(&both), plan(&alone));
         assert_eq!(
-            both.driver().maintainer().routing().directed_edges(),
-            alone.driver().maintainer().routing().directed_edges()
+            both.maintainer().routing().directed_edges(),
+            alone.maintainer().routing().directed_edges()
         );
     }
 

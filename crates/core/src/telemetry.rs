@@ -83,7 +83,8 @@ pub mod names {
     pub const EXEC_COMPILES: &str = "exec.compiles";
     /// Rounds executed through the compiled path.
     pub const EXEC_ROUNDS: &str = "exec.rounds";
-    /// Updates that forced a full recompile ([`crate::exec::EpochDriver`]).
+    /// Updates that forced a full recompile of a live plan's compiled
+    /// schedule ([`crate::session::Session`]).
     pub const EXEC_RECOMPILES: &str = "exec.recompiles";
     /// Updates absorbed as in-place weight refreshes.
     pub const EXEC_REFRESHES: &str = "exec.refreshes";

@@ -47,7 +47,7 @@ fn main() {
     let mut session = Session::builder(network, spec.clone())
         .routing_mode(RoutingMode::ShortestPathTrees)
         .build();
-    let plan = session.driver().maintainer().plan();
+    let plan = session.maintainer().plan();
     println!(
         "plan: {} edges, {} message units, {} payload bytes/round, {} repairs",
         plan.solutions().len(),

@@ -141,7 +141,7 @@ fn quality_drift_past_hysteresis_fires_the_churn_loop() {
         .quality(baseline.clone())
         .config(config)
         .build();
-    let recompiles_before = session.driver().recompiles();
+    let recompiles_before = session.recompiles();
 
     // No drift: the churn controller absorbs the observation.
     assert!(session.observe_quality(&baseline).is_none());
@@ -157,7 +157,7 @@ fn quality_drift_past_hysteresis_fires_the_churn_loop() {
         .observe_quality(&drifted)
         .expect("drift past hysteresis must reroute");
     assert!(stats.edges_total() > 0);
-    assert!(session.driver().recompiles() > recompiles_before);
+    assert!(session.recompiles() > recompiles_before);
     let churn = session.churn().expect("quality is tracked");
     assert_eq!(churn.reroutes(), 1);
 

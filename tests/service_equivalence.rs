@@ -86,8 +86,8 @@ proptest! {
                     .config(config.clone())
                     .build();
                 prop_assert_eq!(
-                    svc.tenant(id).unwrap().driver().maintainer().plan().solutions(),
-                    isolated.driver().maintainer().plan().solutions(),
+                    svc.tenant(id).unwrap().maintainer().plan().solutions(),
+                    isolated.maintainer().plan().solutions(),
                     "threads {}: tenant {} plan must be bit-identical",
                     threads,
                     id

@@ -2,7 +2,9 @@
 //! round leave one Chrome event for every pipeline layer they run
 //! through, each named from `m2m_core::telemetry::layer` — the spans
 //! sit inside the layers' functions, so the service's front end is
-//! traced without a stanza of its own.
+//! traced without a stanza of its own. The same spans count what a
+//! checkpoint restore does per tenant: one problem build, one plan
+//! assembly, and no solve.
 //!
 //! This file holds exactly one test because the obs flag and the span
 //! log are process global: a sibling test flipping the flag concurrently
@@ -39,7 +41,19 @@ fn an_admission_and_a_lossy_round_trace_every_layer_they_run() {
     let report = service.run(tenant, &readings).expect("tenant runs");
     assert!(report.fault().is_some(), "the round ran lossy");
     let names = timeseries::span_event_names();
+
+    let text = service.checkpoint();
+    timeseries::reset_span_events();
+    let restored = PlanService::restore(service.network_arc(), service.config().clone(), &text)
+        .expect("the checkpoint restores");
+    let restore_names = timeseries::span_event_names();
     timeseries::set_obs_enabled(false);
+    // One restored tenant: its plan is built once and never solved.
+    assert_eq!(restored.len(), 1);
+    let count = |want| restore_names.iter().filter(|&&name| name == want).count();
+    assert_eq!(count(layer::EDGE_OPT_PROBLEMS), 1, "{restore_names:?}");
+    assert_eq!(count(layer::PLAN_ASSEMBLE), 1, "{restore_names:?}");
+    assert_eq!(count(layer::MEMO_SOLVE_ALL), 0, "{restore_names:?}");
 
     for want in [
         layer::ROUTING_BUILD,
