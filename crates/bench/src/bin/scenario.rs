@@ -51,6 +51,7 @@ impl Default for Args {
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args::default();
+    let modes = RoutingMode::ALL.map(RoutingMode::name).join("|");
     let mut iter = std::env::args().skip(1);
     while let Some(flag) = iter.next() {
         let mut value = || {
@@ -75,14 +76,9 @@ fn parse_args() -> Result<Args, String> {
             }
             "--seed" => args.seed = value()?.parse().map_err(|e| format!("--seed: {e}"))?,
             "--routing" => {
-                args.routing = match value()?.as_str() {
-                    "spt" => RoutingMode::ShortestPathTrees,
-                    "shared" => RoutingMode::SharedSpanningTree,
-                    "steiner" => RoutingMode::SteinerTrees,
-                    other => {
-                        return Err(format!("--routing must be spt|shared|steiner, got {other}"))
-                    }
-                }
+                let name = value()?;
+                args.routing = RoutingMode::parse(&name)
+                    .ok_or_else(|| format!("--routing must be {modes}, got {name}"))?;
             }
             "--save" => args.save = Some(value()?),
             "--load" => args.load = Some(value()?),
@@ -90,7 +86,7 @@ fn parse_args() -> Result<Args, String> {
                 println!(
                     "usage: scenario [--nodes N] [--destinations N] [--sources N] \
                      [--dispersion F] [--max-hops N] [--seed N] \
-                     [--routing spt|shared|steiner] [--save FILE] [--load FILE]"
+                     [--routing {modes}] [--save FILE] [--load FILE]"
                 );
                 std::process::exit(0);
             }

@@ -50,6 +50,38 @@ pub enum AggregateKind {
 }
 
 impl AggregateKind {
+    /// Every kind, in declaration order.
+    pub const ALL: [AggregateKind; 8] = [
+        AggregateKind::WeightedSum,
+        AggregateKind::WeightedAverage,
+        AggregateKind::WeightedVariance,
+        AggregateKind::Min,
+        AggregateKind::Max,
+        AggregateKind::Count,
+        AggregateKind::Range,
+        AggregateKind::GeometricMean,
+    ];
+
+    /// The kind's name in persisted specs ([`crate::textio`]);
+    /// `parse(name)` round-trips.
+    pub fn name(self) -> &'static str {
+        match self {
+            AggregateKind::WeightedSum => "weighted_sum",
+            AggregateKind::WeightedAverage => "weighted_average",
+            AggregateKind::WeightedVariance => "weighted_variance",
+            AggregateKind::Min => "min",
+            AggregateKind::Max => "max",
+            AggregateKind::Count => "count",
+            AggregateKind::Range => "range",
+            AggregateKind::GeometricMean => "geometric_mean",
+        }
+    }
+
+    /// The kind [`AggregateKind::name`] calls `name`, if any.
+    pub fn parse(name: &str) -> Option<AggregateKind> {
+        Self::ALL.into_iter().find(|k| k.name() == name)
+    }
+
     /// On-air size of one partial aggregate record, in bytes.
     pub fn partial_record_bytes(self) -> u32 {
         match self {

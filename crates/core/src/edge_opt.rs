@@ -330,12 +330,16 @@ pub(crate) fn price(raw: &[NodeId], agg: &[AggGroup], record_bytes: &dyn Fn(Node
 /// free to be arbitrary as long as collection is ordered — which
 /// [`parallel_map_with`] guarantees. The output is bit-identical to a
 /// serial `problems.iter().map(|p| solve_edge(p, spec))` at any thread
-/// count.
+/// count. An empty batch returns at once and opens no span, so an all-hit
+/// cache lookup logs no solve.
 pub fn solve_edge_batch(
     problems: &[&EdgeProblem],
     spec: &AggregationSpec,
     threads: usize,
 ) -> Vec<EdgeSolution> {
+    if problems.is_empty() {
+        return Vec::new();
+    }
     let _span = crate::telemetry::span(crate::telemetry::layer::EDGE_OPT_SOLVE);
     parallel_map_with(
         problems,

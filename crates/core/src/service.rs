@@ -36,17 +36,44 @@
 //! second assembly — and the slab also seeds the shared cache, so a
 //! later admission of a restored shape is served without a fresh solve.
 //! Each tenant's replayable failure stream resumes at its persisted
-//! round ([`crate::session::SessionBuilder::rounds_cursor`]). Delivery
-//! models are runtime configuration, not plan state — re-apply them
-//! after restore with [`Session::set_delivery`].
+//! round. Delivery models are runtime configuration, not plan state —
+//! re-apply them after restore with [`Session::set_delivery`].
+//!
+//! ```text
+//! m2m-service-checkpoint v2
+//! network 25 0a166a8f5182fcfc     node count, Network::fingerprint in hex
+//! next_id 1
+//! tenants 1
+//! tenant 0
+//! mode spt                        RoutingMode::name
+//! runtime compiled                Runtime::name
+//! base_salt 7868471755695023460
+//! rounds_run 0
+//! function 12 weighted_sum        the tenant's spec: crate::textio's section
+//! source 12 1 1
+//! source 12 7 0.5
+//! source 12 13 2
+//! solutions 4                     the pre-repair slab, in slab order
+//! solution 1 2 1 1 0 4            edge, raw sources, record groups, cost
+//! solution 2 7 1 1 0 4
+//! solution 7 12 0 1 12 1 12 4
+//! solution 13 12 0 1 12 1 12 4
+//! end
+//! ```
+//!
+//! Each tenant's spec is written and read by the [`crate::textio`] codec,
+//! which applies every spec rule once for both formats. Its weights
+//! round-trip bit for bit, except that a NaN weight restores as the
+//! canonical NaN. The fingerprint ties a checkpoint to its exact network
+//! (positions and radio links), not just its size.
 
 use std::collections::BTreeMap;
+use std::str::FromStr;
 use std::sync::{Arc, Mutex};
 
 use m2m_graph::NodeId;
 use m2m_netsim::{DeliveryModel, Network, RoutingMode, RoutingTables};
 
-use crate::agg::{AggregateFunction, AggregateKind};
 use crate::config::{Config, Runtime};
 use crate::dynamics::PlanMaintainer;
 use crate::edge_opt::{build_edge_problems, price, AggGroup, EdgeProblem, EdgeSolution};
@@ -54,10 +81,13 @@ use crate::memo::SharedSolveCache;
 use crate::session::{RoundReport, Session, DEFAULT_BASE_SALT};
 use crate::sharing::{multi_query_analysis, MultiQueryReport};
 use crate::spec::AggregationSpec;
+use crate::textio::{write_spec, Fields, SpecReader};
 use crate::topo::Topology;
 
-/// The checkpoint header line; the version bumps on any format change.
-const CHECKPOINT_HEADER: &str = "m2m-service-checkpoint v1";
+/// The checkpoint header's first token.
+const CHECKPOINT_MAGIC: &str = "m2m-service-checkpoint";
+/// The header's version; it bumps on any format change.
+const CHECKPOINT_VERSION: &str = "v2";
 
 /// A stable handle to an admitted tenant. Ids are never reused within a
 /// service (they survive evictions), and a restored service resumes its
@@ -84,8 +114,6 @@ pub struct TenantOptions {
     pub delivery: DeliveryModel,
     /// Base salt of the tenant's replayable failure stream.
     pub base_salt: u64,
-    /// Starting round of the salt stream (non-zero when restoring).
-    pub rounds_cursor: u64,
 }
 
 impl Default for TenantOptions {
@@ -95,7 +123,6 @@ impl Default for TenantOptions {
             runtime: None,
             delivery: DeliveryModel::reliable(),
             base_salt: DEFAULT_BASE_SALT,
-            rounds_cursor: 0,
         }
     }
 }
@@ -118,7 +145,7 @@ pub struct Admission {
 /// Substrates are interned per routing mode and demanded-pair set: two
 /// tenants with the same demand shape share routing tables and the
 /// topology snapshot outright.
-type SubstrateKey = (u8, Vec<(NodeId, NodeId)>);
+type SubstrateKey = (RoutingMode, Vec<(NodeId, NodeId)>);
 
 #[derive(Debug)]
 struct SubstrateEntry {
@@ -144,58 +171,6 @@ pub struct PlanService {
     tenants: BTreeMap<TenantId, Tenant>,
     next_id: u64,
     admitted_total: u64,
-}
-
-fn mode_tag(mode: RoutingMode) -> u8 {
-    match mode {
-        RoutingMode::ShortestPathTrees => 0,
-        RoutingMode::SharedSpanningTree => 1,
-        RoutingMode::SteinerTrees => 2,
-    }
-}
-
-fn mode_name(mode: RoutingMode) -> &'static str {
-    match mode {
-        RoutingMode::ShortestPathTrees => "spt",
-        RoutingMode::SharedSpanningTree => "sst",
-        RoutingMode::SteinerTrees => "steiner",
-    }
-}
-
-fn mode_parse(name: &str) -> Option<RoutingMode> {
-    match name {
-        "spt" => Some(RoutingMode::ShortestPathTrees),
-        "sst" => Some(RoutingMode::SharedSpanningTree),
-        "steiner" => Some(RoutingMode::SteinerTrees),
-        _ => None,
-    }
-}
-
-fn kind_name(kind: AggregateKind) -> &'static str {
-    match kind {
-        AggregateKind::WeightedSum => "sum",
-        AggregateKind::WeightedAverage => "avg",
-        AggregateKind::WeightedVariance => "var",
-        AggregateKind::Min => "min",
-        AggregateKind::Max => "max",
-        AggregateKind::Count => "count",
-        AggregateKind::Range => "range",
-        AggregateKind::GeometricMean => "geomean",
-    }
-}
-
-fn kind_parse(name: &str) -> Option<AggregateKind> {
-    match name {
-        "sum" => Some(AggregateKind::WeightedSum),
-        "avg" => Some(AggregateKind::WeightedAverage),
-        "var" => Some(AggregateKind::WeightedVariance),
-        "min" => Some(AggregateKind::Min),
-        "max" => Some(AggregateKind::Max),
-        "count" => Some(AggregateKind::Count),
-        "range" => Some(AggregateKind::Range),
-        "geomean" => Some(AggregateKind::GeometricMean),
-        _ => None,
-    }
 }
 
 /// Every demanded `(source, destination)` pair of `spec`, ascending.
@@ -304,7 +279,6 @@ impl PlanService {
             .config(self.config.clone())
             .delivery(options.delivery)
             .base_salt(options.base_salt)
-            .rounds_cursor(options.rounds_cursor)
             .substrate(Arc::clone(&entry.routing), Arc::clone(&entry.topo))
             .solve_cache(Arc::clone(&self.cache));
         if let Some(rt) = options.runtime {
@@ -344,7 +318,7 @@ impl PlanService {
     /// `spec`'s demand shape under `mode`, routing and snapping it on
     /// first use. Returns its key and whether it was interned already.
     fn intern(&mut self, spec: &AggregationSpec, mode: RoutingMode) -> (SubstrateKey, bool) {
-        let key: SubstrateKey = (mode_tag(mode), demand_pairs(spec));
+        let key: SubstrateKey = (mode, demand_pairs(spec));
         let interned = self.substrates.contains_key(&key);
         self.substrates.entry(key.clone()).or_insert_with(|| {
             let routing = RoutingTables::build(&self.network, &spec.source_to_destinations(), mode);
@@ -415,36 +389,27 @@ impl PlanService {
 
     /// Serializes the service — admitted specs, pre-repair plan slabs,
     /// and salt cursors — as the versioned checkpoint text
-    /// [`PlanService::restore`] accepts.
+    /// [`PlanService::restore`] accepts (layout in the module docs).
     pub fn checkpoint(&self) -> String {
+        let net = &self.network;
         let mut out = String::new();
-        out.push_str(CHECKPOINT_HEADER);
-        out.push('\n');
-        out.push_str(&format!("network_nodes {}\n", self.network.node_count()));
+        out.push_str(&format!("{CHECKPOINT_MAGIC} {CHECKPOINT_VERSION}\n"));
+        out.push_str(&format!(
+            "network {} {:016x}\n",
+            net.node_count(),
+            net.fingerprint()
+        ));
         out.push_str(&format!("next_id {}\n", self.next_id));
         out.push_str(&format!("tenants {}\n", self.tenants.len()));
         for (id, t) in &self.tenants {
             let s = &t.session;
             let m = s.maintainer();
             out.push_str(&format!("tenant {}\n", id.0));
-            out.push_str(&format!("mode {}\n", mode_name(m.mode())));
+            out.push_str(&format!("mode {}\n", m.mode().name()));
             out.push_str(&format!("runtime {}\n", s.runtime().name()));
             out.push_str(&format!("base_salt {}\n", s.base_salt()));
             out.push_str(&format!("rounds_run {}\n", s.rounds_run()));
-            out.push_str(&format!("functions {}\n", s.spec().destination_count()));
-            for (d, f) in s.spec().functions() {
-                out.push_str(&format!(
-                    "function {} {} {}",
-                    d.0,
-                    kind_name(f.kind()),
-                    f.source_count()
-                ));
-                for src in f.sources() {
-                    let w = f.weight(src).expect("source has a weight");
-                    out.push_str(&format!(" {} {}", src.0, w.to_bits()));
-                }
-                out.push('\n');
-            }
+            write_spec(&mut out, s.spec());
             out.push_str(&format!("solutions {}\n", m.base_solutions().len()));
             for sol in m.base_solutions() {
                 out.push_str(&solution_line(sol));
@@ -478,92 +443,55 @@ impl PlanService {
     /// rejected, not truncated.
     ///
     /// # Errors
-    /// Returns a message naming the first malformed line, a network
-    /// mismatch, or a plan slab that fails validation.
+    /// Returns a message naming the first malformed line (a line that
+    /// breaks the format, a spec rule, a count or a solution that does
+    /// not answer its edge's problem), another network, or a plan slab
+    /// that fails validation.
     pub fn restore(
         network: impl Into<Arc<Network>>,
         config: Config,
         text: &str,
     ) -> Result<PlanService, String> {
         let mut service = PlanService::with_config(network, config);
-        // Collected so the count of lines left bounds declared counts.
-        let mut lines = text.lines().collect::<Vec<_>>().into_iter();
-        if lines.next() != Some(CHECKPOINT_HEADER) {
-            return Err(format!("checkpoint must start with '{CHECKPOINT_HEADER}'"));
+        let mut lines = Lines::new(text);
+        let mut f = lines.next(CHECKPOINT_MAGIC)?;
+        f.expect(CHECKPOINT_MAGIC)?;
+        let version = f.word("version")?;
+        if version != CHECKPOINT_VERSION {
+            return Err(f.err(format!(
+                "unsupported checkpoint version {version}; this build reads {CHECKPOINT_VERSION}"
+            )));
         }
-        let nodes: usize = parse_kv(lines.next(), "network_nodes")?;
-        if nodes != service.network.node_count() {
-            return Err(format!(
+        f.end()?;
+        let mut f = lines.next("network")?;
+        f.expect("network")?;
+        let nodes: usize = f.parse("node count")?;
+        let fingerprint = f.word("fingerprint")?;
+        let fingerprint = u64::from_str_radix(fingerprint, 16)
+            .map_err(|e| f.err(format!("bad fingerprint '{fingerprint}': {e}")))?;
+        f.end()?;
+        let net = &service.network;
+        if nodes != net.node_count() {
+            return Err(f.err(format!(
                 "checkpoint is for a {nodes}-node network, got {}",
-                service.network.node_count()
-            ));
+                net.node_count()
+            )));
+        }
+        if fingerprint != net.fingerprint() {
+            return Err(f.err(format!(
+                "checkpoint is for another {nodes}-node network, whose fingerprint is {:016x}",
+                net.fingerprint()
+            )));
         }
         // `admit` hands out `next_id` and then counts it up, so restore
         // leaves it below `u64::MAX`.
-        let next_id: u64 = parse_kv(lines.next(), "next_id")?;
+        let (next_id, f) = lines.value::<u64>("next_id")?;
         if next_id == u64::MAX {
-            return Err(format!("'next_id {next_id}' leaves no id to admit next"));
+            return Err(f.err("no id is left to admit next"));
         }
-        let tenant_count: usize = parse_kv(lines.next(), "tenants")?;
+        let (tenant_count, _) = lines.value::<u64>("tenants")?;
         for _ in 0..tenant_count {
-            let id: u64 = parse_kv(lines.next(), "tenant")?;
-            if id >= u64::MAX - 1 {
-                return Err(format!("'tenant {id}' leaves no id to admit next"));
-            }
-            let mode_str: String = parse_kv(lines.next(), "mode")?;
-            let mode = mode_parse(&mode_str).ok_or(format!("unknown mode '{mode_str}'"))?;
-            let rt_str: String = parse_kv(lines.next(), "runtime")?;
-            let runtime = Runtime::parse(&rt_str).ok_or(format!("unknown runtime '{rt_str}'"))?;
-            let base_salt: u64 = parse_kv(lines.next(), "base_salt")?;
-            let rounds_run: u64 = parse_kv(lines.next(), "rounds_run")?;
-            let function_count: usize = parse_kv(lines.next(), "functions")?;
-            let mut spec = AggregationSpec::new();
-            for _ in 0..function_count {
-                let line = lines.next().ok_or("truncated checkpoint: function")?;
-                let mut fields = Fields::new(line);
-                fields.expect("function")?;
-                let dest = fields.node("function destination", nodes)?;
-                if spec.function(dest).is_some() {
-                    return Err(format!(
-                        "function destination {} named twice in '{line}'",
-                        dest.0
-                    ));
-                }
-                let kind_str = fields.next().ok_or("function missing kind")?;
-                let kind = kind_parse(kind_str).ok_or(format!("unknown kind '{kind_str}'"))?;
-                let n = fields.num("function source count")?;
-                if n == 0 {
-                    return Err(format!("function without sources in '{line}'"));
-                }
-                let mut weights = BTreeMap::new();
-                for _ in 0..n {
-                    let s = fields.node("function source", nodes)?;
-                    let bits = fields.num("function weight bits")?;
-                    if weights.insert(s, f64::from_bits(bits)).is_some() {
-                        return Err(format!("function source {} named twice in '{line}'", s.0));
-                    }
-                }
-                spec.add_function(dest, AggregateFunction::new(kind, weights));
-            }
-            let solution_count: usize = parse_kv(lines.next(), "solutions")?;
-            let mut solutions = Vec::with_capacity(solution_count.min(lines.len()));
-            for _ in 0..solution_count {
-                let line = lines.next().ok_or("truncated checkpoint: solution")?;
-                solutions.push(parse_solution(line, nodes)?);
-            }
-            let end = lines.next();
-            if end != Some("end") {
-                return Err(format!("expected 'end' after tenant {id}, got {end:?}"));
-            }
-            service.restore_tenant(
-                TenantId(id),
-                mode,
-                runtime,
-                base_salt,
-                rounds_run,
-                spec,
-                solutions,
-            )?;
+            service.restore_tenant(&mut lines)?;
         }
         service.next_id = service.next_id.max(next_id);
         Ok(service)
@@ -582,44 +510,57 @@ impl PlanService {
         Self::restore(network, config, &text)
     }
 
-    /// One persisted tenant: check its slab against the interned
-    /// substrate, assemble and validate its plan, seed the cache with the
-    /// slab, and build the tenant's session from that plan under its
+    /// Reads one persisted tenant: its options and spec, then its slab,
+    /// each solution checked against its edge's problem in the interned
+    /// substrate. Assembles and validates the plan, seeds the cache with
+    /// the slab, and builds the tenant's session from that plan under its
     /// persisted id.
-    #[allow(clippy::too_many_arguments)]
-    fn restore_tenant(
-        &mut self,
-        id: TenantId,
-        mode: RoutingMode,
-        runtime: Runtime,
-        base_salt: u64,
-        rounds_run: u64,
-        spec: AggregationSpec,
-        solutions: Vec<EdgeSolution>,
-    ) -> Result<(), String> {
-        if self.tenants.contains_key(&id) {
-            return Err(format!("duplicate tenant id {id} in checkpoint"));
+    fn restore_tenant(&mut self, lines: &mut Lines<'_>) -> Result<(), String> {
+        let (id, f) = lines.value::<u64>("tenant")?;
+        if id >= u64::MAX - 1 {
+            return Err(f.err("no id is left to admit next"));
         }
+        let id = TenantId(id);
+        if self.tenants.contains_key(&id) {
+            return Err(f.err(format!("duplicate tenant id {id}")));
+        }
+        let mode = lines.named("mode", RoutingMode::parse)?;
+        let runtime = lines.named("runtime", Runtime::parse)?;
+        let (base_salt, _) = lines.value::<u64>("base_salt")?;
+        let (rounds_run, _) = lines.value::<u64>("rounds_run")?;
+        let nodes = self.network.node_count();
+        let mut spec = SpecReader::new(nodes);
+        let mut f = loop {
+            let f = lines.next("solutions")?;
+            if f.keyword() == "solutions" {
+                break f;
+            }
+            spec.read(f)?;
+        };
+        let spec = spec.finish()?;
         // The persisted slab is checked against the interned substrate's
         // problems, in its slab order.
         let (key, _) = self.intern(&spec, mode);
         let topo = Arc::clone(&self.substrates[&key].topo);
         let problems = build_edge_problems(&topo);
-        if problems.len() != solutions.len() {
-            return Err(format!(
-                "tenant {id}: checkpoint has {} solutions, substrate demands {} edges",
-                solutions.len(),
+        let count: u64 = f.parse("solution count")?;
+        f.end()?;
+        if count != problems.len() as u64 {
+            return Err(f.err(format!(
+                "{count} solutions for {} demanded edges",
                 problems.len()
-            ));
+            )));
         }
-        for (problem, sol) in problems.iter().zip(&solutions) {
-            if !answers(problem, sol, &spec) {
-                let edge = sol.edge;
-                return Err(format!(
-                    "tenant {id}: edge {edge:?}: solution does not answer its problem"
-                ));
+        let mut solutions = Vec::with_capacity(problems.len());
+        for problem in &problems {
+            let mut f = lines.next("solution")?;
+            let sol = parse_solution(&mut f, nodes)?;
+            if !answers(problem, &sol, &spec) {
+                return Err(f.err("solution does not answer its edge's problem"));
             }
+            solutions.push(sol);
         }
+        lines.next("end")?.expect("end")?;
         let plan = crate::plan::GlobalPlan::from_solutions(&spec, topo, problems, solutions);
         let routing = Arc::clone(&self.substrates[&key].routing);
         plan.validate(&spec, &routing)
@@ -666,67 +607,50 @@ fn answers(problem: &EdgeProblem, sol: &EdgeSolution, spec: &AggregationSpec) ->
         && sol.cost_bytes == price(&sol.raw, &sol.agg, &record_bytes)
 }
 
-fn parse_kv<T: std::str::FromStr>(line: Option<&str>, keyword: &str) -> Result<T, String> {
-    let line = line.ok_or(format!("truncated checkpoint: expected '{keyword}'"))?;
-    let rest = line
-        .strip_prefix(keyword)
-        .ok_or(format!("expected '{keyword} ...', got '{line}'"))?;
-    rest.trim()
-        .parse()
-        .map_err(|_| format!("malformed value in '{line}'"))
+/// A checkpoint's lines, numbered from 1.
+struct Lines<'a> {
+    lines: std::str::Lines<'a>,
+    read: usize,
 }
 
-/// The whitespace-separated fields of one checkpoint line, kept with the
-/// line for error messages.
-struct Fields<'a> {
-    line: &'a str,
-    toks: std::vec::IntoIter<&'a str>,
-}
-
-impl<'a> Fields<'a> {
-    fn new(line: &'a str) -> Self {
-        Fields {
-            line,
-            toks: line.split_whitespace().collect::<Vec<_>>().into_iter(),
+impl<'a> Lines<'a> {
+    fn new(text: &'a str) -> Self {
+        Lines {
+            lines: text.lines(),
+            read: 0,
         }
     }
 
-    fn next(&mut self) -> Option<&'a str> {
-        self.toks.next()
+    /// The next line's fields; `want` names what a truncated checkpoint
+    /// lacks.
+    fn next(&mut self, want: &str) -> Result<Fields<'a>, String> {
+        let line = self
+            .lines
+            .next()
+            .ok_or_else(|| format!("line {}: checkpoint ends before '{want}'", self.read + 1))?;
+        self.read += 1;
+        Ok(Fields::new(self.read, line))
     }
 
-    fn expect(&mut self, want: &str) -> Result<(), String> {
-        match self.next() {
-            Some(t) if t == want => Ok(()),
-            other => Err(format!("expected '{want}', got {other:?}")),
-        }
+    /// A `keyword VALUE` line's value, with the line for later errors.
+    fn value<T: FromStr>(&mut self, keyword: &str) -> Result<(T, Fields<'a>), String>
+    where
+        T::Err: std::fmt::Display,
+    {
+        let mut f = self.next(keyword)?;
+        f.expect(keyword)?;
+        let value = f.parse(keyword)?;
+        f.end()?;
+        Ok((value, f))
     }
 
-    fn num(&mut self, what: &str) -> Result<u64, String> {
-        self.next()
-            .ok_or(format!("missing {what} in '{}'", self.line))?
-            .parse()
-            .map_err(|_| format!("malformed {what} in '{}'", self.line))
-    }
-
-    /// A node id, rejected unless below `nodes`.
-    fn node(&mut self, what: &str, nodes: usize) -> Result<NodeId, String> {
-        let v = self.num(what)?;
-        if v >= nodes as u64 {
-            return Err(format!(
-                "{what} {v} out of range for a {nodes}-node network in '{}'",
-                self.line
-            ));
-        }
-        Ok(NodeId(v as u32))
-    }
-
-    /// A capacity for `declared` items of `width` fields each: no more
-    /// than the fields left on the line can hold.
-    fn capacity(&self, declared: u64, width: usize) -> usize {
-        usize::try_from(declared)
-            .unwrap_or(usize::MAX)
-            .min(self.toks.len() / width)
+    /// A `keyword NAME` line's value, read by a name table.
+    fn named<T>(&mut self, keyword: &str, parse: impl Fn(&str) -> Option<T>) -> Result<T, String> {
+        let mut f = self.next(keyword)?;
+        f.expect(keyword)?;
+        let value = f.named(keyword, parse)?;
+        f.end()?;
+        Ok(value)
     }
 }
 
@@ -752,21 +676,20 @@ fn solution_line(sol: &EdgeSolution) -> String {
     line
 }
 
-fn parse_solution(line: &str, nodes: usize) -> Result<EdgeSolution, String> {
-    let mut fields = Fields::new(line);
+fn parse_solution(fields: &mut Fields<'_>, nodes: usize) -> Result<EdgeSolution, String> {
     fields.expect("solution")?;
     let from = fields.node("solution edge tail", nodes)?;
     let to = fields.node("solution edge head", nodes)?;
-    let nraw = fields.num("raw count")?;
+    let nraw = fields.parse("raw count")?;
     let mut raw = Vec::with_capacity(fields.capacity(nraw, 1));
     for _ in 0..nraw {
         raw.push(fields.node("raw source", nodes)?);
     }
-    let nagg = fields.num("agg count")?;
+    let nagg = fields.parse("agg count")?;
     let mut agg = Vec::with_capacity(fields.capacity(nagg, 2));
     for _ in 0..nagg {
         let destination = fields.node("agg destination", nodes)?;
-        let suffix_len = fields.num("suffix length")?;
+        let suffix_len = fields.parse("suffix length")?;
         let mut suffix = Vec::with_capacity(fields.capacity(suffix_len, 1));
         for _ in 0..suffix_len {
             suffix.push(fields.node("suffix node", nodes)?);
@@ -776,7 +699,8 @@ fn parse_solution(line: &str, nodes: usize) -> Result<EdgeSolution, String> {
             suffix: suffix.into(),
         });
     }
-    let cost_bytes = fields.num("cost bytes")?;
+    let cost_bytes = fields.parse("cost bytes")?;
+    fields.end()?;
     Ok(EdgeSolution {
         edge: (from, to),
         raw,
@@ -788,6 +712,7 @@ fn parse_solution(line: &str, nodes: usize) -> Result<EdgeSolution, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::agg::AggregateFunction;
     use crate::workload::{generate_workload, WorkloadConfig};
     use m2m_netsim::Deployment;
 
@@ -945,10 +870,31 @@ mod tests {
         let other = Network::with_default_energy(Deployment::grid(4, 4, 10.0, 12.0));
         let err = PlanService::restore(other, Config::default(), &text).unwrap_err();
         assert!(err.contains("network"), "{err}");
+        // The same size and radio links, other positions: the fingerprint
+        // tells them apart.
+        let moved = Network::with_default_energy(Deployment::grid(5, 5, 11.0, 12.0));
+        assert_eq!(moved.graph().edge_count(), net.graph().edge_count());
+        let err = PlanService::restore(moved, Config::default(), &text).unwrap_err();
+        assert!(
+            err.starts_with("line 2:") && err.contains("another 25-node network"),
+            "{err}"
+        );
     }
 
-    /// A one-tenant checkpoint whose function reads sources 1, 7 and 13,
-    /// with `edit` applied to its lines.
+    #[test]
+    fn restore_rejects_a_v1_checkpoint_naming_its_version() {
+        let err = edited_checkpoint(|lines| {
+            lines[0] = "m2m-service-checkpoint v1".to_string();
+        })
+        .unwrap_err();
+        assert!(
+            err.starts_with("line 1:") && err.contains("version v1"),
+            "{err}"
+        );
+    }
+
+    /// A one-tenant checkpoint whose function (destination 12, weighted
+    /// sum) reads sources 1, 7 and 13, with `edit` applied to its lines.
     fn edited_checkpoint(edit: impl Fn(&mut Vec<String>)) -> Result<PlanService, String> {
         let net = Arc::new(network());
         let mut svc = PlanService::new(Arc::clone(&net));
@@ -1013,7 +959,11 @@ mod tests {
             *line_starting(lines, "solutions ") = "solutions 1152921504606846975".to_string();
         })
         .unwrap_err();
-        assert!(err.contains("solution"), "{err}");
+        assert!(err.contains("1152921504606846975 solutions for"), "{err}");
+        assert!(
+            err.starts_with("line ") && err.contains("'solutions 1152921504606846975'"),
+            "the error names the line: {err}"
+        );
     }
 
     #[test]
@@ -1023,9 +973,9 @@ mod tests {
             *line = line.replacen("function 12 ", "function 999 ", 1);
         })
         .unwrap_err();
-        assert!(err.contains("function destination 999"), "{err}");
+        assert!(err.contains("destination 999 out of range"), "{err}");
         assert!(
-            err.contains("'function 999 "),
+            err.starts_with("line ") && err.contains("'function 999 weighted_sum'"),
             "the error names the line: {err}"
         );
     }
@@ -1034,34 +984,35 @@ mod tests {
     fn restore_rejects_a_source_id_that_would_truncate() {
         // 4294967297 = 2^32 + 1, which `as u32` would read as node 1.
         let err = edited_checkpoint(|lines| {
-            let line = line_starting(lines, "function ");
-            let mut toks: Vec<&str> = line.split_whitespace().collect();
-            assert_eq!(toks[4], "1", "the first source is node 1");
-            toks[4] = "4294967297";
-            *line = toks.join(" ");
+            let line = line_starting(lines, "source ");
+            assert_eq!(line, "source 12 1 1", "the first source is node 1");
+            *line = "source 12 4294967297 1".to_string();
         })
         .unwrap_err();
-        assert!(err.contains("function source 4294967297"), "{err}");
+        assert!(err.contains("source 4294967297 out of range"), "{err}");
+        assert!(
+            err.starts_with("line ") && err.contains("'source 12 4294967297 1'"),
+            "the error names the line: {err}"
+        );
     }
 
     #[test]
     fn restore_rejects_a_destination_named_twice() {
-        // A later line for the same destination used to replace the
-        // earlier one, which left a `var` function seeded with slabs
-        // solved for `sum`.
+        // A later line for the same destination must not replace the
+        // earlier one, which would leave a variance function seeded with
+        // slabs solved for a sum.
         let err = edited_checkpoint(|lines| {
             let at = lines
                 .iter()
                 .position(|l| l.starts_with("function "))
                 .expect("checkpoint has a function line");
-            let second = lines[at].replacen("function 12 sum ", "function 12 var ", 1);
+            let second = lines[at].replacen(" weighted_sum", " weighted_variance", 1);
             lines.insert(at + 1, second);
-            *line_starting(lines, "functions ") = "functions 2".to_string();
         })
         .unwrap_err();
-        assert!(err.contains("function destination 12 named twice"), "{err}");
+        assert!(err.contains("function 12 is already defined"), "{err}");
         assert!(
-            err.contains("'function 12 var "),
+            err.starts_with("line ") && err.contains("'function 12 weighted_variance'"),
             "the error names the line: {err}"
         );
     }
@@ -1069,14 +1020,16 @@ mod tests {
     #[test]
     fn restore_rejects_a_source_named_twice_in_one_function() {
         let err = edited_checkpoint(|lines| {
-            let line = line_starting(lines, "function ");
-            let mut toks: Vec<&str> = line.split_whitespace().collect();
-            assert_eq!(toks[6], "7", "the second source is node 7");
-            toks[6] = "1";
-            *line = toks.join(" ");
+            let line = line_starting(lines, "source 12 7 ");
+            assert_eq!(line, "source 12 7 0.5", "the second source is node 7");
+            *line = "source 12 1 0.5".to_string();
         })
         .unwrap_err();
-        assert!(err.contains("function source 1 named twice"), "{err}");
+        assert!(err.contains("source 1 named twice"), "{err}");
+        assert!(
+            err.starts_with("line ") && err.contains("'source 12 1 0.5'"),
+            "the error names the line: {err}"
+        );
     }
 
     #[test]
@@ -1088,14 +1041,20 @@ mod tests {
             |sol: &mut EdgeSolution| sol.cost_bytes += 1,
             |sol: &mut EdgeSolution| sol.edge = (sol.edge.1, sol.edge.0),
         ] {
+            let edited = std::cell::RefCell::new(String::new());
             let err = edited_checkpoint(|lines| {
                 let line = line_starting(lines, "solution ");
-                let mut sol = parse_solution(line, 25).unwrap();
+                let mut sol = parse_solution(&mut Fields::new(1, line), 25).unwrap();
                 edit(&mut sol);
                 *line = solution_line(&sol);
+                *edited.borrow_mut() = line.clone();
             })
             .unwrap_err();
-            assert!(err.contains("does not answer its problem"), "{err}");
+            assert!(err.contains("does not answer its edge's problem"), "{err}");
+            assert!(
+                err.starts_with("line ") && err.contains(&format!("'{}'", edited.borrow())),
+                "the error names the line: {err}"
+            );
         }
     }
 
@@ -1145,19 +1104,21 @@ mod tests {
         );
     }
 
-    /// Tokens that break counts, ids, kinds, modes and keywords.
-    const REPLACEMENTS: [&str; 12] = [
+    /// Tokens that break counts, ids, weights, kinds, modes and keywords.
+    const REPLACEMENTS: [&str; 14] = [
         "0",
         "1",
         "-1",
         "x",
         "18446744073709551615",
         "4294967296",
+        "NaN",
         "end",
         "function",
+        "source",
         "solution",
-        "sst",
-        "var",
+        "shared",
+        "weighted_variance",
         "lossy",
     ];
 

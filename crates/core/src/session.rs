@@ -101,7 +101,6 @@ pub struct SessionBuilder {
     runtime: Option<Runtime>,
     substrate: Option<(Arc<RoutingTables>, Arc<Topology>)>,
     solve_cache: Option<Arc<Mutex<SharedSolveCache>>>,
-    rounds_cursor: u64,
 }
 
 impl SessionBuilder {
@@ -156,16 +155,6 @@ impl SessionBuilder {
         self
     }
 
-    /// Starts the replayable salt stream at round `rounds` instead of 0,
-    /// as if that many lossy/sim rounds had already run — the
-    /// checkpoint-restore path uses this to resume a tenant's failure
-    /// history exactly where the persisted session left off.
-    #[must_use]
-    pub fn rounds_cursor(mut self, rounds: u64) -> Self {
-        self.rounds_cursor = rounds;
-        self
-    }
-
     /// Reuses an already-built substrate — interned routing tables and
     /// the matching topology snapshot — instead of routing and snapping
     /// from scratch. The resulting plan is bit-identical to a cold
@@ -215,7 +204,6 @@ impl SessionBuilder {
             runtime,
             substrate,
             solve_cache,
-            rounds_cursor,
         } = self;
         config.apply();
         let (routing, topo) = match (&quality, substrate) {
@@ -253,15 +241,7 @@ impl SessionBuilder {
         };
         let maintainer =
             PlanMaintainer::from_parts(network, spec, mode, routing, topo, problems, solutions);
-        Session::from_maintainer(
-            maintainer,
-            config,
-            runtime,
-            delivery,
-            quality,
-            base_salt,
-            rounds_cursor,
-        )
+        Session::from_maintainer(maintainer, config, runtime, delivery, quality, base_salt, 0)
     }
 }
 
@@ -454,7 +434,7 @@ impl Session {
         delivery: DeliveryModel,
         quality: Option<LinkQuality>,
         base_salt: u64,
-        rounds_cursor: u64,
+        rounds_run: u64,
     ) -> Session {
         let recorder = config
             .obs()
@@ -473,7 +453,7 @@ impl Session {
             tracker: DegradationTracker::new(),
             recorder,
             base_salt,
-            rounds_run: rounds_cursor,
+            rounds_run,
         }
     }
 
@@ -491,7 +471,6 @@ impl Session {
             runtime: None,
             substrate: None,
             solve_cache: None,
-            rounds_cursor: 0,
         }
     }
 
@@ -567,8 +546,9 @@ impl Session {
         self.base_salt
     }
 
-    /// Lossy/sim rounds executed so far — the salt-stream cursor.
-    /// Restore it across restarts with [`SessionBuilder::rounds_cursor`].
+    /// Lossy/sim rounds executed so far — the salt-stream cursor. A
+    /// service checkpoint persists it, and
+    /// [`crate::service::PlanService::restore`] resumes the stream there.
     #[inline]
     pub fn rounds_run(&self) -> u64 {
         self.rounds_run
@@ -1343,32 +1323,5 @@ mod tests {
             both.maintainer().routing().directed_edges(),
             alone.maintainer().routing().directed_edges()
         );
-    }
-
-    #[test]
-    fn rounds_cursor_resumes_the_salt_stream() {
-        let build = || {
-            Session::builder(network(), spec())
-                .runtime(Runtime::Lossy)
-                .delivery(DeliveryModel::uniform(0.3, 9))
-                .build()
-        };
-        let slots = build().compiled().sources().len();
-        let rounds: Vec<Vec<f64>> = (0..6)
-            .map(|r| (0..slots).map(|s| (r + s) as f64).collect())
-            .collect();
-        let mut full = build();
-        let all = full.run_rounds(&rounds);
-        // Run the first half, "restart" with the cursor, run the rest.
-        let mut before = build();
-        before.run_rounds(&rounds[..3]);
-        let mut resumed = Session::builder(network(), spec())
-            .runtime(Runtime::Lossy)
-            .delivery(DeliveryModel::uniform(0.3, 9))
-            .rounds_cursor(before.rounds_run())
-            .build();
-        assert_eq!(resumed.rounds_run(), 3);
-        let tail = resumed.run_rounds(&rounds[3..]);
-        assert_eq!(tail, all[3..], "the resumed stream replays the original");
     }
 }

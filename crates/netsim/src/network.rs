@@ -94,6 +94,23 @@ impl Network {
         bfs_distances(&self.graph, a)[b.index()]
     }
 
+    /// A 64-bit FNV-1a fingerprint of the network: the node count, every
+    /// position's x and y bits, and every radio edge in
+    /// [`Graph::edges`] order. Two networks of one size with different
+    /// positions or links fingerprint differently (up to a hash
+    /// collision); checkpoints carry it so restore refuses another network.
+    pub fn fingerprint(&self) -> u64 {
+        let positions = self.deployment.positions().iter();
+        let edges = self.graph.edges();
+        std::iter::once(self.node_count() as u64)
+            .chain(positions.flat_map(|p| [p.x.to_bits(), p.y.to_bits()]))
+            .chain(edges.flat_map(|(a, b)| [u64::from(a.0), u64::from(b.0)]))
+            .flat_map(u64::to_le_bytes)
+            .fold(0xcbf2_9ce4_8422_2325, |h, byte| {
+                (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+            })
+    }
+
     /// Nodes at exactly `h` hops from `v`, ascending id order. One BFS per
     /// call.
     pub fn nodes_at_hops(&self, v: NodeId, h: u32) -> Vec<NodeId> {
@@ -136,6 +153,29 @@ mod tests {
     fn disconnected_pairs_have_no_distance() {
         let net = Network::with_default_energy(Deployment::grid(2, 1, 100.0, 10.0));
         assert_eq!(net.hop_distance(NodeId(0), NodeId(1)), None);
+    }
+
+    #[test]
+    fn fingerprints_tell_links_and_positions_apart() {
+        let graph = |edges: [(u32, u32); 2]| {
+            let mut g = Graph::new(3);
+            for (a, b) in edges {
+                g.add_edge(NodeId(a), NodeId(b));
+            }
+            g
+        };
+        let (path, star) = (graph([(0, 1), (1, 2)]), graph([(0, 1), (0, 2)]));
+        let a = Network::from_graph(path.clone(), EnergyModel::mica2());
+        let b = Network::from_graph(star, EnergyModel::mica2());
+        assert_eq!(a.node_count(), b.node_count());
+        assert_ne!(a.fingerprint(), b.fingerprint(), "same size, other links");
+        let again = Network::from_graph(path, EnergyModel::mica2());
+        assert_eq!(a.fingerprint(), again.fingerprint(), "a pure function");
+        // The same radio graph (a 4-neighbour grid) at another spacing.
+        let near = Network::with_default_energy(Deployment::grid(5, 5, 10.0, 12.0));
+        let far = Network::with_default_energy(Deployment::grid(5, 5, 11.0, 12.0));
+        assert_eq!(near.graph().edge_count(), far.graph().edge_count());
+        assert_ne!(near.fingerprint(), far.fingerprint(), "other positions");
     }
 
     #[test]

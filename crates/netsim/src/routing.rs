@@ -46,7 +46,7 @@ pub const ROUTING_TREES: &str = "routing.trees";
 pub const ROUTING_TREE_EDGES: &str = "routing.tree_edges";
 
 /// How multicast trees are constructed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum RoutingMode {
     /// Per-source canonical shortest-path trees (the paper's §4 setup).
     #[default]
@@ -59,6 +59,30 @@ pub enum RoutingMode {
     /// cost of longer individual routes. Addresses the tree-construction
     /// artifact the paper observes in its Figure 5 discussion.
     SteinerTrees,
+}
+
+impl RoutingMode {
+    /// Every mode, in declaration order.
+    pub const ALL: [RoutingMode; 3] = [
+        RoutingMode::ShortestPathTrees,
+        RoutingMode::SharedSpanningTree,
+        RoutingMode::SteinerTrees,
+    ];
+
+    /// The mode's short name (checkpoints, the `scenario` CLI);
+    /// `parse(name)` round-trips.
+    pub fn name(self) -> &'static str {
+        match self {
+            RoutingMode::ShortestPathTrees => "spt",
+            RoutingMode::SharedSpanningTree => "shared",
+            RoutingMode::SteinerTrees => "steiner",
+        }
+    }
+
+    /// The mode [`RoutingMode::name`] calls `name`, if any.
+    pub fn parse(name: &str) -> Option<RoutingMode> {
+        Self::ALL.into_iter().find(|m| m.name() == name)
+    }
 }
 
 /// The multicast trees for a workload: one per source, packed into a
@@ -185,6 +209,14 @@ mod tests {
             .iter()
             .map(|&(s, ds)| (NodeId(s), ds.iter().map(|&d| NodeId(d)).collect()))
             .collect()
+    }
+
+    #[test]
+    fn every_mode_name_round_trips() {
+        for mode in RoutingMode::ALL {
+            assert_eq!(RoutingMode::parse(mode.name()), Some(mode));
+        }
+        assert_eq!(RoutingMode::parse("sst"), None);
     }
 
     #[test]

@@ -25,12 +25,6 @@ use m2m_netsim::quality::weighted_routing;
 use m2m_netsim::routing::TreeView;
 use m2m_netsim::{Deployment, LinkQuality, Network, RoutingMode, RoutingTables};
 
-const ALL_MODES: [RoutingMode; 3] = [
-    RoutingMode::ShortestPathTrees,
-    RoutingMode::SharedSpanningTree,
-    RoutingMode::SteinerTrees,
-];
-
 fn network(seed: u64) -> Network {
     Network::with_default_energy(Deployment::connected_uniform(40, 100.0, 100.0, 45.0, seed))
 }
@@ -220,7 +214,7 @@ proptest! {
     ) {
         let net = network(seed);
         let demands = to_demands(raw_demands);
-        for mode in ALL_MODES {
+        for mode in RoutingMode::ALL {
             let rt = RoutingTables::build(&net, &demands, mode);
             let oracle = legacy_trees(&net, &demands, mode);
             prop_assert_eq!(rt.source_count(), oracle.len());
@@ -248,7 +242,7 @@ proptest! {
     ) {
         let net = network(seed);
         let demands = to_demands(raw_demands);
-        for mode in ALL_MODES {
+        for mode in RoutingMode::ALL {
             let combined = RoutingTables::build(&net, &demands, mode);
             for (s, dests) in &demands {
                 let solo_demand: BTreeMap<NodeId, Vec<NodeId>> =

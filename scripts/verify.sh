@@ -6,8 +6,9 @@
 # The fault-scan, sim, merge and slot-assignment unit tests and their
 # equivalence suites run again under `--release`, where slot, retry and
 # topological-position arithmetic wraps instead of panicking; so do the
-# service, session and config unit tests (checkpoint restore's tenant-id
-# arithmetic and the checkpoint and `Config` hostile-input proptests),
+# service, session, config and textio unit tests (checkpoint restore's
+# tenant-id arithmetic and the hostile-input proptests of all three
+# parsers: checkpoints, `Config` and `textio` scenario files),
 # the routing arena's unit tests and the whole netsim crate (link
 # quality, ETX routing and its oracle proptest), where a path sum past
 # `u64::MAX` would wrap. (`cargo test` already runs the interpreted executor's
@@ -39,7 +40,7 @@ cd "$(dirname "$0")/.."
 
 cargo build --release
 cargo test -q
-cargo test --release -q -p m2m-core --lib -- faults:: sim:: schedule:: slots:: service:: session:: config::
+cargo test --release -q -p m2m-core --lib -- faults:: sim:: schedule:: slots:: service:: session:: config:: textio::
 cargo test --release -q -p m2m-core --test fault_equivalence --test sim_equivalence
 cargo test --release -q -p m2m-graph --lib -- scratch::
 cargo test --release -q -p m2m-netsim

@@ -3,8 +3,9 @@
 //! through, each named from `m2m_core::telemetry::layer` — the spans
 //! sit inside the layers' functions, so the service's front end is
 //! traced without a stanza of its own. The same spans count what a
-//! checkpoint restore does per tenant: one problem build, one plan
-//! assembly, and no solve.
+//! checkpoint restore does per tenant (one problem build, one plan
+//! assembly, and no solve) and what a warm admission of an admitted spec
+//! does (one cache lookup, and no solve).
 //!
 //! This file holds exactly one test because the obs flag and the span
 //! log are process global: a sibling test flipping the flag concurrently
@@ -29,7 +30,7 @@ fn an_admission_and_a_lossy_round_trace_every_layer_they_run() {
     timeseries::reset_span_events();
     let config = Config::builder().obs(true).runtime(Runtime::Lossy).build();
     let mut service = PlanService::with_config(net, config);
-    let tenant = service.admit(spec).tenant;
+    let tenant = service.admit(spec.clone()).tenant;
     let sources = service
         .tenant(tenant)
         .expect("admitted")
@@ -47,7 +48,18 @@ fn an_admission_and_a_lossy_round_trace_every_layer_they_run() {
     let restored = PlanService::restore(service.network_arc(), service.config().clone(), &text)
         .expect("the checkpoint restores");
     let restore_names = timeseries::span_event_names();
+
+    timeseries::reset_span_events();
+    let warm = service.admit(spec);
+    let warm_names = timeseries::span_event_names();
     timeseries::set_obs_enabled(false);
+    // The same spec again: every edge is a cache hit, so the lookup
+    // solves nothing and opens no solve span.
+    assert_eq!(warm.solves_fresh, 0);
+    let warm_count = |want| warm_names.iter().filter(|&&name| name == want).count();
+    assert_eq!(warm_count(layer::MEMO_SOLVE_ALL), 1, "{warm_names:?}");
+    assert_eq!(warm_count(layer::EDGE_OPT_SOLVE), 0, "{warm_names:?}");
+
     // One restored tenant: its plan is built once and never solved.
     assert_eq!(restored.len(), 1);
     let count = |want| restore_names.iter().filter(|&&name| name == want).count();
