@@ -129,19 +129,6 @@ impl BaseStationPlan {
         }
         (cost, ledger)
     }
-
-    /// Computes every control signal at the station from complete
-    /// readings — the ground truth the in-network plans are compared to,
-    /// and trivially correct by construction.
-    pub fn compute_at_station(
-        &self,
-        spec: &AggregationSpec,
-        readings: &BTreeMap<NodeId, f64>,
-    ) -> BTreeMap<NodeId, f64> {
-        spec.functions()
-            .map(|(d, f)| (d, f.reference_result(readings)))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -203,19 +190,6 @@ mod tests {
             hops <= 1,
             "hotspot {hot} should be the station {station} or adjacent, is {hops} hops away"
         );
-    }
-
-    #[test]
-    fn station_results_match_reference() {
-        let net = Network::with_default_energy(Deployment::great_duck_island(3));
-        let spec = generate_workload(&net, &WorkloadConfig::paper_default(6, 8, 4));
-        let plan = BaseStationPlan::build(&net, &spec, choose_station(&net));
-        let readings: BTreeMap<NodeId, f64> =
-            net.nodes().map(|v| (v, f64::from(v.0) * 0.5)).collect();
-        let results = plan.compute_at_station(&spec, &readings);
-        for (d, f) in spec.functions() {
-            assert_eq!(results[&d], f.reference_result(&readings));
-        }
     }
 
     #[test]

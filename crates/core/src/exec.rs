@@ -3,16 +3,17 @@
 //!
 //! The paper's steady-state model (§2) runs one plan unchanged for
 //! thousands of epochs between workload updates, yet the reference
-//! executor ([`crate::runtime::execute_round`]) rebuilds the full
-//! [`Schedule`] — including the greedy message merger and its per-edge
-//! acyclicity checks — on every round. [`CompiledSchedule`] lowers the
-//! schedule **once** into flat dense-index arrays:
+//! executor (`runtime::execute_round`, a test oracle behind the
+//! `test-oracle` feature) rebuilds the full [`Schedule`] — including the
+//! greedy message merger and its per-edge acyclicity checks — on every
+//! round. [`CompiledSchedule`] lowers the schedule **once** into flat
+//! dense-index arrays:
 //!
 //! * source node ids are interned to dense `u32` slots by a [`NodeIndex`];
 //! * record units are listed in topological (wait-for) order, so every
 //!   dependency is computed before its consumer, exactly as the reference
 //!   path walks `Schedule::topo_order`;
-//! * each unit's contributions become a contiguous run of [`Op`]s —
+//! * each unit's contributions become a contiguous run of `Op`s —
 //!   `Pre { slot, alpha }` with the pre-aggregation weight baked in, or
 //!   `FromUnit { unit }` pointing at an already-computed record;
 //! * per-destination final evaluations are laid out in ascending
@@ -26,15 +27,15 @@
 //!   read the same facts per attempt.
 //!
 //! The op stream itself is stored as a **structure of arrays**
-//! ([`OpStream`]: tag, argument, and weight slabs instead of an
+//! (`OpStream`: tag, argument, and weight slabs instead of an
 //! enum-of-structs `Vec<Op>`), and all record state lives in dense `f64`
 //! **component planes** rather than `Vec<Option<PartialRecord>>`: every
-//! aggregate kind decomposes into at most three `f64` components
-//! ([`crate::agg::LaneKernel`]), so a record unit is three contiguous
-//! `f64` lanes, not a 32-byte tagged union. The fold over an op run is
-//! monomorphized per [`AggregateKind`] — the kind dispatch happens once
-//! per run, and the inner loop is branch-free arithmetic over the
-//! component lanes.
+//! aggregate kind decomposes into at most three `f64` components (the
+//! crate-private `agg::LaneKernel`), so a record unit is three
+//! contiguous `f64` lanes, not a 32-byte tagged union. The fold over an
+//! op run is monomorphized per [`AggregateKind`] — the kind dispatch
+//! happens once per run, and the inner loop is branch-free arithmetic
+//! over the component lanes.
 //!
 //! [`CompiledSchedule::run_round`] executes one epoch against an
 //! [`ExecState`] scratch arena with **zero heap allocation** and no map
@@ -796,8 +797,8 @@ fn fold_run<K: LaneKernel, const W: usize>(
 /// `readings[slot * width + lane]`, record component `c` of unit `u` at
 /// `rec{c}[u * width + lane]`, `results[dest * width + lane]`. A record
 /// is *not* a tagged union here — every aggregate kind decomposes into at
-/// most [`crate::agg::MAX_COMPONENTS`] `f64` components (counts ride in
-/// `f64`, exact below 2^53), and only the first [`LaneKernel::COMPS`]
+/// most three `f64` components (`agg::MAX_COMPONENTS`; counts ride in
+/// `f64`, exact below 2^53), and only the first `LaneKernel::COMPS`
 /// planes of a unit carry meaning for its kind.
 #[derive(Clone, Debug)]
 pub struct ExecState {

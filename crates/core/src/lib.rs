@@ -86,8 +86,6 @@
 //! * [`resilience`] — critical-link (bridge) analysis: the links §3's
 //!   failure handling cannot route around;
 //! * [`multi`] — the "multiple functions per destination" lift (§2.1);
-//! * [`campaign`] — multi-round suppression campaigns with an audited
-//!   precision/energy trade-off (§3's "up to desired precision");
 //! * [`telemetry`] — the zero-overhead instrumentation facade (counters,
 //!   span timers, histograms, `M2M_TRACE` control) plus the per-edge
 //!   plan-explainability report;
@@ -138,7 +136,6 @@
 pub mod agg;
 pub mod baselines;
 pub mod basestation;
-pub mod campaign;
 pub mod config;
 pub mod dissemination;
 pub mod dvc;

@@ -420,14 +420,6 @@ impl PlanService {
         out
     }
 
-    /// Writes [`PlanService::checkpoint`] to `path`.
-    ///
-    /// # Errors
-    /// Returns the I/O error message on failure.
-    pub fn checkpoint_to(&self, path: &str) -> Result<(), String> {
-        std::fs::write(path, self.checkpoint()).map_err(|e| format!("write {path}: {e}"))
-    }
-
     /// Rebuilds a service over `network` from checkpoint text. Every
     /// persisted tenant keeps its id, base salt and runtime, and its salt
     /// cursor resumes at its persisted round. Its plan is assembled once
@@ -495,19 +487,6 @@ impl PlanService {
         }
         service.next_id = service.next_id.max(next_id);
         Ok(service)
-    }
-
-    /// Reads `path` and [`PlanService::restore`]s from it.
-    ///
-    /// # Errors
-    /// Returns the I/O or parse error message on failure.
-    pub fn restore_from(
-        network: impl Into<Arc<Network>>,
-        config: Config,
-        path: &str,
-    ) -> Result<PlanService, String> {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-        Self::restore(network, config, &text)
     }
 
     /// Reads one persisted tenant: its options and spec, then its slab,

@@ -161,9 +161,10 @@ impl SessionBuilder {
     /// build: the snapshot fixes the edge slab, per-edge solves are pure,
     /// and assembly is deterministic.
     ///
-    /// [`Session::build`] panics if `routing`'s mode disagrees with the
-    /// builder's [`SessionBuilder::routing_mode`] or if `topo`'s demanded
-    /// pairs are not exactly the spec's ([`Topology::demanded_pairs`]).
+    /// [`SessionBuilder::build`] panics if `routing`'s mode disagrees with
+    /// the builder's [`SessionBuilder::routing_mode`] or if `topo`'s
+    /// demanded pairs are not exactly the spec's
+    /// ([`Topology::demanded_pairs`]).
     ///
     /// A tracked [`SessionBuilder::quality`] wins: the session then
     /// ignores the substrate (unchecked) and builds the plan the quality

@@ -133,17 +133,6 @@ impl MultiQueryReport {
         (self.payload_bytes_isolated - self.payload_bytes_shared) as f64
             / self.payload_bytes_isolated as f64
     }
-
-    /// Raw units the shared substrate multicasts once instead of
-    /// per-tenant.
-    pub fn raw_units_saved(&self) -> usize {
-        self.raw_units_isolated - self.raw_units_shared
-    }
-
-    /// Record units merged across (or within) tenants.
-    pub fn record_units_saved(&self) -> usize {
-        self.record_units_isolated - self.record_units_shared
-    }
 }
 
 /// The cross-tenant extension of [`shared_record_analysis`]: given every
@@ -154,7 +143,7 @@ impl MultiQueryReport {
 /// Per Corollary 1 each tenant's per-edge solutions are independent, so
 /// a raw unit two tenants both transmit on an edge is the *same bytes on
 /// the same link* and needs to travel once; records merge exactly when
-/// their [`Signature`]s match (same kind, same accumulated sources, same
+/// their signatures match (same kind, same accumulated sources, same
 /// bit-exact weights). The tenants' own plans — and hence their results —
 /// are untouched: this prices the substrate-level dedup the service's
 /// shared-unit index exposes, which is why

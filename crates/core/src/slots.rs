@@ -80,17 +80,6 @@ impl SlotSchedule {
             .unwrap_or(0)
     }
 
-    /// The worst control latency over all destinations — how stale the
-    /// slowest control signal is when the round completes.
-    pub fn worst_destination_latency(&self, schedule: &Schedule) -> u32 {
-        schedule
-            .destination_inputs
-            .keys()
-            .map(|&d| self.destination_latency(schedule, d))
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Fraction of (node, slot) pairs in which a node must have its radio
     /// on (sending or receiving), over nodes that participate at all.
     /// Lower is better — an always-on MAC would score 1.0.
@@ -458,7 +447,6 @@ mod tests {
         let (schedule, slots) = slot_all(&net, &spec);
         // Three hops, delivered after slot 3.
         assert_eq!(slots.destination_latency(&schedule, NodeId(3)), 3);
-        assert_eq!(slots.worst_destination_latency(&schedule), 3);
     }
 
     #[test]
@@ -483,7 +471,6 @@ mod tests {
         let net = Network::with_default_energy(Deployment::great_duck_island(4));
         let spec = generate_workload(&net, &WorkloadConfig::paper_default(10, 12, 5));
         let (schedule, slots) = slot_all(&net, &spec);
-        assert!(slots.worst_destination_latency(&schedule) <= slots.slot_count);
         for d in spec.destinations() {
             assert!(slots.destination_latency(&schedule, d) <= slots.slot_count);
         }

@@ -27,8 +27,8 @@
 //! everything — sources, edges, raw units, record groups, transition
 //! decisions — into dense `u32` ids at construction, so the per-round
 //! cost evaluation runs over flat arrays and a reusable
-//! [`SuppressionScratch`] with zero heap allocation. Campaigns
-//! ([`crate::campaign`]) call it thousands of times per plan.
+//! [`SuppressionScratch`] with zero heap allocation. Figure 7 calls it
+//! hundreds of times per plan.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -192,16 +192,6 @@ pub struct SuppressionScratch {
     edge_body: Vec<u32>,
     /// Accumulated unit count per edge id.
     edge_units: Vec<usize>,
-}
-
-impl SuppressionScratch {
-    /// The changed-source mask, in [`SuppressionSim::sources`] slot
-    /// order. Set it, then call
-    /// [`SuppressionSim::round_cost_prepared`].
-    #[inline]
-    pub fn changed_mask_mut(&mut self) -> &mut [bool] {
-        &mut self.changed
-    }
 }
 
 impl SuppressionSim {
@@ -407,13 +397,6 @@ impl SuppressionSim {
         }
     }
 
-    /// All sources, ascending — the slot order of
-    /// [`SuppressionScratch::changed_mask_mut`].
-    #[inline]
-    pub fn sources(&self) -> &[NodeId] {
-        &self.sources
-    }
-
     /// Allocates a scratch arena sized for this simulator.
     pub fn scratch(&self) -> SuppressionScratch {
         SuppressionScratch {
@@ -452,28 +435,15 @@ impl SuppressionSim {
         self.round_cost_with(changed, policy, placement, &mut scratch)
     }
 
-    /// Allocation-free variant: reuses `scratch` across rounds.
-    pub fn round_cost_with(
-        &self,
-        changed: &BTreeSet<NodeId>,
-        policy: OverridePolicy,
-        placement: StatePlacement,
-        scratch: &mut SuppressionScratch,
-    ) -> RoundCost {
-        for (slot, s) in self.sources.iter().enumerate() {
-            scratch.changed[slot] = changed.contains(s);
-        }
-        self.round_cost_prepared(policy, placement, scratch)
-    }
-
-    /// Evaluates one round against the changed-source mask already set in
-    /// `scratch` (see [`SuppressionScratch::changed_mask_mut`]). This is
-    /// the hot path: three passes over flat arrays, no allocation.
+    /// Allocation-free variant: reuses `scratch` across rounds. This is
+    /// the hot path: after the changed-source mask, three passes over
+    /// flat arrays, no allocation.
     ///
     /// # Panics
     /// Panics if `scratch` was sized for a different simulator.
-    pub fn round_cost_prepared(
+    pub fn round_cost_with(
         &self,
+        changed: &BTreeSet<NodeId>,
         policy: OverridePolicy,
         placement: StatePlacement,
         scratch: &mut SuppressionScratch,
@@ -483,6 +453,9 @@ impl SuppressionSim {
             self.sources.len(),
             "scratch/sim mismatch"
         );
+        for (slot, s) in self.sources.iter().enumerate() {
+            scratch.changed[slot] = changed.contains(s);
+        }
         let range = |r: (u32, u32)| r.0 as usize..r.1 as usize;
 
         // Pass A: default-plan activity — how many *active* inputs does

@@ -17,8 +17,8 @@
 //! ```
 //!
 //! Lines: one `deployment W H RANGE` (a positive, finite radio range),
-//! `node ID X Y` (ordered, dense ids), then the spec section: `function
-//! DEST KIND` (one per destination, kinds named by
+//! `node ID X Y` (ordered, dense ids, finite coordinates), then the spec
+//! section: `function DEST KIND` (one per destination, kinds named by
 //! [`AggregateKind::name`]) and `source DEST SRC WEIGHT` (after its
 //! function, each source once per function, at least one per function).
 //! Weights are written with `{}`, which round-trips every non-NaN `f64`
@@ -97,8 +97,12 @@ pub fn from_text(text: &str) -> Result<(Deployment, AggregationSpec), String> {
                         positions.len()
                     )));
                 }
-                positions.push(Position::new(f.parse("x")?, f.parse("y")?));
+                let (x, y): (f64, f64) = (f.parse("x")?, f.parse("y")?);
+                if !(x.is_finite() && y.is_finite()) {
+                    return Err(f.err(format!("node coordinates must be finite, got ({x}, {y})")));
+                }
                 f.end()?;
+                positions.push(Position::new(x, y));
             }
             _ => {}
         }
@@ -418,6 +422,28 @@ mod tests {
             assert!(
                 err.starts_with("line 2:") && err.contains("radio range"),
                 "{range}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn non_finite_node_coordinate_is_an_error_naming_the_line() {
+        // 512 nodes: enough for `Deployment::radio_graph`'s grid-bucket
+        // path, which a non-finite coordinate would overflow.
+        for (x, y) in [("inf", "0"), ("0", "-inf"), ("NaN", "0")] {
+            let mut text = String::from("deployment 2100 10 5\n");
+            for i in 0..512 {
+                if i == 3 {
+                    text.push_str(&format!("node 3 {x} {y}\n"));
+                } else {
+                    text.push_str(&format!("node {i} {} 0\n", i * 4));
+                }
+            }
+            text.push_str("function 0 min\nsource 0 1 1.0\n");
+            let err = from_text(&text).unwrap_err();
+            assert!(
+                err.starts_with("line 5:") && err.contains("must be finite"),
+                "({x}, {y}): {err}"
             );
         }
     }

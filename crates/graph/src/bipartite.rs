@@ -106,22 +106,6 @@ impl BipartiteGraph {
     pub fn edges(&self) -> &[(usize, usize)] {
         &self.edges
     }
-
-    /// Right neighbors of left vertex `u`.
-    pub fn right_neighbors(&self, u: usize) -> impl Iterator<Item = usize> + '_ {
-        self.edges
-            .iter()
-            .filter(move |&&(a, _)| a == u)
-            .map(|&(_, v)| v)
-    }
-
-    /// Left neighbors of right vertex `v`.
-    pub fn left_neighbors(&self, v: usize) -> impl Iterator<Item = usize> + '_ {
-        self.edges
-            .iter()
-            .filter(move |&&(_, b)| b == v)
-            .map(|&(u, _)| u)
-    }
 }
 
 #[cfg(test)]
@@ -139,11 +123,9 @@ mod tests {
         g.add_edge(a, x); // duplicate ignored
         assert_eq!(g.left_count(), 2);
         assert_eq!(g.right_count(), 1);
-        assert_eq!(g.edges().len(), 2);
+        assert_eq!(g.edges(), &[(a, x), (b, x)]);
         assert_eq!(g.left_weight(b), 5);
         assert_eq!(g.right_weight(x), 2);
-        assert_eq!(g.left_neighbors(x).collect::<Vec<_>>(), vec![a, b]);
-        assert_eq!(g.right_neighbors(a).collect::<Vec<_>>(), vec![x]);
     }
 
     #[test]

@@ -5,9 +5,10 @@
 //! Routing") need weighted shortest paths, e.g. with weights derived from
 //! expected transmission counts over lossy links.
 //!
-//! This allocating, closure-weighted version is the reference: routing
-//! runs the arena [`crate::scratch::RoutingScratch::dijkstra`] over a
-//! per-entry weight slab, and the tests hold it to this one. It assumes
+//! This allocating, closure-weighted version is a reference
+//! implementation that only tests call: routing runs the arena
+//! [`crate::scratch::RoutingScratch::dijkstra`] over a per-entry weight
+//! slab, and the tests hold it to this one. It assumes
 //! every path sum fits in a `u64`; the arena version also handles dead
 //! links (weight `u64::MAX`), which this one would add without a check.
 

@@ -5,20 +5,25 @@
 //!
 //! * adjacency-list graphs with compact [`NodeId`] handles ([`Graph`]),
 //! * breadth-first shortest hop distances ([`bfs`]),
-//! * Dijkstra shortest paths for weighted links ([`dijkstra`]),
 //! * canonical shortest-path trees with deterministic tie-breaking
 //!   ([`spt`]) — the "standard algorithm" the paper uses to build
 //!   single-source multicast trees,
+//! * the reusable routing arena ([`scratch`]): BFS, and Dijkstra for
+//!   weighted links,
 //! * Dinic maximum flow ([`maxflow`]), differentially tested against an
-//!   independent push-relabel implementation ([`push_relabel`]),
-//! * Hopcroft–Karp maximum bipartite matching ([`matching`]) — used to
-//!   cross-check the cover solver through König's theorem,
+//!   independent push-relabel implementation in the crate's tests,
 //! * **minimum-weight bipartite vertex cover** ([`vertex_cover`]) — the
-//!   kernel of the paper's single-edge optimization (§2.2),
-//! * union-find connectivity ([`unionfind`]) and directed cycle detection /
-//!   topological ordering ([`cycle`]) — used by the message merger (§3),
+//!   kernel of the paper's single-edge optimization (§2.2), cross-checked
+//!   in the crate's tests against Hopcroft–Karp through König's theorem,
+//! * topological ordering with cycle detection ([`cycle`]) — used by the
+//!   message merger and the slot assigner (§3),
 //! * bridge detection ([`bridges`]) — links with no runtime detour, used
 //!   by the failure analysis around milestone routing (§3).
+//!
+//! Two modules are reference implementations that only tests call: the
+//! allocating Dijkstra ([`dijkstra`]) and the Takahashi–Matsuyama Steiner
+//! tree ([`steiner`]). The flat routing forests of `m2m-netsim` replicate
+//! them and are held to them tree for tree.
 //!
 //! The crate has no dependencies and is usable independently of the sensor
 //! network simulator.
@@ -32,15 +37,12 @@ pub mod bipartite;
 pub mod bridges;
 pub mod cycle;
 pub mod dijkstra;
-pub mod matching;
 pub mod maxflow;
 pub mod node;
-pub mod push_relabel;
 pub mod scratch;
 pub mod spt;
 pub mod steiner;
 pub mod tiebreak;
-pub mod unionfind;
 pub mod vertex_cover;
 
 pub use adjacency::Graph;

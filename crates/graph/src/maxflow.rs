@@ -224,14 +224,6 @@ impl FlowNetwork {
             }
         }
     }
-
-    /// Allocating convenience wrapper around
-    /// [`FlowNetwork::residual_reachable_into`].
-    pub fn residual_reachable(&mut self, s: usize) -> Vec<bool> {
-        let mut seen = Vec::new();
-        self.residual_reachable_into(s, &mut seen);
-        seen
-    }
 }
 
 #[cfg(test)]
@@ -284,7 +276,9 @@ mod tests {
         net.add_arc(1, 2, 1);
         net.add_arc(2, 3, 5);
         assert_eq!(net.max_flow(0, 3), 1);
-        let reach = net.residual_reachable(0);
+        // Stale contents of another length are cleared and resized.
+        let mut reach = vec![true; 7];
+        net.residual_reachable_into(0, &mut reach);
         assert_eq!(reach, vec![true, true, false, false]);
     }
 
@@ -302,7 +296,8 @@ mod tests {
         let f = net.max_flow(0, 5);
         // Optimal cover: v1 (2) + v2 (2) = 4 vs u1+u2 = 7 vs mixes.
         assert_eq!(f, 4);
-        let reach = net.residual_reachable(0);
+        let mut reach = Vec::new();
+        net.residual_reachable_into(0, &mut reach);
         // Cut arcs: those from reachable to unreachable; both v→t arcs.
         assert!(reach[1] && reach[2]);
         assert!(reach[3] && reach[4]);

@@ -9,6 +9,11 @@
 //! the current tree (2-approximation of the Steiner minimum). Trees built
 //! this way use fewer edges than a union of source-rooted shortest paths,
 //! at the cost of longer individual routes.
+//!
+//! This per-tree version is a reference implementation that only tests
+//! call: `m2m-netsim`'s Steiner routing mode builds every tree in one
+//! flat forest that replicates this construction round for round, and
+//! its tests hold the forest to this one.
 
 use std::collections::VecDeque;
 

@@ -39,6 +39,10 @@ pub struct Deployment {
 
 impl Deployment {
     /// Builds a deployment from explicit positions.
+    ///
+    /// # Panics
+    /// Panics if the radio range is not positive or a coordinate is not
+    /// finite.
     pub fn from_positions(
         positions: Vec<Position>,
         width_m: f64,
@@ -46,6 +50,10 @@ impl Deployment {
         radio_range_m: f64,
     ) -> Self {
         assert!(radio_range_m > 0.0, "radio range must be positive");
+        assert!(
+            positions.iter().all(|p| p.x.is_finite() && p.y.is_finite()),
+            "node coordinates must be finite"
+        );
         Deployment {
             positions,
             width_m,
@@ -244,7 +252,9 @@ impl Deployment {
     /// kept for small or degenerate (non-positive range) deployments. The
     /// produced edge *set* is identical either way, and `Graph::add_edge`
     /// keeps neighbor lists sorted regardless of insertion order, so
-    /// everything downstream is unaffected.
+    /// everything downstream is unaffected. A coordinate too large for an
+    /// `i64` cell saturates; a neighbor offset past `i64::MAX` or
+    /// `i64::MIN` names no cell any node occupies and is skipped.
     pub fn radio_graph(&self) -> m2m_graph::Graph {
         let n = self.positions.len();
         let mut g = m2m_graph::Graph::new(n);
@@ -272,7 +282,10 @@ impl Deployment {
             let (cx, cy) = cell_of(p);
             for dx in -1..=1 {
                 for dy in -1..=1 {
-                    let Some(list) = bins.get(&(cx + dx, cy + dy)) else {
+                    let (Some(nx), Some(ny)) = (cx.checked_add(dx), cy.checked_add(dy)) else {
+                        continue;
+                    };
+                    let Some(list) = bins.get(&(nx, ny)) else {
                         continue;
                     };
                     for &j in list {
@@ -293,6 +306,7 @@ impl Deployment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use m2m_graph::NodeId;
 
     #[test]
     fn gdi_layout_matches_paper_parameters() {
@@ -380,6 +394,39 @@ mod tests {
         let a = Deployment::clustered(40, 3, 150.0, 150.0, 20.0, 55.0, 4);
         let b = Deployment::clustered(40, 3, 150.0, 150.0, 20.0, 55.0, 4);
         assert_eq!(a.positions(), b.positions());
+    }
+
+    #[test]
+    fn huge_coordinates_link_as_the_pairwise_scan_does() {
+        // 512 nodes take the grid-bucket path. Node 3's cell index
+        // saturates at `i64::MAX` and node 7's at `i64::MIN`; node 9 sits
+        // on node 3, so the two link.
+        let mut positions: Vec<Position> = (0..512)
+            .map(|i| Position::new(f64::from(i) * 4.0, 0.0))
+            .collect();
+        positions[3].x = 1e300;
+        positions[7].y = -1e300;
+        positions[9].x = 1e300;
+        let range = 5.0;
+        let d = Deployment::from_positions(positions.clone(), 2048.0, 10.0, range);
+        let got: Vec<_> = d.radio_graph().edges().collect();
+        let mut want = Vec::new();
+        for i in 0..positions.len() {
+            for j in (i + 1)..positions.len() {
+                if positions[i].distance_to(&positions[j]) <= range {
+                    want.push((NodeId::from_index(i), NodeId::from_index(j)));
+                }
+            }
+        }
+        assert!(want.contains(&(NodeId(3), NodeId(9))));
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    #[should_panic(expected = "coordinates must be finite")]
+    fn non_finite_coordinate_panics() {
+        let positions = vec![Position::new(0.0, 0.0), Position::new(f64::INFINITY, 0.0)];
+        let _ = Deployment::from_positions(positions, 10.0, 10.0, 5.0);
     }
 
     #[test]

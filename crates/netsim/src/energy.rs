@@ -75,20 +75,6 @@ impl EnergyModel {
     pub fn unicast_cost_uj(&self, body_bytes: u32) -> f64 {
         self.tx_cost_uj(body_bytes) + self.rx_cost_uj(body_bytes)
     }
-
-    /// Energy for a local broadcast heard by `listeners` neighbors: one
-    /// transmission plus `listeners` receptions (µJ). Used by the flood
-    /// baseline, which "floods the entire network using broadcasts".
-    #[inline]
-    pub fn broadcast_cost_uj(&self, body_bytes: u32, listeners: usize) -> f64 {
-        self.tx_cost_uj(body_bytes) + listeners as f64 * self.rx_cost_uj(body_bytes)
-    }
-}
-
-/// Converts microjoules to the millijoules the paper's figures report.
-#[inline]
-pub fn uj_to_mj(uj: f64) -> f64 {
-    uj / 1000.0
 }
 
 #[cfg(test)]
@@ -112,16 +98,6 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_scales_with_listeners() {
-        let m = EnergyModel::mica2();
-        let one = m.broadcast_cost_uj(4, 1);
-        let five = m.broadcast_cost_uj(4, 5);
-        assert!((five - one - 4.0 * m.rx_cost_uj(4)).abs() < 1e-9);
-        // Broadcast to one listener costs exactly a unicast.
-        assert!((one - m.unicast_cost_uj(4)).abs() < 1e-12);
-    }
-
-    #[test]
     fn bigger_bodies_cost_more_but_share_header() {
         let m = EnergyModel::mica2();
         // Two merged units in one message are cheaper than two messages:
@@ -129,10 +105,5 @@ mod tests {
         let merged = m.unicast_cost_uj(8);
         let separate = 2.0 * m.unicast_cost_uj(4);
         assert!(merged < separate);
-    }
-
-    #[test]
-    fn unit_conversion() {
-        assert!((uj_to_mj(2500.0) - 2.5).abs() < 1e-12);
     }
 }

@@ -256,16 +256,6 @@ impl DeliveryModel {
             DeliveryModel::Trace(t) => t.link(a, b),
         }
     }
-
-    /// True if no frame can ever be lost under this model (used to skip
-    /// fault bookkeeping entirely on the lossless fast path).
-    pub fn is_reliable(&self) -> bool {
-        match self {
-            DeliveryModel::Bernoulli(m) => m.failure_probability <= 0.0,
-            DeliveryModel::PerLink { loss, .. } => loss.values().all(|&p| p <= 0.0),
-            DeliveryModel::Trace(t) => t.down.is_empty(),
-        }
-    }
 }
 
 /// SplitMix64 finalizer — a tiny, well-distributed integer hash.
@@ -365,9 +355,7 @@ mod tests {
     #[test]
     fn delivery_model_reliable_and_uniform_match_bernoulli() {
         let reliable = DeliveryModel::reliable();
-        assert!(reliable.is_reliable());
         let uniform = DeliveryModel::uniform(0.5, 9);
-        assert!(!uniform.is_reliable());
         let raw = LinkFailureModel::new(0.5, 9);
         for tick in 0..200 {
             assert!(!reliable.is_down(NodeId(0), NodeId(1), tick));
@@ -406,7 +394,6 @@ mod tests {
     fn trace_model_is_exactly_reproducible() {
         let build = || DeliveryModel::trace(FailureTrace::new().down(NodeId(2), NodeId(5), 1, 4));
         let (a, b) = (build(), build());
-        assert!(!a.is_reliable());
         for tick in 0..10 {
             assert_eq!(
                 a.is_down(NodeId(2), NodeId(5), tick),

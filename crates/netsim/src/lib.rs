@@ -12,7 +12,7 @@
 //!   experiment (Figure 6),
 //! * [`network`] — the unit-disk radio connectivity graph,
 //! * [`energy`] — the Mica2-class energy model (per-message header cost +
-//!   per-byte send/receive cost, unicast and broadcast accounting),
+//!   per-byte send/receive cost),
 //! * [`routing`] — per-source multicast trees (the paper's "standard
 //!   algorithm") plus a strict shared-spanning-tree mode that satisfies the
 //!   §2.1 path-sharing restriction by construction,

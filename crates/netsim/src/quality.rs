@@ -105,11 +105,6 @@ impl LinkQuality {
         (self.etx(a, b) * ETX_SCALE).round() as u64
     }
 
-    /// Expected transmissions along a whole path.
-    pub fn path_etx(&self, path: &[NodeId]) -> f64 {
-        path.windows(2).map(|w| self.etx(w[0], w[1])).sum()
-    }
-
     /// Iterates all modeled links as `((min, max), loss)`, ascending.
     pub fn links(&self) -> impl Iterator<Item = ((NodeId, NodeId), f64)> + '_ {
         self.links.iter().copied().zip(self.loss.iter().copied())
@@ -266,14 +261,6 @@ mod tests {
                 hops.tree(NodeId(0)).unwrap().path_to(d).unwrap().len()
             );
         }
-    }
-
-    #[test]
-    fn path_etx_sums_links() {
-        let net = grid_network();
-        let q = LinkQuality::perfect(&net);
-        let path = [NodeId(0), NodeId(1), NodeId(2)];
-        assert!((q.path_etx(&path) - 2.0).abs() < 1e-12);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Verification gate: release build, the full test suite, the release
-# re-runs below, rustfmt, warnings-as-errors clippy over every target,
-# then one loop over the benchmark bins. Run from anywhere.
+# re-runs below, rustfmt, warnings-as-errors clippy over every target, a
+# check of the library crates alone, warnings-as-errors rustdoc, then one
+# loop over the benchmark bins. Run from anywhere.
 #
 # The fault-scan, sim, merge and slot-assignment unit tests and their
 # equivalence suites run again under `--release`, where slot, retry and
@@ -14,6 +15,13 @@
 # `u64::MAX` would wrap. (`cargo test` already runs the interpreted executor's
 # equivalence suite: the bench crate turns on `m2m-core/test-oracle` for
 # the whole workspace.)
+#
+# For the same reason neither the build nor the tests show that the
+# library crates compile without `test-oracle`: `cargo check -p ... --lib`
+# selects them alone, so the feature stays off. Their docs build with
+# `-D warnings`, which fails on a broken intra-doc link, such as one left
+# dangling by a deleted module or one that reaches an item only a
+# feature compiles.
 #
 # The bench loop names bins and nothing else: each bin declares its
 # gates as data at its top (`m2m_bench::harness`). Per bin, `--smoke`
@@ -46,6 +54,8 @@ cargo test --release -q -p m2m-graph --lib -- scratch::
 cargo test --release -q -p m2m-netsim
 cargo fmt --all -- --check
 cargo clippy --all-targets -- -D warnings
+cargo check -q -p m2m-core -p m2m-graph -p m2m-netsim --lib
+RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps -p m2m-core -p m2m-graph -p m2m-netsim -p m2m-telemetry
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
