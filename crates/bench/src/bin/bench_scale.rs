@@ -1,7 +1,9 @@
 //! Plan front-end scaling benchmark: routing → topology interning →
 //! edge-problem construction → per-edge solves, each stage timed
 //! separately over a density-preserving scaled series (1k/10k/100k
-//! nodes by default).
+//! nodes by default). Beside the hop-routed front end, every size also
+//! times ETX routing on the same demands (`quality::weighted_routing`
+//! under one fixed distance-based loss map, its weight slab included).
 //!
 //! The workload follows the paper's network-size setup (Figure 6):
 //! destinations sampled uniformly, each destination's sources sampled
@@ -13,14 +15,15 @@
 //! Usage: `bench_scale [--smoke] [--check [artifact.json]] [--nodes N1,N2,...] [out.json]`
 //!
 //! `--smoke` runs the 1k-node point once and prints the [`GATES`]:
-//! the routing forest's digest (FNV-1a over its directed edge set, which
-//! is cross-checked in-process against the per-tree edge union) and the
-//! serial spec→plan front-end builds per second (routing + intern +
-//! problems + solve). `--check` validates an artifact (header and every
-//! size row's stage timings and forest digest) and re-routes the
-//! [`PIN`]ned 1k row, which must reproduce its committed digest — the
-//! same digest `--smoke` prints. `scripts/verify.sh` judges both; see
-//! [`m2m_bench::harness`].
+//! the hop and ETX routing forests' digests (FNV-1a over a forest's
+//! directed edge set, which is cross-checked in-process against the
+//! per-tree edge union) and the serial spec→plan front-end builds per
+//! second (routing + intern + problems + solve). `--check` validates an
+//! artifact (header and every size row's stage timings and both forest
+//! digests) and re-routes the [`PIN`]ned 1k row's hop forest and the
+//! [`ETX_PIN`]ned row's ETX forest, which must reproduce their committed
+//! digests — the same digests `--smoke` prints. `scripts/verify.sh`
+//! judges both; see [`m2m_bench::harness`].
 
 use m2m_bench::harness::{print_gates, Digest, Gate, Kind, Pin};
 use m2m_bench::report::{bench_report, median_run, JsonValue};
@@ -31,12 +34,14 @@ use m2m_core::telemetry::Level;
 use m2m_core::topo::Topology;
 use m2m_core::workload::{generate_workload, SourceSelection, WorkloadConfig};
 use m2m_core::{m2m_log, telemetry};
-use m2m_netsim::{Deployment, Network, RoutingMode, RoutingTables};
+use m2m_netsim::quality::weighted_routing;
+use m2m_netsim::{Deployment, LinkQuality, Network, RoutingMode, RoutingTables};
 
 /// What `--smoke` prints for `scripts/verify.sh` to judge.
 const GATES: &[Gate] = &[
     // Arena reuse may never perturb routing structure, traced or not.
     Gate::new("forest_digest", Kind::Same),
+    Gate::new("etx_forest_digest", Kind::Same),
     Gate::new("builds_per_sec", Kind::Min(2.0)),
 ];
 /// The row `--check` re-routes: the 1k point, the size `--smoke` runs.
@@ -46,10 +51,19 @@ const PIN: Pin = Pin {
     values: &[SMOKE_NODES as u64],
     digest: "forest_digest",
 };
+/// The same row's ETX forest.
+const ETX_PIN: Pin = Pin {
+    digest: "etx_forest_digest",
+    ..PIN
+};
 const SMOKE_NODES: usize = 1_000;
 
-/// Workload seed shared by every size point (deployment and demand).
+/// Workload seed shared by every size point (deployment, demand and
+/// link quality).
 const SEED: u64 = 7;
+
+/// Loss of a link at the full radio range in the ETX stage's map.
+const ETX_MAX_LOSS: f64 = 0.3;
 
 /// Destinations for an `n`-node point: the paper's 25% up to 10k nodes,
 /// pinned above that so the sweep isolates graph-size scaling.
@@ -94,6 +108,11 @@ fn workload(n: usize) -> (Network, AggregationSpec) {
     (network, spec)
 }
 
+/// The ETX stage's link-quality map for `network`.
+fn etx_quality(network: &Network) -> LinkQuality {
+    LinkQuality::distance_based(network, ETX_MAX_LOSS, SEED)
+}
+
 struct SizePoint {
     nodes: usize,
     destinations: usize,
@@ -107,6 +126,8 @@ struct SizePoint {
     routing_slab_bytes: usize,
     topo_slab_bytes: usize,
     digest: Digest,
+    etx_routing_ns: f64,
+    etx_digest: Digest,
 }
 
 fn run_size(n: usize, samples: usize) -> SizePoint {
@@ -163,6 +184,17 @@ fn run_size(n: usize, samples: usize) -> SizePoint {
         frontend_ns / 1e6
     );
 
+    let quality = etx_quality(&network);
+    let (etx, etx_routing_ns) =
+        median_run(samples, || weighted_routing(&network, &demands, &quality));
+    let etx_digest = forest_digest(&etx);
+    m2m_log!(
+        Level::Info,
+        "n={n}: ETX routing {:.2} ms ({} tree edges)",
+        etx_routing_ns / 1e6,
+        etx.directed_edges().len()
+    );
+
     SizePoint {
         nodes: n,
         destinations: dests,
@@ -176,6 +208,8 @@ fn run_size(n: usize, samples: usize) -> SizePoint {
         routing_slab_bytes: routing.slab_bytes(),
         topo_slab_bytes: topo.slab_bytes(),
         digest,
+        etx_routing_ns,
+        etx_digest,
     }
 }
 
@@ -195,15 +229,26 @@ fn check_artifact(path: &str) {
             "solve_ns",
             "frontend_ns",
             "forest_digest",
+            "etx_routing_ns",
+            "etx_forest_digest",
         ],
     );
-    let pinned = PIN.check(path, &value, |row| {
-        let n = row.get("nodes").and_then(JsonValue::as_u64).expect("nodes");
-        let (network, spec) = workload(n as usize);
+    let nodes = |row: &JsonValue| row.get("nodes").and_then(JsonValue::as_u64).expect("nodes");
+    let mut pinned = PIN.check(path, &value, |row| {
+        let (network, spec) = workload(nodes(row) as usize);
         let routing = RoutingTables::build(
             &network,
             &spec.source_to_destinations(),
             RoutingMode::ShortestPathTrees,
+        );
+        forest_digest(&routing).to_string()
+    });
+    pinned += ETX_PIN.check(path, &value, |row| {
+        let (network, spec) = workload(nodes(row) as usize);
+        let routing = weighted_routing(
+            &network,
+            &spec.source_to_destinations(),
+            &etx_quality(&network),
         );
         forest_digest(&routing).to_string()
     });
@@ -244,7 +289,9 @@ fn main() {
                 .with("frontend_ns", JsonValue::float(point.frontend_ns, 0))
                 .with("routing_slab_bytes", point.routing_slab_bytes)
                 .with("topo_slab_bytes", point.topo_slab_bytes)
-                .with("forest_digest", point.digest.to_string()),
+                .with("forest_digest", point.digest.to_string())
+                .with("etx_routing_ns", JsonValue::float(point.etx_routing_ns, 0))
+                .with("etx_forest_digest", point.etx_digest.to_string()),
         );
         smoke_point = Some(point);
     }
@@ -254,7 +301,11 @@ fn main() {
         let rate = 1e9 / point.frontend_ns.max(1.0);
         print_gates(
             GATES,
-            &[("forest_digest", &point.digest), ("builds_per_sec", &rate)],
+            &[
+                ("forest_digest", &point.digest),
+                ("etx_forest_digest", &point.etx_digest),
+                ("builds_per_sec", &rate),
+            ],
         );
         return;
     }

@@ -1,6 +1,6 @@
 //! The committed BENCH_scale.json pins its 1k row: `bench_scale --check`
-//! re-routes that point and compares the forest digest, so a change to
-//! routing structure fails under `cargo test`, not only under
+//! re-routes that point and compares the hop and ETX forest digests, so a
+//! change to routing structure fails under `cargo test`, not only under
 //! `scripts/verify.sh`.
 
 use std::path::{Path, PathBuf};
@@ -29,6 +29,10 @@ fn the_committed_1k_forest_digest_reproduces() {
     );
     assert!(
         stdout.contains("pin nodes=1000 forest_digest 0x"),
+        "{stdout}"
+    );
+    assert!(
+        stdout.contains("pin nodes=1000 etx_forest_digest 0x"),
         "{stdout}"
     );
 }

@@ -1078,30 +1078,31 @@ impl ChurnController {
         }
     }
 
-    /// The worst relative ETX drift of any baseline link:
+    /// The worst relative ETX drift of any link either map models:
     /// `max |etx_now − etx_base| / etx_base`. A link that died or came
     /// back (infinite ETX on one side only) drifts without bound; one
-    /// dead on both sides does not drift. A baseline link `current` does
-    /// not model is dead there, as [`LinkQuality::loss`] reads it.
+    /// dead on both sides does not drift. A link one map does not model
+    /// is dead there, as [`LinkQuality::loss`] reads it.
     pub fn drift(&self, current: &LinkQuality) -> f64 {
-        // Both link slabs ascend, so one forward walk over `current`
-        // finds every baseline link.
-        let mut now = current.links().peekable();
-        self.baseline
-            .links()
-            .map(|(link, base_loss)| {
-                while now.next_if(|&(l, _)| l < link).is_some() {}
-                let now_loss = now.next_if(|&(l, _)| l == link).map_or(1.0, |(_, p)| p);
-                let (base, now) = (etx_of_loss(base_loss), etx_of_loss(now_loss));
-                if base.is_finite() {
-                    (now - base).abs() / base
-                } else if now.is_finite() {
-                    f64::INFINITY
-                } else {
-                    0.0
-                }
-            })
-            .fold(0.0, f64::max)
+        // Both link slabs ascend, so one merge walks every link of both.
+        let (mut base, mut now) = (self.baseline.links().peekable(), current.links().peekable());
+        let mut worst = 0.0f64;
+        loop {
+            let Some(link) = base.peek().into_iter().chain(now.peek()).map(|l| l.0).min() else {
+                return worst;
+            };
+            let base_loss = base.next_if(|&(l, _)| l == link).map_or(1.0, |(_, p)| p);
+            let now_loss = now.next_if(|&(l, _)| l == link).map_or(1.0, |(_, p)| p);
+            let (base, now) = (etx_of_loss(base_loss), etx_of_loss(now_loss));
+            let drift = if base.is_finite() {
+                (now - base).abs() / base
+            } else if now.is_finite() {
+                f64::INFINITY
+            } else {
+                0.0
+            };
+            worst = worst.max(drift);
+        }
     }
 
     /// Observes `current` quality: returns true (and counts a reroute) if
@@ -1726,12 +1727,21 @@ mod tests {
         // dead -> clean: the revived link must trigger a reroute
         assert_eq!(ctl.drift(&revived), f64::INFINITY);
         assert!(ctl.should_reroute(&revived));
-        // A baseline link the current map lacks reads as dead.
+        // A baseline link the current map lacks reads as dead, and a
+        // current link the baseline lacks reads as revived.
         let mut extra = revived.clone();
         extra.set_loss(NodeId(0), NodeId(15), 0.1);
         assert_eq!(
-            ChurnController::new(extra, 0.3).drift(&revived),
+            ChurnController::new(extra.clone(), 0.3).drift(&revived),
             f64::INFINITY
         );
+        assert_eq!(
+            ChurnController::new(revived.clone(), 0.3).drift(&extra),
+            f64::INFINITY
+        );
+        // Unmodeled on one side and dead on the other does not drift.
+        let mut dead_extra = revived.clone();
+        dead_extra.set_loss(NodeId(0), NodeId(15), 1.0);
+        assert_eq!(ChurnController::new(revived, 0.3).drift(&dead_extra), 0.0);
     }
 }

@@ -1052,6 +1052,29 @@ mod tests {
     }
 
     #[test]
+    fn a_link_only_the_observed_quality_models_reroutes() {
+        // Diagonals are radio links (15 m range over 10 m spacing), but the
+        // baseline models the orthogonal links only, so 0 reaches 15 over
+        // six hops. Observing every link alive revives the diagonals.
+        let net = Network::with_default_energy(Deployment::grid(4, 4, 10.0, 15.0));
+        let orthogonal = LinkQuality::perfect(&Network::with_default_energy(Deployment::grid(
+            4, 4, 10.0, 10.5,
+        )));
+        let every = LinkQuality::perfect(&net);
+        let mut session = Session::builder(net, spec()).quality(orthogonal).build();
+        let hops = |s: &Session| {
+            let tree = s.maintainer().routing().tree(NodeId(0)).unwrap();
+            tree.path_to(NodeId(15)).unwrap().len() - 1
+        };
+        assert_eq!(hops(&session), 6);
+        assert!(
+            session.observe_quality(&every).is_some(),
+            "revived links must reroute"
+        );
+        assert_eq!(hops(&session), 3, "0→5→10→15");
+    }
+
+    #[test]
     fn quality_drift_past_hysteresis_reroutes_once() {
         let net = network();
         let base = LinkQuality::distance_based(&net, 0.15, 3);

@@ -1,7 +1,8 @@
 //! Reusable per-source routing arena.
 //!
 //! Building routing tables runs one BFS / Dijkstra / tree-prune per
-//! source. The legacy path allocated four node-count-sized vectors per
+//! source (the ETX trees run one Dijkstra per destination instead).
+//! The legacy path allocated four node-count-sized vectors per
 //! source (`bfs_distances`, SPT parents, prune keep-marks, and the
 //! per-tree parent slab), which at 10k+ nodes makes the allocator and
 //! cache misses — not graph traversal — the dominant cost.
@@ -296,8 +297,11 @@ impl RoutingScratch {
     /// each was popped before it and offered it a path; [`offer_wins`]
     /// has therefore already settled its parent to the min-id optimal
     /// predecessor, and every node on its chain was popped earlier still.
-    /// The weighted forest builder marks a source's destinations and pays
-    /// only for the run up to the farthest one.
+    /// Every node strictly closer than the last popped mark is final too.
+    /// The ETX forest builder runs it from each destination, marks that
+    /// destination's sources, and pays only for the run up to the
+    /// farthest one: over symmetric weights, those distances serve every
+    /// one of its sources.
     ///
     /// # Panics
     /// Panics unless `weights` has one entry per adjacency entry.

@@ -26,10 +26,15 @@
 //! The three construction modes of [`crate::routing::RoutingMode`], and
 //! the ETX-weighted trees of [`crate::quality::weighted_routing`], build
 //! directly into the slabs through one shared [`m2m_graph::RoutingScratch`]
-//! arena; each is written to be step-for-step equivalent to the
-//! tree-at-a-time construction it replaces (see the per-function notes —
-//! the property tests in `tests/routing_forest.rs` pin the equivalence
-//! over random deployments).
+//! arena. The three modes search once per source, step for step as the
+//! tree-at-a-time construction they replace. The ETX trees search once
+//! per destination instead: weights are symmetric, so one destination's
+//! distances hold every one of its sources' chains, and the chains are
+//! read off them by the lowest-id tie-break the per-source search
+//! applies. Each builder is bit-identical to the tree-at-a-time
+//! construction (see the per-function notes — the property tests in
+//! `tests/routing_forest.rs` pin the equivalence over random
+//! deployments).
 
 use std::collections::BTreeMap;
 
@@ -278,7 +283,11 @@ impl ForestBuilder {
 /// Marks the distinct `targets` (after clearing every mark) and returns
 /// how many there are: the `pending` count of a run that stops at the
 /// last of them.
-fn mark_targets(scratch: &mut RoutingScratch, n: usize, targets: &[NodeId]) -> usize {
+fn mark_targets<'a>(
+    scratch: &mut RoutingScratch,
+    n: usize,
+    targets: impl IntoIterator<Item = &'a NodeId>,
+) -> usize {
     scratch.clear_marks(n);
     let mut pending = 0;
     for &d in targets {
@@ -353,43 +362,155 @@ pub fn build_spt_forest(graph: &Graph, demands: &BTreeMap<NodeId, Vec<NodeId>>) 
     builder.finish()
 }
 
-/// Builds the per-source pruned ETX shortest-path forest of
-/// [`crate::quality::weighted_routing`], with `weights` holding one link
-/// weight per adjacency entry of `csr` (`u64::MAX` for a dead link).
+/// Builds the pruned ETX shortest-path forest of
+/// [`crate::quality::weighted_routing`] from the destination side, with
+/// `weights` holding one link weight per adjacency entry of `csr`:
+/// symmetric (`w(u→v) = w(v→u)`), at least 1, and `u64::MAX` for a dead
+/// link. Every tree is bit-identical to the per-source build it
+/// replaced: one [`m2m_graph::dijkstra::dijkstra`] from each source, the
+/// keep-set of its root→destination paths, and
+/// [`MulticastTree::from_parents`]. The root is a member even when no
+/// destination is reachable; a destination the source cannot reach,
+/// including one behind dead links only, is dropped; a source that
+/// demands itself keeps itself as a destination.
 ///
-/// Equivalent, for weights of at least 1 and below `u64::MAX`, to the
-/// tree-at-a-time build it replaces: the allocating
-/// [`m2m_graph::dijkstra::dijkstra`] per source, the keep-set of every
-/// root→destination path, and [`MulticastTree::from_parents`]. The arena
-/// Dijkstra applies the same [`m2m_graph::tiebreak::offer_wins`] rule,
-/// and stops once the last of the source's destinations is popped
-/// ([`RoutingScratch::dijkstra_until_marked`]): positive weights make
-/// every kept chain final by then. The root is a member even when no
-/// destination is reachable, as it was in the legacy tree; unreachable
-/// destinations (including those behind dead links only) are dropped.
-pub fn build_weighted_forest(
+/// One arena Dijkstra runs from each destination d and stops once the
+/// last of d's sources is popped ([`RoutingScratch::dijkstra_until_marked`]).
+/// Weights are symmetric, so d's distances `dist_d` are the distances
+/// every (s, d) pair needs. The *lens* of (s, d) is every node reachable
+/// from s over *tight* links, where v→x is tight when
+/// `dist_d(x) + w(v, x) = dist_d(v)`: the nodes of every shortest s→d
+/// path. For a lens node v, a neighbour u is an optimal predecessor of v
+/// in s's search exactly when u is in the lens and u→v is tight, because
+/// `dist_s(u) + w(u, v) = dist_s(v)` extends to a shortest s→d path
+/// through u. So s's tree gives v the lowest-id tight lens predecessor,
+/// the parent the per-source search settles on by
+/// [`m2m_graph::tiebreak::offer_wins`]. One walk over the lens offers
+/// every tight link to its head and keeps the lowest id; the chain then
+/// follows those parents from d back to s.
+///
+/// The stopped run is exact:
+/// - every lens node other than s is strictly closer to d than s,
+///   since every weight is at least 1 (`ETX_SCALE` for ETX), so the run
+///   popped it, with its final distance, before it stopped;
+/// - a node the run touched but did not pop holds a tentative distance
+///   of at least `dist_d(s)`, so a link into it is never tight;
+/// - a dead link never passes the tight test either: its checked sum
+///   overflows.
+///
+/// The trees come out per (destination, source) pair. Each pair's chain
+/// is kept in destination order, and the trees are assembled in
+/// ascending source order, where a chain stops at the first node an
+/// earlier chain of the same source already kept, as in the per-source
+/// keep-set walk. A spec with more destinations than sources runs more
+/// searches here than a per-source build would.
+pub(crate) fn build_weighted_forest_from_destinations(
     csr: &CsrAdjacency,
     weights: &[u64],
     demands: &BTreeMap<NodeId, Vec<NodeId>>,
 ) -> RoutingForest {
     let n = csr.node_count();
+    let pairs: usize = demands.values().map(Vec::len).sum();
+    // Every (destination, source, pair) triple, grouped by destination;
+    // `pair` numbers the (source, destination) pairs in `demands` order.
+    let mut by_destination: Vec<(NodeId, NodeId, usize)> = Vec::with_capacity(pairs);
+    for (&s, targets) in demands {
+        for &d in targets {
+            by_destination.push((d, s, by_destination.len()));
+        }
+    }
+    by_destination.sort_unstable();
+
+    // Pair j's chain is `chains[span[j].0..span[j].1]`: the destination
+    // first, then each node's parent in the source's tree, up to the
+    // source's child. It is empty when the source is the destination or
+    // cannot reach it.
+    let mut span = vec![(0, 0); pairs];
+    // One node per hop; a few doublings reach the total.
+    let mut chains: Vec<NodeId> = Vec::with_capacity(4 * pairs);
+    let mut stack: Vec<NodeId> = Vec::new();
     let mut scratch = RoutingScratch::new();
+    for group in by_destination.chunk_by(|a, b| a.0 == b.0) {
+        let d = group[0].0;
+        let pending = mark_targets(&mut scratch, n, group.iter().map(|(_, s, _)| s));
+        scratch.dijkstra_until_marked(csr, d, weights, pending);
+        for &(_, s, j) in group {
+            let start = chains.len();
+            if s != d && scratch.dist(s).is_some() {
+                tag_lens_parents(&mut scratch, csr, weights, s, &mut stack);
+                let mut cur = d;
+                while cur != s {
+                    chains.push(cur);
+                    cur = NodeId(scratch.aux(cur).expect("a lens node has a parent"));
+                }
+            }
+            span[j] = (start, chains.len());
+        }
+    }
+
     let mut builder = ForestBuilder::new(demands.len());
     let mut kept: Vec<NodeId> = Vec::new();
     let mut reached: Vec<NodeId> = Vec::new();
+    let mut spans = span.iter();
     for (&s, targets) in demands {
-        let pending = mark_targets(&mut scratch, n, targets);
-        scratch.dijkstra_until_marked(csr, s, weights, pending);
         scratch.clear_marks(n);
         scratch.mark(s);
         kept.clear();
         kept.push(s);
-        keep_chains(&mut scratch, targets, &mut kept, &mut reached, |sc, v| {
-            sc.parent(v)
-        });
-        builder.push_tree(s, &kept, |v| scratch.parent(v), &reached);
+        reached.clear();
+        for &d in targets {
+            let &(a, b) = spans.next().expect("one span per pair");
+            let chain = &chains[a..b];
+            if chain.is_empty() && d != s {
+                continue; // unreachable
+            }
+            reached.push(d);
+            for (i, &v) in chain.iter().enumerate() {
+                if !scratch.mark(v) {
+                    break; // an earlier chain kept the rest
+                }
+                kept.push(v);
+                scratch.set_aux(v, chain.get(i + 1).unwrap_or(&s).0);
+            }
+        }
+        kept.sort_unstable();
+        reached.sort_unstable();
+        reached.dedup();
+        builder.push_tree(s, &kept, |v| scratch.aux(v).map(NodeId), &reached);
     }
     builder.finish()
+}
+
+/// Marks the lens of (s, d) for the destination run of the current
+/// epoch (every node reachable from `s` over tight links; see
+/// [`build_weighted_forest_from_destinations`]) and tags each lens node
+/// other than `s` with its lowest-id tight lens predecessor.
+fn tag_lens_parents(
+    scratch: &mut RoutingScratch,
+    csr: &CsrAdjacency,
+    weights: &[u64],
+    s: NodeId,
+    stack: &mut Vec<NodeId>,
+) {
+    scratch.clear_marks(csr.node_count());
+    scratch.mark(s);
+    stack.clear();
+    stack.push(s);
+    while let Some(v) = stack.pop() {
+        let dv = scratch.dist(v).expect("a lens node was popped");
+        for (&x, &w) in csr.neighbors(v).iter().zip(&weights[csr.entry_range(v)]) {
+            let tight = scratch.dist(x).and_then(|dx| dx.checked_add(w)) == Some(dv);
+            if !tight {
+                continue;
+            }
+            if scratch.aux(x).is_none_or(|p| v.0 < p) {
+                scratch.set_aux(x, v.0);
+            }
+            if scratch.mark(x) {
+                stack.push(x);
+            }
+        }
+    }
 }
 
 /// Builds the shared-spanning-tree forest

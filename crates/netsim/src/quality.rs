@@ -14,8 +14,11 @@
 //! ascending `(min, max)` order and their loss probabilities, so a lookup
 //! is a binary search, a copy is two allocations, and a walk over every
 //! link reads both slabs front to back. [`weighted_routing`] turns it into
-//! one fixed-point weight per adjacency entry of the radio graph and runs
-//! the flat-forest ETX builder ([`crate::forest::build_weighted_forest`]).
+//! one fixed-point weight per adjacency entry of the radio graph, in one
+//! walk over the slab, and builds the flat forest from the destination
+//! side: one Dijkstra per destination serves all of its sources, because
+//! links are undirected and their weights symmetric (the forest module's
+//! `build_weighted_forest_from_destinations`).
 //! A link at loss 1.0, or one the map does not model, is dead: its ETX is
 //! infinite, no route crosses it, and a destination reachable only over
 //! dead links is dropped from its tree.
@@ -25,7 +28,7 @@ use std::collections::BTreeMap;
 use m2m_graph::adjacency::{Adjacency, CsrAdjacency};
 use m2m_graph::NodeId;
 
-use crate::forest::build_weighted_forest;
+use crate::forest::build_weighted_forest_from_destinations;
 use crate::network::Network;
 use crate::routing::{RoutingMode, RoutingTables};
 
@@ -39,6 +42,12 @@ pub const ETX_SCALE: f64 = 1000.0;
 #[inline]
 pub fn etx_of_loss(loss: f64) -> f64 {
     1.0 / (1.0 - loss)
+}
+
+/// Dijkstra weight of a link with loss probability `loss`;
+/// `u64::MAX` for a dead link.
+fn weight_of_loss(loss: f64) -> u64 {
+    (etx_of_loss(loss) * ETX_SCALE).round() as u64
 }
 
 /// A per-link loss-probability map.
@@ -102,7 +111,7 @@ impl LinkQuality {
 
     /// Integer Dijkstra weight of link `{a, b}`.
     pub fn weight(&self, a: NodeId, b: NodeId) -> u64 {
-        (self.etx(a, b) * ETX_SCALE).round() as u64
+        weight_of_loss(self.loss(a, b))
     }
 
     /// Iterates all modeled links as `((min, max), loss)`, ascending.
@@ -152,11 +161,35 @@ impl LinkQuality {
 
     /// One Dijkstra weight per adjacency entry of `csr`, in entry order
     /// (see [`CsrAdjacency::entry_range`]); a dead link weighs
-    /// `u64::MAX`.
+    /// `u64::MAX`, and so does a radio link the map does not model.
+    ///
+    /// One forward walk over the slab fills both entries of each link.
+    /// Every row of `csr` ascends, and the slab, keyed `(min, max)`,
+    /// meets a node's neighbours in ascending order too: first the lower
+    /// ids, in links where the node is the `max`, then the higher ones.
+    /// So one cursor per row only moves forward. A modeled link that is
+    /// not a radio link is skipped.
     pub fn weights(&self, csr: &CsrAdjacency) -> Vec<u64> {
-        let mut weights = Vec::with_capacity(csr.entry_count());
-        for a in (0..csr.node_count()).map(NodeId::from_index) {
-            weights.extend(csr.neighbors(a).iter().map(|&b| self.weight(a, b)));
+        let n = csr.node_count();
+        let mut weights = vec![u64::MAX; csr.entry_count()];
+        let mut cursor = vec![0u32; n];
+        // The entry of `b` in `a`'s row, moving `a`'s cursor up to it.
+        let mut seek = |a: NodeId, b: NodeId| {
+            let row = csr.neighbors(a);
+            let at = &mut cursor[a.index()];
+            while row.get(*at as usize).is_some_and(|&v| v < b) {
+                *at += 1;
+            }
+            (row.get(*at as usize) == Some(&b)).then(|| csr.entry_range(a).start + *at as usize)
+        };
+        for (&(a, b), &loss) in self.links.iter().zip(&self.loss) {
+            if a.index() >= n {
+                break;
+            }
+            let Some(ab) = seek(a, b) else { continue };
+            let ba = seek(b, a).expect("radio links are symmetric");
+            weights[ab] = weight_of_loss(loss);
+            weights[ba] = weights[ab];
         }
         weights
     }
@@ -177,7 +210,8 @@ fn hash_unit(a: u32, b: u32, seed: u64) -> f64 {
 /// reachable. With perfect links this coincides with
 /// [`RoutingMode::ShortestPathTrees`] up to tie-breaking, and the tables
 /// carry that mode. Dead links are never crossed; a destination
-/// reachable only over them is dropped.
+/// reachable only over them is dropped. The trees are found with one
+/// Dijkstra per destination, not per source (see the module docs).
 pub fn weighted_routing(
     network: &Network,
     demands: &BTreeMap<NodeId, Vec<NodeId>>,
@@ -188,7 +222,7 @@ pub fn weighted_routing(
     let weights = quality.weights(&csr);
     RoutingTables::from_forest(
         RoutingMode::ShortestPathTrees,
-        build_weighted_forest(&csr, &weights, demands),
+        build_weighted_forest_from_destinations(&csr, &weights, demands),
     )
 }
 
@@ -363,8 +397,16 @@ mod tests {
     #[test]
     fn weights_follow_the_adjacency_entries() {
         let net = grid_network();
-        let mut q = LinkQuality::distance_based(&net, 0.4, 2);
+        // The map models the first three grid rows only, so the radio
+        // links of the last row (nodes 12-15) are unmodeled.
+        let three_rows = Network::with_default_energy(Deployment::grid(4, 3, 10.0, 12.0));
+        let mut q = LinkQuality::distance_based(&three_rows, 0.4, 2);
         q.set_loss(NodeId(5), NodeId(6), 1.0);
+        // Modeled links that are not radio links: within the network,
+        // to a node past it, and wholly past it.
+        q.set_loss(NodeId(0), NodeId(15), 0.25);
+        q.set_loss(NodeId(3), NodeId(40), 0.1);
+        q.set_loss(NodeId(20), NodeId(21), 0.1);
         let csr = CsrAdjacency::from_graph(net.graph());
         let weights = q.weights(&csr);
         assert_eq!(weights.len(), csr.entry_count());
@@ -374,6 +416,15 @@ mod tests {
                 assert_eq!(w, q.weight(a, b), "{a}-{b}");
             }
         }
-        assert!(weights.contains(&u64::MAX));
+        let entry = |a: u32, b: u32| {
+            let (a, b) = (NodeId(a), NodeId(b));
+            let at = csr.neighbors(a).binary_search(&b).expect("a radio link");
+            weights[csr.entry_range(a).start + at]
+        };
+        assert_eq!(entry(5, 6), u64::MAX, "dead");
+        assert_eq!(entry(14, 15), u64::MAX, "unmodeled");
+        assert_eq!(entry(11, 15), u64::MAX, "unmodeled");
+        assert!(entry(6, 5) == entry(5, 6) && entry(10, 11) == entry(11, 10));
+        assert!(entry(10, 11) < u64::MAX);
     }
 }

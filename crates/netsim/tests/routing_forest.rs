@@ -11,8 +11,9 @@
 //! the shared [`m2m_graph::RoutingScratch`] arena: building each source
 //! alone (fresh scratch) must be bit-identical to the multi-source
 //! build that reuses the arena across sources. A third pins the
-//! ETX-weighted forest of `quality::weighted_routing` against the
-//! per-source Dijkstra build it replaced (ported below).
+//! ETX-weighted forest of `quality::weighted_routing`, built from the
+//! destination side, against the per-source Dijkstra build (ported
+//! below), over qualities with dead and unmodeled links too.
 
 use std::collections::BTreeMap;
 
@@ -20,7 +21,7 @@ use proptest::prelude::*;
 
 use m2m_graph::dijkstra::dijkstra;
 use m2m_graph::spt::{MulticastTree, ShortestPathTree};
-use m2m_graph::NodeId;
+use m2m_graph::{Graph, NodeId};
 use m2m_netsim::quality::weighted_routing;
 use m2m_netsim::routing::TreeView;
 use m2m_netsim::{Deployment, LinkQuality, Network, RoutingMode, RoutingTables};
@@ -120,20 +121,28 @@ fn legacy_trees(
     }
 }
 
-/// The pre-forest ETX routing, ported verbatim from the old
+/// The pre-forest ETX routing, ported from the old
 /// `quality::weighted_routing`: one allocating Dijkstra per source, the
 /// keep-set of every source→destination path, and
-/// `MulticastTree::from_parents` (the root is always kept).
+/// `MulticastTree::from_parents` (the root is always kept). It runs on a
+/// copy of the radio graph without the dead links, because
+/// `graph::dijkstra` adds their `u64::MAX` weight unchecked.
 fn legacy_weighted_trees(
     net: &Network,
     demands: &BTreeMap<NodeId, Vec<NodeId>>,
     quality: &LinkQuality,
 ) -> BTreeMap<NodeId, MulticastTree> {
     let n = net.node_count();
+    let mut live = Graph::new(n);
+    for (a, b) in net.graph().edges() {
+        if quality.weight(a, b) != u64::MAX {
+            live.add_edge(a, b);
+        }
+    }
     demands
         .iter()
         .map(|(&s, dests)| {
-            let sp = dijkstra(net.graph(), s, |a, b| quality.weight(a, b));
+            let sp = dijkstra(&live, s, |a, b| quality.weight(a, b));
             let mut keep = vec![false; n];
             keep[s.index()] = true;
             let mut reached = Vec::new();
@@ -155,13 +164,39 @@ fn legacy_weighted_trees(
         .collect()
 }
 
-/// A link-quality map of one of three kinds: perfect, distance-based,
-/// or distance-based and then drifted.
+/// Quality kinds [`quality`] draws from.
+const QUALITY_KINDS: u64 = 5;
+
+/// A link-quality map of one of five kinds: perfect; distance-based;
+/// distance-based and then drifted; distance-based with a seeded
+/// quarter of the links dead (loss 1.0); or distance-based over a copy
+/// of the deployment with a shorter radio range, which leaves the
+/// longer radio links unmodeled.
 fn quality(net: &Network, kind: u64, max_loss: f64, seed: u64) -> LinkQuality {
     match kind {
         0 => LinkQuality::perfect(net),
         1 => LinkQuality::distance_based(net, max_loss, seed),
-        _ => LinkQuality::distance_based(net, max_loss, seed).with_drift(0.5, seed + 1),
+        2 => LinkQuality::distance_based(net, max_loss, seed).with_drift(0.5, seed + 1),
+        3 => {
+            let mut q = LinkQuality::distance_based(net, max_loss, seed);
+            let links: Vec<_> = q.links().map(|(link, _)| link).collect();
+            for (i, (a, b)) in links.into_iter().enumerate() {
+                if (i as u64 + seed) % 4 == 0 {
+                    q.set_loss(a, b, 1.0);
+                }
+            }
+            q
+        }
+        _ => {
+            let d = net.deployment();
+            let short = Deployment::from_positions(
+                d.positions().to_vec(),
+                d.width_m(),
+                d.height_m(),
+                0.75 * d.radio_range_m(),
+            );
+            LinkQuality::distance_based(&Network::with_default_energy(short), max_loss, seed)
+        }
     }
 }
 
@@ -234,23 +269,33 @@ proptest! {
     /// Scratch-arena reuse regression: one build reuses a single
     /// `RoutingScratch` across all sources; building each source by
     /// itself resets from a fresh arena. The trees must be bit-identical,
-    /// or the epoch-stamp reset is leaking state between sources.
+    /// or the epoch-stamp reset is leaking state between sources. The
+    /// ETX forest gets the same check: there one destination's search
+    /// serves all of its sources, and a lone source stops it earlier.
     #[test]
     fn arena_reuse_matches_fresh_per_source_builds(
         seed in 0u64..100,
         raw_demands in demand_strategy(),
+        kind in 0u64..QUALITY_KINDS,
+        quality_seed in 0u64..1_000,
     ) {
         let net = network(seed);
         let demands = to_demands(raw_demands);
-        for mode in RoutingMode::ALL {
-            let combined = RoutingTables::build(&net, &demands, mode);
+        let q = quality(&net, kind, 0.6, quality_seed);
+        let builds = RoutingMode::ALL
+            .map(|mode| (Some(mode), RoutingTables::build(&net, &demands, mode)));
+        let etx = (None, weighted_routing(&net, &demands, &q));
+        for (mode, combined) in builds.iter().chain([&etx]) {
             for (s, dests) in &demands {
                 let solo_demand: BTreeMap<NodeId, Vec<NodeId>> =
                     [(*s, dests.clone())].into();
-                let solo = RoutingTables::build(&net, &solo_demand, mode);
+                let solo = match mode {
+                    Some(mode) => RoutingTables::build(&net, &solo_demand, *mode),
+                    None => weighted_routing(&net, &solo_demand, &q),
+                };
                 let combined_view = combined.tree(*s).expect("source routed");
                 let solo_view = solo.tree(*s).expect("source routed");
-                prop_assert_eq!(combined_view.nodes(), solo_view.nodes());
+                prop_assert_eq!(combined_view.nodes(), solo_view.nodes(), "{:?}", mode);
                 prop_assert_eq!(combined_view.destinations(), solo_view.destinations());
                 for &v in combined_view.nodes() {
                     prop_assert_eq!(combined_view.parent(v), solo_view.parent(v));
@@ -261,7 +306,7 @@ proptest! {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// ETX forest ≡ the legacy per-source Dijkstra trees: every tree's
     /// nodes, parents, destinations and edges, the deduplicated directed
@@ -270,7 +315,7 @@ proptest! {
     fn weighted_forest_matches_legacy_etx_trees(
         seed in 0u64..100,
         raw_demands in demand_strategy(),
-        kind in 0u64..3,
+        kind in 0u64..QUALITY_KINDS,
         max_loss in 0.0f64..0.95,
         quality_seed in 0u64..1_000,
     ) {
