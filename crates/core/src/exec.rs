@@ -129,11 +129,11 @@ impl NodeIndex {
 }
 
 /// One lowered contribution, as a value. Mirrors [`Contribution`] with
-/// all lookups (weight, reading slot) resolved at compile time. The hot
-/// path never materializes these — ops are stored as a structure of
-/// arrays ([`OpStream`]) — but the fault-tolerant executor
-/// ([`crate::faults`]) replays the stream through [`OpStream::get`]
-/// views when folding degraded rounds.
+/// all lookups (weight, reading slot) resolved at compile time. No
+/// executor materializes these — ops are stored as a structure of arrays
+/// ([`OpStream`]) — but the loss-aware settle's scalar test oracle
+/// ([`crate::faults`]) replays the stream through `OpStream::get` views.
+#[cfg(test)]
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum Op {
     /// Pre-aggregate the reading in `slot` with weight `alpha`.
@@ -184,8 +184,8 @@ impl OpStream {
         self.tags.len()
     }
 
-    /// The op at `i`, re-assembled as a value (cold paths only).
-    #[inline]
+    /// The op at `i`, re-assembled as a value (test oracles only).
+    #[cfg(test)]
     pub(crate) fn get(&self, i: usize) -> Op {
         match self.tags[i] {
             OpTag::Pre => Op::Pre {
@@ -493,8 +493,11 @@ impl CompiledSchedule {
     /// Executes one window of `W` rounds whose readings are loaded
     /// lane-major in `state.readings`. Lanes are independent rounds: all
     /// arithmetic is per-lane, in the compiled op order, so each lane is
-    /// bit-identical to a scalar round of the same readings.
-    fn round_window<const W: usize>(&self, state: &mut ExecState) {
+    /// bit-identical to a scalar round of the same readings. Counts
+    /// nothing: the loss-aware settle ([`crate::faults`]) folds each
+    /// round's readings through `round_window::<1>` without moving the
+    /// compiled executor's round counters.
+    pub(crate) fn round_window<const W: usize>(&self, state: &mut ExecState) {
         for step in &self.record_steps {
             assert!(
                 step.op_count > 0,
@@ -807,9 +810,9 @@ pub struct ExecState {
     /// One reading per interned source per lane, lane-major.
     readings: Vec<f64>,
     /// Record component planes: `unit_count * width` each.
-    rec0: Vec<f64>,
-    rec1: Vec<f64>,
-    rec2: Vec<f64>,
+    pub(crate) rec0: Vec<f64>,
+    pub(crate) rec1: Vec<f64>,
+    pub(crate) rec2: Vec<f64>,
     /// One result per destination per lane, lane-major.
     results: Vec<f64>,
     /// The compiled schedule's static one-round profile (shared).

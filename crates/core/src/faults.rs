@@ -11,9 +11,9 @@
 //!   [`DeliveryModel`] (uniform Bernoulli, per-link ETX-derived, or a
 //!   scripted [`m2m_netsim::failure::FailureTrace`]), each message retried
 //!   under a [`RetryPolicy`] with every attempt charged through the Mica2
-//!   energy model. That slot scan only decides the round's *delivery
+//!   energy model. That delivery pass only decides the round's *delivery
 //!   vector* (per message: delivered, dropped, attempts);
-//!   `Settler::settle` then replays the compiled op stream over
+//!   `Settler::settle` then folds the compiled op stream over
 //!   whatever actually arrived, producing per-destination results,
 //!   coverage fractions, and missing-source sets ([`FaultOutcome`]).
 //!   The event-driven runtime in [`crate::sim`] decides delivery on a
@@ -22,20 +22,29 @@
 //!   messages got through, not when.
 //!
 //!   Both clocks share one `Settler` (the compiled schedule plus the op
-//!   gates, raw relay chains and demanded sets `settle` needs) and read
-//!   the message graph and per-message facts from the schedule and its
-//!   lowering; `FaultyExec` adds only its TDMA slots, indexed by slot.
-//!   The slot scan visits only *ready* messages: a round keeps a ready
-//!   bitset fed by slot arrivals, by successors whose last predecessor
-//!   resolved, and by a backoff queue. Each slot walks the bitset in
-//!   ascending message order, re-reading
-//!   the current word after every attempt: a message readied in slot
-//!   `t` goes in `t` if it lies ahead of the message that readied it and
-//!   in `t + 1` otherwise, which is the order of a full rescan of every
-//!   message every slot, so every attempt draws the same
-//!   `(link, salt + slot)` value. Links are resolved into per-message
-//!   [`m2m_netsim::LinkLoss`] oracles once per call (once per batch in
-//!   [`FaultyExec::run_rounds`]) rather than looked up per attempt.
+//!   gates, raw relay chains, gate fan-out and demanded sets `settle`
+//!   needs) and read the message graph and per-message facts from the
+//!   schedule and its lowering; `FaultyExec` adds only its TDMA slots and
+//!   the messages in slot order. Slot assignment puts every message at
+//!   least one slot after each of its predecessors, so that order is a
+//!   topological order of the message graph, and *one pass* over it
+//!   decides delivery, settling each message after its predecessors. A
+//!   message is ready in the latest of its assigned slot and, per
+//!   predecessor `p`, the slot `p` resolved in, plus one when the
+//!   message lies ahead of `p` in message order: a rescan of every
+//!   message every slot, in ascending order, first attempts it there.
+//!   Its attempt `k` goes in slot `ready + k·(backoff + 1)` while that is
+//!   inside the budget, so every attempt draws the same
+//!   `(link, salt + slot)` value the rescan would. Links are resolved
+//!   into per-message [`m2m_netsim::LinkLoss`] oracles once per call
+//!   (once per batch in [`FaultyExec::run_rounds`]) rather than looked up
+//!   per attempt.
+//!
+//!   `settle` runs the compiled fold of the round's readings first, then
+//!   re-folds only the steps a loss touched: each step whose op gates
+//!   read a unit of an undelivered message, and every consumer of a
+//!   re-folded record. Every other step keeps its compiled record and
+//!   its full-delivery coverage row.
 //! * [`DegradationTracker`] — per-destination staleness: how many
 //!   consecutive rounds a destination has gone without full coverage.
 //! * [`ChurnController`] — the loop closure: when observed link quality
@@ -48,14 +57,14 @@
 //!
 //! **Equivalence contract**: with a reliable delivery model (or loss
 //! probability 0) and any retry policy, every message is delivered on its
-//! first attempt, the degraded replay includes every op in the compiled
-//! order, and [`FaultOutcome::results`] / [`FaultOutcome::cost`] are
-//! **bit-identical** to [`CompiledSchedule::run_round`] — the same float
-//! associativity, the same cost accumulation order. The property test
+//! first attempt, nothing is re-folded, and [`FaultOutcome::results`] /
+//! [`FaultOutcome::cost`] are **bit-identical** to
+//! [`CompiledSchedule::run_round`] — the same float associativity, the
+//! same cost accumulation order. The property test
 //! `tests/fault_equivalence.rs` pins this across routing modes and thread
 //! counts.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use m2m_graph::NodeId;
@@ -63,8 +72,8 @@ use m2m_netsim::quality::{etx_of_loss, LinkQuality};
 use m2m_netsim::{DeliveryModel, LinkLoss, Network};
 use m2m_telemetry::timeseries::record_planes;
 
-use crate::agg::PartialRecord;
-use crate::exec::{CompiledSchedule, MessageFacts, Op};
+use crate::agg::{with_lane_kernel, LaneKernel};
+use crate::exec::{CompiledSchedule, ExecState, MessageFacts, OpTag};
 use crate::metrics::RoundCost;
 use crate::parallel;
 use crate::schedule::{Contribution, UnitContent};
@@ -197,7 +206,7 @@ impl FaultOutcome {
 /// tallies; dropping the scratch — end of a worker's chunk, end of a
 /// serial run — turns them into per-node planes once and flushes those
 /// into the process-wide plane registry.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct FaultScratch {
     /// The round's delivery vector, per message: delivered, abandoned
     /// after exhausting its retry budget, and transmission attempts.
@@ -206,18 +215,13 @@ pub struct FaultScratch {
     pub(crate) delivered: Vec<bool>,
     pub(crate) dropped: Vec<bool>,
     pub(crate) attempts: Vec<u32>,
-    /// Unresolved predecessors left per message (either clock), then the
-    /// slot scan's ready bitset and failed messages waiting out their
-    /// backoff as `(retry slot, message)` in slot order.
-    pub(crate) pending: Vec<u32>,
-    ready: Vec<u64>,
-    backoff: VecDeque<(u32, u32)>,
-    records: Vec<Option<PartialRecord>>,
-    /// Source-coverage bitset rows (`words` each): per unit, per
-    /// destination, and the row of the op run being folded.
-    unit_cover: Vec<u64>,
-    cover: Vec<u64>,
-    tmp_cover: Vec<u64>,
+    /// Bitset of the messages with a failed attempt this round (either
+    /// clock): the round's link events, in message order.
+    pub(crate) failed: Vec<u64>,
+    /// The delivery pass's per-message earliest slot, raised by each
+    /// resolved predecessor; `u32::MAX` once a predecessor never resolves.
+    earliest: Vec<u32>,
+    fold: FoldScratch,
     tally: PlaneTally,
 }
 
@@ -226,6 +230,24 @@ impl Drop for FaultScratch {
         // No-op when nothing was recorded (observability off).
         self.tally.flush();
     }
+}
+
+/// What `Settler::settle` folds a round with: the compiled fold of its
+/// readings, and the re-folded steps over it.
+#[derive(Clone, Debug)]
+struct FoldScratch {
+    /// The compiled fold, one lane.
+    exec: ExecState,
+    /// Bitset of the steps to re-fold: record steps in topological order,
+    /// then destination steps ascending.
+    dirty: Vec<u64>,
+    /// Per record step, read where `dirty` is set: the re-folded record
+    /// (`None` when nothing survived) and its coverage row (`words`
+    /// each).
+    records: Vec<Option<(f64, f64, f64)>>,
+    cover: Vec<u64>,
+    /// The coverage row of the op run being re-folded.
+    row: Vec<u64>,
 }
 
 /// Per-message observability counts summed over every round one scratch
@@ -317,8 +339,13 @@ impl PlaneTally {
 /// What both loss-aware clocks share: the compiled schedule, and the
 /// tables `Settler::settle` turns a delivery vector into a
 /// [`FaultOutcome`] with — an *op gate* per compiled op (the message unit
-/// whose delivery the op's datum depends on), raw relay chains, and each
+/// whose delivery the op's datum depends on), raw relay chains, the steps
+/// each unit's delivery gates, full-delivery coverage rows, and each
 /// destination's demanded sources. Built once per compiled schedule.
+///
+/// A *step* indexes the compiled op runs in their fold order: record
+/// steps `0..R` in topological order, then destination step `i` at
+/// `R + i`.
 #[derive(Clone, Debug)]
 pub(crate) struct Settler {
     compiled: CompiledSchedule,
@@ -333,9 +360,19 @@ pub(crate) struct Settler {
     /// received — whereas a record unit usefully re-forms from whatever
     /// survived, so it gates on its own hop alone.
     raw_parent: Vec<u32>,
+    /// Per unit, the steps whose op gates read its delivery, ascending: a
+    /// record unit's consumers, and for a raw unit every step with a
+    /// `Pre` op whose relay chain crosses it. Unit `u`'s steps are
+    /// `gated[gated_start[u]..gated_start[u + 1]]`.
+    gated_start: Vec<u32>,
+    gated: Vec<u32>,
+    /// Per unit: the record step forming it (`u32::MAX` for raw units).
+    record_step: Vec<u32>,
     /// Bitset words per coverage row.
     words: usize,
-    /// Per-destination demanded-source bitsets (row-major, `words` each).
+    /// Full-delivery coverage rows (`words` each): per record step, and
+    /// per destination (its demanded sources).
+    record_cover: Vec<u64>,
     demanded_bits: Vec<u64>,
     /// Per-destination demanded-source counts.
     demanded: Vec<usize>,
@@ -351,8 +388,9 @@ pub(crate) const RAW_ORIGIN: u32 = u32::MAX - 1;
 impl Settler {
     /// Builds the settle tables for `compiled`: the op gates, by
     /// replaying the compiler's lowering walk against the schedule's
-    /// contribution lists, and the demanded sets, by one full-delivery
-    /// fold.
+    /// contribution lists; the steps each unit gates, by walking every
+    /// op's relay chain; and the full-delivery coverage rows, by one
+    /// cover-only walk of the op runs.
     ///
     /// # Panics
     /// Panics if the schedule violates the structural invariants the gate
@@ -433,33 +471,105 @@ impl Settler {
         // Each gate must agree with its op's variant: FromUnit gates on
         // the referenced unit itself.
         for (i, &gate) in op_gate.iter().enumerate() {
-            if let Op::FromUnit { unit } = compiled.ops.get(i) {
+            if compiled.ops.tags[i] == OpTag::FromUnit {
+                let unit = compiled.ops.args[i];
                 assert_eq!(gate, unit, "FromUnit op must gate on its own unit");
             }
         }
 
-        let words = compiled.sources.len().div_ceil(64).max(1);
-        let mut this = Settler {
-            compiled: compiled.clone(),
-            op_gate,
-            raw_parent,
-            words,
-            demanded_bits: Vec::new(),
-            demanded: Vec::new(),
+        // Gate fan-out as a CSR: count, then fill, each step once per unit
+        // its gates read. Steps are visited ascending, so a unit's repeats
+        // are adjacent and its list comes out sorted.
+        let units = compiled.unit_count;
+        let runs = || {
+            let records = compiled
+                .record_steps
+                .iter()
+                .map(|s| (s.first_op, s.op_count));
+            records.chain(compiled.dest_steps.iter().map(|s| (s.first_op, s.op_count)))
         };
-        // A full-delivery pass fixes each destination's demanded set (the
-        // readings only feed the discarded fold).
-        let mut scratch = this.scratch();
-        scratch.delivered.fill(true);
-        let ones = vec![1.0; this.compiled.sources.len()];
-        this.fold_gated(&ones, &mut scratch, &mut Vec::new());
-        this.demanded = scratch
-            .cover
+        let chain = |gate: u32| {
+            std::iter::successors((gate != u32::MAX).then_some(gate), |&u| {
+                match raw_parent[u as usize] {
+                    NOT_RAW | RAW_ORIGIN => None,
+                    parent => Some(parent),
+                }
+            })
+        };
+        let mut seen = vec![u32::MAX; units];
+        let mut each_pair = |visit: &mut dyn FnMut(usize, u32)| {
+            seen.fill(u32::MAX);
+            for (j, (first, count)) in runs().enumerate() {
+                for &gate in &op_gate[first as usize..(first + count) as usize] {
+                    for u in chain(gate) {
+                        let u = u as usize;
+                        if std::mem::replace(&mut seen[u], j as u32) != j as u32 {
+                            visit(u, j as u32);
+                        }
+                    }
+                }
+            }
+        };
+        let mut gated_start = vec![0u32; units + 1];
+        each_pair(&mut |u, _| gated_start[u + 1] += 1);
+        for u in 0..units {
+            gated_start[u + 1] += gated_start[u];
+        }
+        let mut gated = vec![0u32; gated_start[units] as usize];
+        let mut cursor = gated_start[..units].to_vec();
+        each_pair(&mut |u, j| {
+            gated[cursor[u] as usize] = j;
+            cursor[u] += 1;
+        });
+        let mut record_step = vec![u32::MAX; units];
+        for (r, step) in compiled.record_steps.iter().enumerate() {
+            record_step[step.unit as usize] = r as u32;
+        }
+
+        // Full-delivery coverage, one cover-only walk in fold order: a run
+        // covers its `Pre` sources and every record it merges.
+        let words = compiled.sources.len().div_ceil(64).max(1);
+        let ops = &compiled.ops;
+        let cover_run = |first: u32, count: u32, record_cover: &[u64], row: &mut [u64]| {
+            for k in first as usize..(first + count) as usize {
+                let arg = ops.args[k] as usize;
+                match ops.tags[k] {
+                    OpTag::Pre => row[arg / 64] |= 1 << (arg % 64),
+                    OpTag::FromUnit => {
+                        let r = record_step[arg] as usize;
+                        for (have, &more) in row.iter_mut().zip(&record_cover[r * words..]) {
+                            *have |= more;
+                        }
+                    }
+                }
+            }
+        };
+        let mut record_cover = vec![0u64; compiled.record_steps.len() * words];
+        for (r, step) in compiled.record_steps.iter().enumerate() {
+            // A record merges only records formed before it.
+            let (formed, rest) = record_cover.split_at_mut(r * words);
+            cover_run(step.first_op, step.op_count, formed, &mut rest[..words]);
+        }
+        let mut demanded_bits = vec![0u64; compiled.dest_steps.len() * words];
+        for (row, step) in demanded_bits.chunks_mut(words).zip(&compiled.dest_steps) {
+            cover_run(step.first_op, step.op_count, &record_cover, row);
+        }
+        let demanded = demanded_bits
             .chunks(words)
             .map(|row| row.iter().map(|w| w.count_ones() as usize).sum())
             .collect();
-        this.demanded_bits = std::mem::take(&mut scratch.cover);
-        this
+        Settler {
+            compiled: compiled.clone(),
+            op_gate,
+            raw_parent,
+            gated_start,
+            gated,
+            record_step,
+            words,
+            record_cover,
+            demanded_bits,
+            demanded,
+        }
     }
 
     /// The compiled schedule both clocks run.
@@ -471,17 +581,21 @@ impl Settler {
     /// Allocates a scratch arena sized for this schedule.
     pub(crate) fn scratch(&self) -> FaultScratch {
         let messages = self.compiled.message_facts.len();
+        let records = self.compiled.record_steps.len();
+        let steps = records + self.compiled.dest_steps.len();
         FaultScratch {
             delivered: vec![false; messages],
             dropped: vec![false; messages],
             attempts: vec![0; messages],
-            pending: vec![0; messages],
-            ready: vec![0; messages.div_ceil(64)],
-            backoff: VecDeque::new(),
-            records: vec![None; self.compiled.unit_count],
-            unit_cover: vec![0; self.compiled.unit_count * self.words],
-            cover: vec![0; self.compiled.dest_steps.len() * self.words],
-            tmp_cover: vec![0; self.words],
+            failed: vec![0; messages.div_ceil(64)],
+            earliest: vec![0; messages],
+            fold: FoldScratch {
+                exec: ExecState::for_schedule(&self.compiled),
+                dirty: vec![0; steps.div_ceil(64)],
+                records: vec![None; records],
+                cover: vec![0; records * self.words],
+                row: vec![0; self.words],
+            },
             tally: PlaneTally {
                 messages: Arc::clone(&self.compiled.message_facts),
                 universe: Arc::clone(&self.compiled.obs_profile),
@@ -532,85 +646,202 @@ impl Settler {
         }
     }
 
-    /// Left-folds one op run in the reference path's contribution order,
-    /// but skipping ops whose gate is closed or whose source record came
-    /// up empty, and leaves the run's source-coverage row in
-    /// `scratch.tmp_cover`. With every gate open this is the compiled
-    /// fold: the same ops in the same order and association.
-    fn fold_step(
+    /// Marks, in `dirty`, every step whose op gates read unit `u`.
+    fn mark_gated(&self, u: usize, dirty: &mut [u64]) {
+        let steps = &self.gated[self.gated_start[u] as usize..self.gated_start[u + 1] as usize];
+        for &j in steps {
+            dirty[j as usize / 64] |= 1 << (j % 64);
+        }
+    }
+
+    /// Re-folds one op run against the round's delivery vector, in the
+    /// compiled op order, skipping ops whose gate is closed. A `FromUnit`
+    /// op merges the re-folded record of a dirty step (or nothing, when
+    /// none survived there) or the compiled record of a clean one, and
+    /// ORs in that record's coverage row. Leaves the run's coverage row in
+    /// `fold.row`. With every gate open and every input clean this is
+    /// [`CompiledSchedule::round_window`]'s fold, op for op.
+    fn refold<K: LaneKernel>(
         &self,
         first_op: u32,
         op_count: u32,
-        kind: crate::agg::AggregateKind,
         readings: &[f64],
-        scratch: &mut FaultScratch,
-    ) -> Option<PartialRecord> {
+        delivered: &[bool],
+        fold: &mut FoldScratch,
+    ) -> Option<(f64, f64, f64)> {
         let words = self.words;
+        let ops = &self.compiled.ops;
         let message_of = &self.compiled.schedule().message_of;
-        scratch.tmp_cover.fill(0);
-        let base = first_op as usize;
-        let mut acc: Option<PartialRecord> = None;
-        for k in base..base + op_count as usize {
-            if !self.gate_open(self.op_gate[k], message_of, &scratch.delivered) {
+        fold.row.fill(0);
+        let mut acc: Option<(f64, f64, f64)> = None;
+        let lo = first_op as usize;
+        for k in lo..lo + op_count as usize {
+            if !self.gate_open(self.op_gate[k], message_of, delivered) {
                 continue;
             }
-            let part = match self.compiled.ops.get(k) {
-                Op::Pre { slot, alpha } => {
-                    scratch.tmp_cover[slot as usize / 64] |= 1 << (slot % 64);
-                    kind.pre_aggregate_weighted(alpha, readings[slot as usize])
+            let arg = ops.args[k] as usize;
+            let part = match ops.tags[k] {
+                OpTag::Pre => {
+                    fold.row[arg / 64] |= 1 << (arg % 64);
+                    K::pre(ops.alphas[k], readings[arg])
                 }
-                Op::FromUnit { unit } => {
-                    let src = unit as usize * words;
-                    for w in 0..words {
-                        scratch.tmp_cover[w] |= scratch.unit_cover[src + w];
+                OpTag::FromUnit => {
+                    let r = self.record_step[arg] as usize;
+                    let (row, record) = if is_set(&fold.dirty, r) {
+                        (&fold.cover[r * words..(r + 1) * words], fold.records[r])
+                    } else {
+                        let exec = &fold.exec;
+                        let record = (exec.rec0[arg], exec.rec1[arg], exec.rec2[arg]);
+                        (&self.record_cover[r * words..(r + 1) * words], Some(record))
+                    };
+                    for (have, &more) in fold.row.iter_mut().zip(row) {
+                        *have |= more;
                     }
-                    match scratch.records[unit as usize] {
-                        Some(r) => r,
+                    match record {
+                        Some(record) => record,
                         None => continue, // delivered, but nothing survived upstream
                     }
                 }
             };
             acc = Some(match acc {
                 None => part,
-                Some(prev) => kind.merge_records(prev, part),
+                Some(prev) => K::merge(prev, part),
             });
         }
         acc
     }
 
-    /// One gated fold-and-coverage pass over the compiled op stream:
-    /// record steps in topological order, then destination steps
-    /// ascending, each against the delivery vector in
-    /// `scratch.delivered`. Pushes the destination results and leaves
-    /// their coverage rows in `scratch.cover`.
-    fn fold_gated(
+    /// The round's per-destination results and coverage: the compiled
+    /// fold of `readings`, then a gated re-fold of only the steps a loss
+    /// touched — those whose op gates read a unit of an undelivered
+    /// message, and the consumers of every re-folded record. A clean
+    /// step's gated fold *is* its compiled fold (every gate open, every
+    /// record it merges clean), so keeping its compiled record and
+    /// full-delivery coverage row changes no bit.
+    fn fold(
         &self,
         readings: &[f64],
         scratch: &mut FaultScratch,
-        results: &mut Vec<Option<f64>>,
-    ) {
+    ) -> (Vec<Option<f64>>, Vec<DestCoverage>) {
+        let compiled = &self.compiled;
+        let FaultScratch {
+            delivered, fold, ..
+        } = scratch;
+        let delivered: &[bool] = delivered;
+        fold.exec.readings_mut().copy_from_slice(readings);
+        compiled.round_window::<1>(&mut fold.exec);
+
+        fold.dirty.fill(0);
+        let messages = &compiled.schedule().messages;
+        for (m, _) in delivered.iter().enumerate().filter(|&(_, &d)| !d) {
+            for &u in &messages[m].units {
+                self.mark_gated(u, &mut fold.dirty);
+            }
+        }
+        // Record steps ascending: a re-folded record marks only its
+        // consumers, which come later, so one sweep sees every mark.
         let words = self.words;
-        for step in &self.compiled.record_steps {
-            let acc = self.fold_step(step.first_op, step.op_count, step.kind, readings, scratch);
-            scratch.records[step.unit as usize] = acc;
-            let dst = step.unit as usize * words;
-            scratch.unit_cover[dst..dst + words].copy_from_slice(&scratch.tmp_cover);
+        let records = compiled.record_steps.len();
+        let mut r = 0;
+        while let Some(next) = next_set_bit(&fold.dirty, r).filter(|&next| next < records) {
+            let step = &compiled.record_steps[next];
+            let record = with_lane_kernel!(step.kind, K => {
+                self.refold::<K>(step.first_op, step.op_count, readings, delivered, fold)
+            });
+            fold.records[next] = record;
+            fold.cover[next * words..(next + 1) * words].copy_from_slice(&fold.row);
+            self.mark_gated(step.unit as usize, &mut fold.dirty);
+            r = next + 1;
         }
-        for (i, step) in self.compiled.dest_steps.iter().enumerate() {
-            let acc = self.fold_step(step.first_op, step.op_count, step.kind, readings, scratch);
-            results.push(acc.map(|r| step.kind.evaluate_record(r)));
-            scratch.cover[i * words..(i + 1) * words].copy_from_slice(&scratch.tmp_cover);
+
+        let dests = compiled.dest_steps.len();
+        let mut results = Vec::with_capacity(dests);
+        let mut coverage = Vec::with_capacity(dests);
+        for (i, step) in compiled.dest_steps.iter().enumerate() {
+            if !is_set(&fold.dirty, records + i) {
+                results.push(Some(fold.exec.results()[i]));
+                coverage.push(DestCoverage {
+                    destination: step.dest,
+                    covered: self.demanded[i],
+                    demanded: self.demanded[i],
+                    missing: Vec::new(),
+                });
+                continue;
+            }
+            results.push(with_lane_kernel!(step.kind, K => {
+                self.refold::<K>(step.first_op, step.op_count, readings, delivered, fold)
+                    .map(K::eval)
+            }));
+            coverage.push(self.coverage(i, step.dest, &fold.row));
         }
+        (results, coverage)
+    }
+
+    /// Destination `i`'s coverage when its fold covered `row`, a subset of
+    /// its demanded row.
+    fn coverage(&self, i: usize, destination: NodeId, row: &[u64]) -> DestCoverage {
+        let words = self.words;
+        let demanded_row = &self.demanded_bits[i * words..(i + 1) * words];
+        let covered: usize = row.iter().map(|w| w.count_ones() as usize).sum();
+        let mut missing = Vec::with_capacity(self.demanded[i] - covered);
+        for (w, (&have, &want)) in row.iter().zip(demanded_row).enumerate() {
+            let mut lost = want & !have;
+            while lost != 0 {
+                missing.push(
+                    self.compiled
+                        .sources
+                        .id(w * 64 + lost.trailing_zeros() as usize),
+                );
+                lost &= lost - 1;
+            }
+        }
+        DestCoverage {
+            destination,
+            covered,
+            demanded: self.demanded[i],
+            missing,
+        }
+    }
+
+    /// Per-link failure summaries of the messages with a failed attempt,
+    /// in message order — unconditional, so an outcome is identical with
+    /// observability on or off, and empty when lossless — adding each to
+    /// the plane tallies when `obs` is on.
+    fn link_events(&self, scratch: &mut FaultScratch, obs: bool) -> Vec<LinkEvent> {
+        let messages = &self.compiled.schedule().messages;
+        let count = scratch.failed.iter().map(|w| w.count_ones() as usize).sum();
+        let mut events = Vec::with_capacity(count);
+        for (w, &word) in scratch.failed.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let m = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let failures = scratch.attempts[m] - u32::from(scratch.delivered[m]);
+                let dropped = scratch.dropped[m];
+                let (tail, head) = messages[m].edge;
+                events.push(LinkEvent {
+                    tail,
+                    head,
+                    failures,
+                    dropped,
+                });
+                if obs {
+                    scratch.tally.add_failures(m, failures, dropped);
+                }
+            }
+        }
+        events
     }
 
     /// Settles a round once its clock has decided delivery: turns the
     /// delivery vector in `scratch` (per message: delivered, dropped,
-    /// attempts) plus `readings` into the [`FaultOutcome`] — plane
-    /// tallies, cost, link events, the degraded fold and coverage. Both
-    /// clocks end here: [`FaultyExec::run`] after its TDMA slot scan and
-    /// [`crate::sim::SimExec::run`] after its event wheel stops. Every
-    /// node folds whichever units reached it, so the answer depends on
-    /// the delivery vector alone, not on when each message arrived.
+    /// attempts, and the failed-attempt bitset) plus `readings` into the
+    /// [`FaultOutcome`] — plane tallies, cost, link events, the degraded
+    /// fold and coverage. Both clocks end here: [`FaultyExec::run`] after
+    /// its delivery pass and [`crate::sim::SimExec::run`] after its event
+    /// wheel stops. Every node folds whichever units reached it, so the
+    /// answer depends on the delivery vector alone, not on when each
+    /// message arrived.
     pub(crate) fn settle(
         &self,
         readings: &[f64],
@@ -627,65 +858,8 @@ impl Settler {
         if obs {
             scratch.tally.add_round(&scratch.delivered, delivered_all);
         }
-
-        // Per-link failure summaries (unconditional, so an outcome is
-        // identical with observability on or off; empty when lossless).
-        let mut link_events: Vec<LinkEvent> = Vec::new();
-        if retransmissions > 0 || dropped > 0 {
-            for (m, msg) in self.compiled.schedule().messages.iter().enumerate() {
-                let attempts = scratch.attempts[m];
-                let failures = attempts - u32::from(scratch.delivered[m]);
-                if failures > 0 {
-                    link_events.push(LinkEvent {
-                        tail: msg.edge.0,
-                        head: msg.edge.1,
-                        failures,
-                        dropped: scratch.dropped[m],
-                    });
-                    if obs {
-                        scratch.tally.add_failures(m, failures, scratch.dropped[m]);
-                    }
-                }
-            }
-        }
-
-        // Degraded dataflow: fold each op run in the compiled order,
-        // skipping ops whose gate is closed (or whose source record ended
-        // up empty). With everything delivered this includes every op and
-        // is bit-identical to `CompiledSchedule::run_round`.
-        let mut results: Vec<Option<f64>> = Vec::with_capacity(self.compiled.dest_steps.len());
-        self.fold_gated(readings, scratch, &mut results);
-
-        // Coverage accounting.
-        let words = self.words;
-        let coverage: Vec<DestCoverage> = self
-            .compiled
-            .dest_steps
-            .iter()
-            .enumerate()
-            .map(|(i, step)| {
-                let row = &scratch.cover[i * words..(i + 1) * words];
-                let demanded_row = &self.demanded_bits[i * words..(i + 1) * words];
-                let covered: usize = row.iter().map(|w| w.count_ones() as usize).sum();
-                let mut missing = Vec::new();
-                if covered < self.demanded[i] {
-                    for (w, (&have, &want)) in row.iter().zip(demanded_row).enumerate() {
-                        let mut lost = want & !have;
-                        while lost != 0 {
-                            let bit = lost.trailing_zeros() as usize;
-                            missing.push(self.compiled.sources.id(w * 64 + bit));
-                            lost &= lost - 1;
-                        }
-                    }
-                }
-                DestCoverage {
-                    destination: step.dest,
-                    covered,
-                    demanded: self.demanded[i],
-                    missing,
-                }
-            })
-            .collect();
+        let link_events = self.link_events(scratch, obs);
+        let (results, coverage) = self.fold(readings, scratch);
         let degraded = coverage.iter().filter(|c| !c.complete()).count();
         crate::telemetry::counter(names::FAULTS_DEGRADED_DESTINATIONS, degraded as u64);
 
@@ -702,21 +876,40 @@ impl Settler {
     }
 }
 
+/// True if bit `i` of `bits` is set.
+#[inline]
+fn is_set(bits: &[u64], i: usize) -> bool {
+    (bits[i / 64] >> (i % 64)) & 1 != 0
+}
+
+/// The first set bit of `bits` at or after `from`, if any.
+fn next_set_bit(bits: &[u64], from: usize) -> Option<usize> {
+    let mut w = from / 64;
+    let mut word = bits.get(w)? & (u64::MAX << (from % 64));
+    while word == 0 {
+        w += 1;
+        word = *bits.get(w)?;
+    }
+    Some(w * 64 + word.trailing_zeros() as usize)
+}
+
 /// The loss-aware executor: the shared settle tables (`Settler`) of a
 /// [`CompiledSchedule`] plus its TDMA slot assignment. Built once per
-/// plan; see the module docs for the two-phase round (delivery
-/// simulation, then `Settler::settle`).
+/// plan; see the module docs for the two-phase round (the delivery pass,
+/// then `Settler::settle`).
 #[derive(Clone, Debug)]
 pub struct FaultyExec {
     settler: Settler,
     slots: SlotSchedule,
-    /// Messages in assigned-slot order, ascending within a slot.
+    /// Messages in assigned-slot order, ascending within a slot. Slot
+    /// assignment puts every message at least one slot after each of its
+    /// predecessors, so this is a topological order of the message graph.
     by_slot: Vec<u32>,
 }
 
 impl FaultyExec {
     /// Lowers `compiled` for fault-tolerant execution: builds the shared
-    /// settle tables, assigns TDMA slots, and indexes messages by slot.
+    /// settle tables, assigns TDMA slots, and orders messages by slot.
     ///
     /// # Panics
     /// Panics if the schedule violates the structural invariants the gate
@@ -729,6 +922,14 @@ impl FaultyExec {
         let slots = assign_slots(network, compiled.schedule());
         let mut by_slot: Vec<u32> = (0..slots.slots.len() as u32).collect();
         by_slot.sort_by_key(|&m| slots.slots[m as usize]); // stable
+        debug_assert!(
+            (0..slots.slots.len()).all(|m| compiled
+                .schedule()
+                .successors(m)
+                .iter()
+                .all(|&s| slots.slots[s as usize] > slots.slots[m])),
+            "a successor shares or precedes its predecessor's slot"
+        );
         crate::m2m_log!(
             crate::telemetry::Level::Debug,
             "fault exec compiled: {} messages, {} ops gated, {} slot makespan",
@@ -761,7 +962,7 @@ impl FaultyExec {
     }
 
     /// Resolves every message's link under `model` once: the per-message
-    /// [`LinkLoss`] oracles a slot scan asks instead of the model.
+    /// [`LinkLoss`] oracles the delivery pass asks instead of the model.
     fn link_losses<'m>(&self, model: &'m DeliveryModel) -> Vec<LinkLoss<'m>> {
         self.compiled()
             .schedule()
@@ -771,7 +972,7 @@ impl FaultyExec {
             .collect()
     }
 
-    /// Phase A: the TDMA slot scan. A message is attempted once per
+    /// Phase A: the TDMA delivery pass. A message is attempted once per
     /// eligible slot — at or after its assigned slot, past its backoff,
     /// with every predecessor *resolved* (delivered or dropped) — until it
     /// is delivered, exhausts `policy.max_attempts`, or the slot budget
@@ -779,16 +980,18 @@ impl FaultyExec {
     /// `round_salt + t`. Returns `(slots_used, retransmissions, dropped)`
     /// and fills the delivery vector in `scratch`.
     ///
-    /// Only *ready* messages are visited: a bitset of the eligible ones,
-    /// fed by the messages assigned to each slot, by the successors of
-    /// each resolved message once their last predecessor resolves, and by
-    /// the backoff queue. Each slot walks the bitset in ascending message
-    /// order and re-reads the current word after every attempt, so a
-    /// message readied in slot `t` goes in `t` if it lies ahead of the
-    /// message that readied it and in `t + 1` otherwise — exactly the
-    /// order of a full ascending rescan of every message every slot,
-    /// which the test module keeps as the reference.
-    fn scan_delivery(
+    /// One walk in slot order settles every message after its
+    /// predecessors, so its slots follow from theirs. It is ready in the
+    /// latest of its assigned slot and, per predecessor `p`, the slot `p`
+    /// resolved in, plus one when it lies ahead of `p` in message order:
+    /// where an ascending rescan of every message every slot, which the
+    /// test module keeps as the reference, first attempts it. Its attempt
+    /// `k` goes in slot `ready + k·(backoff + 1)`, saturating; the first
+    /// one past the budget leaves it, and everything waiting on it,
+    /// unresolved. `slots_used` is the budget when anything is left
+    /// unresolved, else the last resolution slot, plus one if a message
+    /// was delivered in it.
+    fn deliver(
         &self,
         links: &[LinkLoss<'_>],
         policy: &RetryPolicy,
@@ -799,104 +1002,72 @@ impl FaultyExec {
             delivered,
             dropped,
             attempts,
-            pending,
-            ready,
-            backoff,
+            failed,
+            earliest,
             ..
         } = scratch;
         delivered.fill(false);
         dropped.fill(false);
         attempts.fill(0);
+        failed.fill(0);
+        earliest.copy_from_slice(&self.slots.slots);
         let schedule = self.compiled().schedule();
-        pending.copy_from_slice(&schedule.pred_count);
-        ready.fill(0);
-        backoff.clear();
-        let mut arrivals = self.by_slot.iter().map(|&m| m as usize).peekable();
-        let mut slots_used = 0u32;
+        let stride = policy.backoff_slots.saturating_add(1);
         let mut retransmissions = 0usize;
         let mut dropped_count = 0usize;
-        let mut remaining = schedule.messages.len();
-        let mut slot = 0u32;
-        while slot < policy.max_slots && remaining > 0 {
-            // Messages assigned this slot join once every predecessor has
-            // resolved; the rest join when their last one resolves.
-            while let Some(m) = arrivals.next_if(|&m| self.slots.slots[m] == slot) {
-                if pending[m] == 0 {
-                    ready[m / 64] |= 1 << (m % 64);
-                }
-            }
-            while let Some(&(at, m)) = backoff.front() {
-                if at > slot {
+        let (mut last, mut delivered_last, mut unresolved) = (0u32, false, false);
+        for &m in &self.by_slot {
+            let m = m as usize;
+            let mut slot = earliest[m];
+            let mut resolved = false;
+            while slot < policy.max_slots {
+                attempts[m] += 1;
+                if !links[m].is_down(round_salt.wrapping_add(u64::from(slot))) {
+                    delivered[m] = true;
+                    resolved = true;
                     break;
                 }
-                backoff.pop_front();
-                ready[m as usize / 64] |= 1 << (m % 64);
-            }
-            let tick = round_salt.wrapping_add(u64::from(slot));
-            let mut progressed = false;
-            for w in 0..ready.len() {
-                let mut passed = 0u64;
-                loop {
-                    let live = ready[w] & !passed;
-                    if live == 0 {
-                        break;
-                    }
-                    let bit = live.trailing_zeros();
-                    passed |= u64::MAX >> (63 - bit);
-                    let m = w * 64 + bit as usize;
-                    attempts[m] += 1;
-                    let lost = links[m].is_down(tick);
-                    retransmissions += usize::from(lost);
-                    if lost && (policy.max_attempts == 0 || attempts[m] < policy.max_attempts) {
-                        // Retry: next slot (still ready), or after the
-                        // backoff. Saturating: a retry slot past
-                        // `u32::MAX` lies beyond every budget.
-                        if policy.backoff_slots > 0 {
-                            ready[w] &= !(1 << bit);
-                            let at = slot.saturating_add(1).saturating_add(policy.backoff_slots);
-                            if at < policy.max_slots {
-                                backoff.push_back((at, m as u32));
-                            }
-                        }
-                        continue;
-                    }
-                    // Resolved: delivered, or dropped on its last attempt.
-                    ready[w] &= !(1 << bit);
-                    remaining -= 1;
-                    if lost {
-                        dropped[m] = true;
-                        dropped_count += 1;
-                    } else {
-                        delivered[m] = true;
-                        progressed = true;
-                    }
-                    for &s in schedule.successors(m) {
-                        let s = s as usize;
-                        pending[s] -= 1;
-                        if pending[s] == 0 && self.slots.slots[s] <= slot {
-                            ready[s / 64] |= 1 << (s % 64);
-                        }
-                    }
+                retransmissions += 1;
+                failed[m / 64] |= 1 << (m % 64);
+                if policy.max_attempts > 0 && attempts[m] >= policy.max_attempts {
+                    dropped[m] = true;
+                    dropped_count += 1;
+                    resolved = true;
+                    break;
                 }
+                slot = slot.saturating_add(stride);
             }
-            // Even slots with only failed attempts advance the clock.
-            if progressed || remaining > 0 {
-                slots_used = slot + 1;
+            if resolved {
+                if slot > last {
+                    (last, delivered_last) = (slot, delivered[m]);
+                } else if slot == last {
+                    delivered_last |= delivered[m];
+                }
+            } else {
+                unresolved = true;
             }
-            slot += 1;
-            // Nothing ready and no arrivals left: skip to the next retry
-            // (or the budget); every skipped slot ends with work left.
-            if remaining > 0 && arrivals.peek().is_none() && ready.iter().all(|&w| w == 0) {
-                slot = backoff.front().map_or(policy.max_slots, |&(at, _)| at);
-                slots_used = slot;
+            for &s in schedule.successors(m) {
+                let s = s as usize;
+                // `slot < max_slots`, so the `+ 1` cannot overflow.
+                let at = if resolved {
+                    slot + u32::from(s < m)
+                } else {
+                    u32::MAX
+                };
+                earliest[s] = earliest[s].max(at);
             }
         }
+        let slots_used = if unresolved {
+            policy.max_slots
+        } else {
+            last + u32::from(delivered_last)
+        };
         (slots_used, retransmissions, dropped_count)
     }
 
-    /// Runs one fault-tolerant round: the TDMA slot scan under `model`
-    /// and `policy`, then `Settler::settle` over `readings` (dense, in
-    /// [`CompiledSchedule::sources`] slot order). `round_salt`
+    /// Runs one fault-tolerant round: the TDMA delivery pass under
+    /// `model` and `policy`, then `Settler::settle` over `readings`
+    /// (dense, in [`CompiledSchedule::sources`] slot order). `round_salt`
     /// decorrelates this round's losses from other rounds'.
     ///
     /// # Panics
@@ -937,7 +1108,7 @@ impl FaultyExec {
             "scratch/executor mismatch"
         );
         let (slots_used, retransmissions, dropped) =
-            self.scan_delivery(links, policy, round_salt, scratch);
+            self.deliver(links, policy, round_salt, scratch);
         self.settler
             .settle(readings, scratch, slots_used, retransmissions, dropped)
     }
@@ -1140,8 +1311,8 @@ impl ChurnController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::agg::{AggregateFunction, AggregateKind};
-    use crate::exec::ExecState;
+    use crate::agg::{AggregateFunction, AggregateKind, PartialRecord};
+    use crate::exec::Op;
     use crate::plan::GlobalPlan;
     use crate::spec::AggregationSpec;
     use crate::workload::{generate_workload, WorkloadConfig};
@@ -1378,13 +1549,13 @@ mod tests {
         assert_eq!(slots, ticks);
     }
 
-    /// The full-rescan slot loop the ready-set scan replaced, kept as its
-    /// reference: every slot visits every message in ascending order and
-    /// attempts each one at or past its assigned slot, past its backoff,
-    /// with every predecessor resolved, asking `model` afresh per attempt.
-    /// Its retry slot saturates like the scan's. Returns the delivery
-    /// vector (delivered, dropped, attempts) and `(slots_used,
-    /// retransmissions, dropped)`.
+    /// The full-rescan slot loop, kept as the delivery pass's reference:
+    /// every slot visits every message in ascending order and attempts
+    /// each one at or past its assigned slot, past its backoff, with
+    /// every predecessor resolved, asking `model` afresh per attempt. Its
+    /// retry slot saturates like the pass's. Returns the delivery vector
+    /// (delivered, dropped, attempts) and `(slots_used, retransmissions,
+    /// dropped)`.
     #[allow(clippy::type_complexity)]
     fn rescan_delivery(
         faulty: &FaultyExec,
@@ -1451,6 +1622,102 @@ mod tests {
         (delivered, dropped, attempts, counts)
     }
 
+    /// The scalar gated fold the settle's compiled fold and re-fold
+    /// replaced, kept as their reference: every op run in fold order
+    /// (record steps topologically, then destinations ascending)
+    /// left-folds its ops through the enum records, skipping ops whose
+    /// gate is closed or whose source record came up empty. Returns the
+    /// destination results and their coverage rows (`words` each).
+    fn fold_gated(
+        settler: &Settler,
+        readings: &[f64],
+        delivered: &[bool],
+    ) -> (Vec<Option<f64>>, Vec<u64>) {
+        let compiled = &settler.compiled;
+        let words = settler.words;
+        let message_of = &compiled.schedule().message_of;
+        let fold_step = |first_op: u32,
+                         op_count: u32,
+                         kind: AggregateKind,
+                         records: &[Option<PartialRecord>],
+                         unit_cover: &[u64],
+                         row: &mut [u64]| {
+            row.fill(0);
+            let mut acc: Option<PartialRecord> = None;
+            for k in first_op as usize..(first_op + op_count) as usize {
+                if !settler.gate_open(settler.op_gate[k], message_of, delivered) {
+                    continue;
+                }
+                let part = match compiled.ops.get(k) {
+                    Op::Pre { slot, alpha } => {
+                        row[slot as usize / 64] |= 1 << (slot % 64);
+                        kind.pre_aggregate_weighted(alpha, readings[slot as usize])
+                    }
+                    Op::FromUnit { unit } => {
+                        let src = &unit_cover[unit as usize * words..][..words];
+                        for (have, &more) in row.iter_mut().zip(src) {
+                            *have |= more;
+                        }
+                        match records[unit as usize] {
+                            Some(r) => r,
+                            None => continue, // delivered, but nothing survived upstream
+                        }
+                    }
+                };
+                acc = Some(match acc {
+                    None => part,
+                    Some(prev) => kind.merge_records(prev, part),
+                });
+            }
+            acc
+        };
+        let mut records: Vec<Option<PartialRecord>> = vec![None; compiled.unit_count];
+        let mut unit_cover = vec![0u64; compiled.unit_count * words];
+        let mut row = vec![0u64; words];
+        for step in &compiled.record_steps {
+            let acc = fold_step(
+                step.first_op,
+                step.op_count,
+                step.kind,
+                &records,
+                &unit_cover,
+                &mut row,
+            );
+            records[step.unit as usize] = acc;
+            unit_cover[step.unit as usize * words..][..words].copy_from_slice(&row);
+        }
+        let mut results = Vec::new();
+        let mut cover = vec![0u64; compiled.dest_steps.len() * words];
+        for (step, row) in compiled.dest_steps.iter().zip(cover.chunks_mut(words)) {
+            let acc = fold_step(
+                step.first_op,
+                step.op_count,
+                step.kind,
+                &records,
+                &unit_cover,
+                row,
+            );
+            results.push(acc.map(|r| step.kind.evaluate_record(r)));
+        }
+        (results, cover)
+    }
+
+    /// Readings in `kind`'s domain: strictly positive for
+    /// `GeometricMean`, signed for every other kind.
+    fn kind_readings(compiled: &CompiledSchedule, kind: AggregateKind, seed: u64) -> Vec<f64> {
+        (0..compiled.sources().len())
+            .map(|s| {
+                let x = (s as f64 * 0.59 + (seed % 1_000) as f64 * 0.091).sin() * 30.0
+                    - s as f64 * 0.04;
+                if kind == AggregateKind::GeometricMean {
+                    x.abs() + 0.125
+                } else {
+                    x
+                }
+            })
+            .collect()
+    }
+
     /// A small seeded hash for picking links in the loss-model builders.
     fn pick(seed: u64, m: usize) -> u64 {
         let h = (seed ^ m as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -1511,13 +1778,13 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(6))]
 
-        /// The ready-set scan decides exactly what the full rescan decides:
-        /// the same per-message delivery vector and the same
+        /// The one-pass delivery decides exactly what the full rescan
+        /// decides: the same per-message delivery vector and the same
         /// `(slots_used, retransmissions, dropped)`, over every routing
         /// mode, all three loss models, and retry policies with unlimited
         /// attempts, backoff, and slot budgets below the makespan.
         #[test]
-        fn ready_set_scan_matches_the_full_rescan(
+        fn delivery_pass_matches_the_full_rescan(
             place_seed in 0u64..10_000,
             wl_seed in 0u64..10_000,
             loss_seed in 0u64..10_000,
@@ -1552,12 +1819,84 @@ mod tests {
                         for &salt in &salts {
                             let (delivered, dropped, attempts, counts) =
                                 rescan_delivery(&faulty, model, policy, salt);
-                            let scanned = faulty.scan_delivery(&links, policy, salt, &mut scratch);
+                            let passed = faulty.deliver(&links, policy, salt, &mut scratch);
                             let at = format!("{mode:?} {policy:?} salt {salt}");
-                            prop_assert_eq!(scanned, counts, "{}", at);
+                            prop_assert_eq!(passed, counts, "{}", at);
                             prop_assert_eq!(&scratch.attempts, &attempts, "{}", at);
                             prop_assert_eq!(&scratch.delivered, &delivered, "{}", at);
                             prop_assert_eq!(&scratch.dropped, &dropped, "{}", at);
+                        }
+                    }
+                }
+            }
+        }
+
+        /// The settle's compiled fold plus re-fold answers what the scalar
+        /// gated fold answers over the same delivery vector, on every
+        /// aggregate kind: the same bits in every result (`None` where no
+        /// input survived) and the same coverage row per destination, over
+        /// every routing mode, all three loss models, and retry budgets
+        /// down to one attempt and two slots, which lose whole
+        /// destinations.
+        #[test]
+        fn settle_matches_the_gated_fold_on_every_kind(
+            place_seed in 0u64..10_000,
+            wl_seed in 0u64..10_000,
+            loss_seed in 0u64..10_000,
+            base_salt in 0u64..1_000_000,
+            p in 0.1f64..0.6,
+        ) {
+            let net = Network::with_default_energy(Deployment::great_duck_island(place_seed));
+            let salts: Vec<u64> = (0..2).map(|i| base_salt + i * SALT_STRIDE).collect();
+            for kind in AggregateKind::ALL {
+                let config = WorkloadConfig { kind, ..WorkloadConfig::paper_default(8, 6, wl_seed) };
+                let spec = generate_workload(&net, &config);
+                for mode in MODES {
+                    let compiled = compile(&net, &spec, mode);
+                    let faulty = FaultyExec::new(&net, &compiled);
+                    let settler = &faulty.settler;
+                    let words = settler.words;
+                    let readings = kind_readings(&compiled, kind, loss_seed);
+                    let everything = vec![true; compiled.message_facts.len()];
+                    let (_, demanded) = fold_gated(settler, &readings, &everything);
+                    prop_assert_eq!(&demanded, &settler.demanded_bits, "{:?} {:?}", kind, mode);
+                    let models = [
+                        DeliveryModel::uniform(p, loss_seed),
+                        per_link_model(&net, &faulty, p, loss_seed),
+                        trace_model(&faulty, &salts, loss_seed),
+                    ];
+                    let policies = [
+                        RetryPolicy::bounded(3, 0, 1_000),
+                        RetryPolicy::bounded(2, 1, 1_000),
+                        RetryPolicy::bounded(1, 0, 1_000),
+                        RetryPolicy::bounded(1, 0, 2),
+                    ];
+                    let mut scratch = faulty.scratch();
+                    for model in &models {
+                        for policy in &policies {
+                            for &salt in &salts {
+                                let out = faulty.run(&readings, model, policy, salt, &mut scratch);
+                                let (results, rows) = fold_gated(settler, &readings, &scratch.delivered);
+                                let at = format!("{kind:?} {mode:?} {policy:?} salt {salt}");
+                                let bits = |r: &[Option<f64>]| -> Vec<Option<u64>> {
+                                    r.iter().map(|x| x.map(f64::to_bits)).collect()
+                                };
+                                prop_assert_eq!(bits(&out.results), bits(&results), "{}", at);
+                                prop_assert_eq!(out.coverage.len(), rows.len() / words, "{}", at);
+                                for (i, c) in out.coverage.iter().enumerate() {
+                                    // The outcome's row: demanded minus missing.
+                                    let mut row = settler.demanded_bits[i * words..][..words].to_vec();
+                                    for &s in &c.missing {
+                                        let slot = compiled.sources().slot(s).unwrap();
+                                        row[slot / 64] &= !(1 << (slot % 64));
+                                    }
+                                    let want = &rows[i * words..][..words];
+                                    prop_assert_eq!(&row[..], want, "{} destination {}", at, c.destination);
+                                    let covered: u32 = want.iter().map(|w| w.count_ones()).sum();
+                                    prop_assert_eq!(c.covered, covered as usize, "{}", at);
+                                    prop_assert_eq!(c.demanded, settler.demanded[i], "{}", at);
+                                }
+                            }
                         }
                     }
                 }

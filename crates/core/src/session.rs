@@ -265,38 +265,41 @@ pub enum RoundDetail {
 /// [`RoundReport::fault`] / [`RoundReport::sim`] shortcuts).
 #[derive(Clone, Debug, PartialEq)]
 pub struct RoundReport {
-    destinations: Vec<NodeId>,
-    results: Vec<Option<f64>>,
+    /// Shared by every report of one batch.
+    destinations: Arc<[NodeId]>,
+    /// A compiled round's results; lossy and sim rounds keep theirs in
+    /// `detail` alone, and leave this empty.
+    compiled_results: Vec<Option<f64>>,
     cost: RoundCost,
     delivered: bool,
     detail: RoundDetail,
 }
 
 impl RoundReport {
-    fn compiled(destinations: Vec<NodeId>, results: &[f64], cost: RoundCost) -> Self {
+    fn compiled(destinations: Arc<[NodeId]>, results: &[f64], cost: RoundCost) -> Self {
         RoundReport {
             destinations,
-            results: results.iter().copied().map(Some).collect(),
+            compiled_results: results.iter().copied().map(Some).collect(),
             cost,
             delivered: true,
             detail: RoundDetail::Compiled,
         }
     }
 
-    fn from_fault(destinations: Vec<NodeId>, out: FaultOutcome) -> Self {
+    fn from_fault(destinations: Arc<[NodeId]>, out: FaultOutcome) -> Self {
         RoundReport {
             destinations,
-            results: out.results.clone(),
+            compiled_results: Vec::new(),
             cost: out.cost,
             delivered: out.delivered,
             detail: RoundDetail::Lossy(out),
         }
     }
 
-    fn from_sim(destinations: Vec<NodeId>, out: SimOutcome) -> Self {
+    fn from_sim(destinations: Arc<[NodeId]>, out: SimOutcome) -> Self {
         RoundReport {
             destinations,
-            results: out.outcome.results.clone(),
+            compiled_results: Vec::new(),
             cost: out.outcome.cost,
             delivered: out.outcome.delivered,
             detail: RoundDetail::Sim(out),
@@ -313,7 +316,11 @@ impl RoundReport {
     /// was lost this round (never on the compiled runtime).
     #[inline]
     pub fn results(&self) -> &[Option<f64>] {
-        &self.results
+        match &self.detail {
+            RoundDetail::Compiled => &self.compiled_results,
+            RoundDetail::Lossy(out) => &out.results,
+            RoundDetail::Sim(out) => &out.outcome.results,
+        }
     }
 
     /// The result delivered to `destination`, if any.
@@ -321,14 +328,14 @@ impl RoundReport {
         self.destinations
             .iter()
             .position(|&d| d == destination)
-            .and_then(|i| self.results[i])
+            .and_then(|i| self.results()[i])
     }
 
     /// The delivered results as a map (lost destinations are absent).
     pub fn result_map(&self) -> BTreeMap<NodeId, f64> {
         self.destinations
             .iter()
-            .zip(&self.results)
+            .zip(self.results())
             .filter_map(|(&d, r)| r.map(|v| (d, v)))
             .collect()
     }
@@ -609,25 +616,26 @@ impl Session {
     /// bit-identical to running the rows one at a time with
     /// [`Session::run`] at any configured thread count or lane width.
     pub fn run_rounds(&mut self, rounds: &[Vec<f64>]) -> Vec<RoundReport> {
-        let destinations: Vec<NodeId> = self.compiled.destinations().collect();
+        let destinations: Arc<[NodeId]> = self.compiled.destinations().collect();
         match self.runtime {
             Runtime::Compiled => {
                 let slab = self.epochs_slab(rounds);
                 (0..slab.rounds())
                     .map(|r| {
-                        RoundReport::compiled(destinations.clone(), slab.round(r), slab.cost())
+                        let shared = Arc::clone(&destinations);
+                        RoundReport::compiled(shared, slab.round(r), slab.cost())
                     })
                     .collect()
             }
             Runtime::Lossy => self
                 .lossy_rounds(rounds)
                 .into_iter()
-                .map(|out| RoundReport::from_fault(destinations.clone(), out))
+                .map(|out| RoundReport::from_fault(Arc::clone(&destinations), out))
                 .collect(),
             Runtime::Sim => self
                 .sim_rounds(rounds)
                 .into_iter()
-                .map(|out| RoundReport::from_sim(destinations.clone(), out))
+                .map(|out| RoundReport::from_sim(Arc::clone(&destinations), out))
                 .collect(),
         }
     }

@@ -21,13 +21,15 @@
 //!   `seq` is a monotone push counter, so the pop order is a total order
 //!   independent of heap internals: runs are bit-replayable.
 //! * **Message graph** — the schedule's successor CSR and predecessor
-//!   counts, the same ones the TDMA slot scan runs on, so resolution is
-//!   push-driven.
+//!   counts, the same graph the TDMA delivery pass walks in slot order,
+//!   so resolution is push-driven.
 //! * **One answer path** — the wheel only decides delivery, filling the
-//!   per-message delivery vector of the [`FaultScratch`] inside
-//!   [`SimState`]; `Settler::settle` turns it into the answer, the
-//!   same step the TDMA executor ends with. The hot loop performs no
-//!   heap allocation ([`SimState`] is reusable scratch).
+//!   per-message delivery vector and failed-attempt bitset of the
+//!   [`FaultScratch`] inside [`SimState`]; `Settler::settle` turns it
+//!   into the answer (the compiled fold of the readings, re-folded where
+//!   a loss touched it), the same step the TDMA executor ends with. The
+//!   hot loop performs no heap allocation ([`SimState`] is reusable
+//!   scratch).
 //!
 //! # One round
 //!
@@ -160,14 +162,15 @@ pub struct SimOutcome {
 
 /// Reusable scratch for [`SimExec::run`] — allocate once, run any number
 /// of rounds without further allocation (outcomes excepted). It holds
-/// only clock state plus one [`FaultScratch`], which keeps each message's
-/// unresolved predecessor count, carries the round's delivery vector
-/// into `Settler::settle` and, on drop, flushes the worker-local
-/// observability planes.
-#[derive(Clone, Debug, Default)]
+/// only clock state plus one [`FaultScratch`], which carries the round's
+/// delivery vector into `Settler::settle` and, on drop, flushes the
+/// worker-local observability planes.
+#[derive(Clone, Debug)]
 pub struct SimState {
     heap: BinaryHeap<std::cmp::Reverse<Ev>>,
     seq: u64,
+    /// Unresolved predecessors left per message.
+    pending: Vec<u32>,
     /// Intrusive FIFO links (per message).
     next_in_q: Vec<u32>,
     /// Per component: queue head / tail / depth, radio busy flag.
@@ -251,6 +254,7 @@ impl SimExec {
         SimState {
             heap: BinaryHeap::with_capacity(messages * 2 + components),
             seq: 0,
+            pending: vec![0; messages],
             next_in_q: vec![NO_MSG; messages],
             q_head: vec![NO_MSG; components],
             q_tail: vec![NO_MSG; components],
@@ -307,8 +311,8 @@ impl SimExec {
         overflows: &mut u64,
     ) {
         for &s in self.compiled().schedule().successors(m as usize) {
-            st.scratch.pending[s as usize] -= 1;
-            if st.scratch.pending[s as usize] == 0 {
+            st.pending[s as usize] -= 1;
+            if st.pending[s as usize] == 0 {
                 self.ready(s, now, st, peak_depth, overflows);
             }
         }
@@ -337,7 +341,7 @@ impl SimExec {
             "reading vector length must match the interned source count"
         );
         assert_eq!(
-            st.scratch.pending.len(),
+            st.pending.len(),
             self.message_count(),
             "state/simulator mismatch"
         );
@@ -380,6 +384,7 @@ impl SimExec {
                     *attempts += 1;
                     if model.is_down(tail, head, round_salt.wrapping_add(now)) {
                         retransmissions += 1;
+                        st.scratch.failed[m as usize / 64] |= 1 << (m % 64);
                         if policy.max_attempts > 0 && *attempts >= policy.max_attempts {
                             st.scratch.dropped[m as usize] = true;
                             dropped_count += 1;
@@ -466,8 +471,8 @@ impl SimExec {
         st.scratch.delivered.fill(false);
         st.scratch.dropped.fill(false);
         st.scratch.attempts.fill(0);
-        st.scratch
-            .pending
+        st.scratch.failed.fill(0);
+        st.pending
             .copy_from_slice(&self.compiled().schedule().pred_count);
         st.next_in_q.fill(NO_MSG);
         st.q_head.fill(NO_MSG);

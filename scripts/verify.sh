@@ -4,9 +4,11 @@
 # check of the library crates alone, warnings-as-errors rustdoc, then one
 # loop over the benchmark bins. Run from anywhere.
 #
-# The fault-scan, sim, merge and slot-assignment unit tests and their
-# equivalence suites run again under `--release`, where slot, retry and
-# topological-position arithmetic wraps instead of panicking; so do the
+# The lossy delivery-pass and settle, sim, merge and slot-assignment
+# unit tests (among them the rescan and all-kinds gated-fold oracle
+# proptests) and their equivalence suites run again under `--release`,
+# where slot, retry and topological-position arithmetic wraps instead of
+# panicking; so do the
 # service, session, config and textio unit tests (checkpoint restore's
 # tenant-id arithmetic and the hostile-input proptests of all three
 # parsers: checkpoints, `Config` and `textio` scenario files),

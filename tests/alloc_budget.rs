@@ -14,17 +14,27 @@
 //! (which deliberately keeps every message and therefore pays the
 //! prototype's per-message cost). The absolute counts printed here are
 //! recorded in EXPERIMENTS.md.
+//!
+//! It also pins the lossy executor's warm batch: past a per-batch
+//! constant (the worker's scratch and the resolved link table), a round
+//! of [`m2m_core::faults::FaultyExec::run_rounds`] allocates its result,
+//! coverage and link-event vectors, each sized once, plus one missing
+//! list per degraded destination.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
+use m2m_core::exec::CompiledSchedule;
+use m2m_core::faults::{FaultyExec, RetryPolicy};
 use m2m_core::node_machine::DistributedRunner;
 use m2m_core::plan::GlobalPlan;
 use m2m_core::tables::NodeTables;
 use m2m_core::workload::{generate_workload, WorkloadConfig};
 use m2m_graph::NodeId;
-use m2m_netsim::{Deployment, Network, RoutingMode, RoutingTables};
+use m2m_netsim::quality::LinkQuality;
+use m2m_netsim::{DeliveryModel, Deployment, Network, RoutingMode, RoutingTables};
 
 struct CountingAlloc;
 
@@ -58,8 +68,19 @@ fn allocs() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
 }
 
+/// The count is process-wide, so each test holds this for its whole run:
+/// no other test's allocations land inside its measurement.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 #[test]
 fn warm_runner_rounds_allocate_a_fraction_of_the_logged_path() {
+    let _serial = serial();
     let net = Network::with_default_energy(Deployment::great_duck_island(11));
     let spec = generate_workload(&net, &WorkloadConfig::paper_default(12, 8, 3));
     let routing = RoutingTables::build(
@@ -132,5 +153,53 @@ fn warm_runner_rounds_allocate_a_fraction_of_the_logged_path() {
         "warm per-round allocations ({per_round}) must stay below one per message \
          ({} messages per round)",
         messages / MEASURED
+    );
+}
+
+#[test]
+fn warm_lossy_rounds_allocate_three_vectors_plus_one_per_degraded_destination() {
+    let _serial = serial();
+    let net = Network::with_default_energy(Deployment::great_duck_island(11));
+    let spec = generate_workload(&net, &WorkloadConfig::paper_default(12, 8, 3));
+    let routing = RoutingTables::build(
+        &net,
+        &spec.source_to_destinations(),
+        RoutingMode::ShortestPathTrees,
+    );
+    let plan = GlobalPlan::build(&net, &spec, &routing);
+    let compiled = CompiledSchedule::compile(&net, &spec, &plan).unwrap();
+    let faulty = FaultyExec::new(&net, &compiled);
+    let model = DeliveryModel::from_quality(&LinkQuality::distance_based(&net, 0.3, 5), 7);
+    let policy = RetryPolicy::bounded(3, 0, 10_000);
+
+    const ROUNDS: usize = 64;
+    // The scratch (about fifteen vectors), the link table, the round
+    // index and the outcome vector, with room to spare.
+    const PER_BATCH: u64 = 32;
+    let slots = compiled.sources().len();
+    let rounds: Vec<Vec<f64>> = (0..ROUNDS)
+        .map(|r| (0..slots).map(|s| (r * 7 + s) as f64 * 0.5).collect())
+        .collect();
+    // Warm-up: first use of any lazily built process state.
+    faulty.run_rounds(&rounds[..2], &model, &policy, 1, 1);
+
+    let before = allocs();
+    let outcomes = faulty.run_rounds(&rounds, &model, &policy, 99, 1);
+    let batch = allocs() - before;
+    let degraded: usize = outcomes.iter().map(|o| o.degraded_destinations()).sum();
+    let retransmissions: usize = outcomes.iter().map(|o| o.retransmissions).sum();
+    println!(
+        "alloc_budget: {ROUNDS} warm lossy rounds = {batch} allocations, \
+         {degraded} degraded destinations, {retransmissions} retransmissions"
+    );
+    assert!(
+        retransmissions > ROUNDS,
+        "the loss model must fail attempts in most rounds"
+    );
+    let budget = 3 * ROUNDS as u64 + degraded as u64 + PER_BATCH;
+    assert!(
+        batch <= budget,
+        "a warm batch of {ROUNDS} lossy rounds made {batch} allocations, over \
+         3 per round + {degraded} degraded destinations + {PER_BATCH} per batch = {budget}"
     );
 }

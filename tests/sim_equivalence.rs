@@ -13,7 +13,7 @@
 //! salt)`: replays are exact, and the queue bound never changes results
 //! (it is pressure accounting, not a drop policy). And when the loss
 //! itself does not depend on the clock (permanently dead links), the
-//! TDMA slot scan ([`m2m_core::faults`]) and the event wheel decide the
+//! TDMA delivery pass ([`m2m_core::faults`]) and the event wheel decide the
 //! same delivery vector, so they must settle the same answer.
 
 use std::collections::BTreeMap;
@@ -192,7 +192,7 @@ proptest! {
     /// The answer depends on the delivery vector alone: with 1–4 message
     /// links dead for the whole round, every clock attempts each doomed
     /// message exactly `max_attempts` times and delivers everything else
-    /// first time, so the TDMA slot scan and the event wheel (any queue
+    /// first time, so the TDMA delivery pass and the event wheel (any queue
     /// bound, any latency) produce equal outcomes up to the clock reading.
     #[test]
     fn both_clocks_settle_the_same_answer_over_dead_links(
